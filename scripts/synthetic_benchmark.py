@@ -25,8 +25,6 @@ def parse_args():
     parser.add_argument("--algorithms", default=",".join(DEFAULT_ALGORITHMS))
     parser.add_argument("--seeds", default="1,2,3,4,5")
     parser.add_argument("--m", type=int, default=25)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--transfer-workers", type=int, default=None)
     parser.add_argument("--out-dir", default="results/synthetic")
     return parser.parse_args()
 
@@ -38,8 +36,6 @@ def main():
         streams=args.streams.split(","),
         seeds=[int(s) for s in args.seeds.split(",")],
         m=args.m,
-        workers=args.workers,
-        transfer_workers=args.transfer_workers,
         out_dir=args.out_dir,
     )
     t0 = time.time()

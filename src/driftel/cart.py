@@ -2,10 +2,12 @@
 
 Trees grow top-down by greedy binary Gini splits, with no pruning. Numeric
 tests send a value left iff ``value <= threshold`` (thresholds are midpoints
-between consecutive distinct sorted values); categorical tests send a value
-left iff its domain code belongs to the split subset. Growth at a node stops
-when the node is pure, has fewer than ``min_samples_split`` samples, sits at
-``max_depth``, or no candidate split reaches ``min_impurity_decrease``.
+between consecutive distinct sorted values, except where the midpoint rounds
+or overflows out of ``[lower, upper)``; there the threshold is the lower
+value itself); categorical tests send a value left iff its domain code
+belongs to the split subset. Growth at a node stops when the node is pure,
+has fewer than ``min_samples_split`` samples, sits at ``max_depth``, or no
+candidate split reaches ``min_impurity_decrease``.
 
 Split ties are broken deterministically: lowest feature index first, then
 lowest threshold (for categorical features, earliest subset in the documented
@@ -23,7 +25,8 @@ import numpy as np
 
 from .core import Chunk, ClassDistribution, Instance, Schema
 
-# Fully grown trees on noisy chunks can be deep; growth and routing recurse.
+# Fully grown trees on noisy chunks can be deep. Growth, ``transfer._adapt``
+# and ``_node_lines`` recurse; routing does not.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
 
 
@@ -124,6 +127,17 @@ def categorical_split_subsets(domain_size: int):
             yield (c,)
 
 
+def _threshold(lo: float, hi: float) -> float:
+    """Numeric threshold between consecutive distinct sorted values ``lo < hi``.
+
+    The midpoint, unless rounding (adjacent doubles) or overflow puts it
+    outside ``[lo, hi)``; then ``lo``, so ``value <= threshold`` still sends
+    ``lo`` left and ``hi`` right.
+    """
+    mid = (lo + hi) / 2.0
+    return mid if lo <= mid < hi else lo
+
+
 # Below this node size a plain-Python sweep beats numpy call overhead.
 _SMALL_NODE = 64
 
@@ -152,7 +166,7 @@ def _numeric_candidate_small(col: np.ndarray, y_list: list[int], n: int, K: int)
             score = sum_left_sq / (i + 1) + sum_right_sq / (n - i - 1)
             if best_score is None or score > best_score:
                 best_score = score
-                best_thr = (sv[i] + sv[i + 1]) / 2.0
+                best_thr = _threshold(sv[i], sv[i + 1])
     if best_score is None:
         return None
     return best_score, best_thr
@@ -233,7 +247,7 @@ def best_split_indices(
             gain = float(gains[j])
             if best is None or gain > best.gain:
                 cut = int(cuts[j])
-                threshold = float((sv[cut] + sv[cut + 1]) / 2.0)
+                threshold = _threshold(float(sv[cut]), float(sv[cut + 1]))
                 best = SplitCandidate(f, gain, threshold, None)
     return best
 
@@ -288,21 +302,39 @@ def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = Non
     return Tree(root, chunk.schema, params, chunk.index)
 
 
-def _goes_left(node: Internal, value: float) -> bool:
-    if node.threshold is not None:
-        return value <= node.threshold
+def _left_mask(node: Internal, col: np.ndarray) -> np.ndarray:
     # Codes never seen in any training partition are absent from the subset
     # and therefore route right.
-    return int(value) in node.categories
+    if node.threshold is not None:
+        return col <= node.threshold
+    return np.isin(col.astype(np.int64), node._category_array)
+
+
+def _leaf_groups(root: TreeNode, X: np.ndarray):
+    """Yield ``(leaf, row indices)`` for every leaf that rows of ``X`` reach.
+
+    The walk is iterative, so tree depth is not bounded by the call stack.
+    """
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Leaf):
+            yield node, idx
+            continue
+        mask = _left_mask(node, X[idx, node.feature_index])
+        left_idx = idx[mask]
+        if left_idx.size:
+            stack.append((node.left, left_idx))
+        right_idx = idx[~mask]
+        if right_idx.size:
+            stack.append((node.right, right_idx))
 
 
 def route_to_leaf(tree: Tree, instance: Instance) -> Leaf:
     """Deterministically route one instance to its leaf."""
     x = tree.schema.encode_features(instance.features)
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.left if _goes_left(node, x[node.feature_index]) else node.right
-    return node
+    leaf, _ = next(_leaf_groups(tree.root, x[None, :]))
+    return leaf
 
 
 def predict(tree: Tree, instance: Instance) -> int:
@@ -314,50 +346,13 @@ def posterior(tree: Tree, instance: Instance) -> ClassDistribution:
     return ClassDistribution(route_to_leaf(tree, instance).probabilities)
 
 
-def _left_mask(node: Internal, col: np.ndarray) -> np.ndarray:
-    if node.threshold is not None:
-        return col <= node.threshold
-    return np.isin(col.astype(np.int64), node._category_array)
-
-
-def _fill_posteriors(root: TreeNode, X: np.ndarray, all_idx: np.ndarray, out: np.ndarray):
-    stack = [(root, all_idx)]
-    while stack:
-        node, idx = stack.pop()
-        if isinstance(node, Leaf):
-            out[idx] = node.probabilities
-            continue
-        mask = _left_mask(node, X[idx, node.feature_index])
-        left_idx = idx[mask]
-        if left_idx.size:
-            stack.append((node.left, left_idx))
-        right_idx = idx[~mask]
-        if right_idx.size:
-            stack.append((node.right, right_idx))
-
-
-def _fill_labels(root: TreeNode, X: np.ndarray, all_idx: np.ndarray, out: np.ndarray):
-    stack = [(root, all_idx)]
-    while stack:
-        node, idx = stack.pop()
-        if isinstance(node, Leaf):
-            out[idx] = node.predicted_label
-            continue
-        mask = _left_mask(node, X[idx, node.feature_index])
-        left_idx = idx[mask]
-        if left_idx.size:
-            stack.append((node.left, left_idx))
-        right_idx = idx[~mask]
-        if right_idx.size:
-            stack.append((node.right, right_idx))
-
-
 def posterior_chunk(tree: Tree, chunk: Chunk) -> np.ndarray:
     """Per-instance posterior matrix, shape (len(chunk), num_classes)."""
     if chunk.schema != tree.schema:
         raise ValueError("chunk schema does not match the tree's schema")
     out = np.empty((len(chunk), tree.schema.num_classes), dtype=np.float64)
-    _fill_posteriors(tree.root, chunk.X, np.arange(len(chunk)), out)
+    for leaf, idx in _leaf_groups(tree.root, chunk.X):
+        out[idx] = leaf.probabilities
     return out
 
 
@@ -366,7 +361,8 @@ def predict_chunk(tree: Tree, chunk: Chunk) -> np.ndarray:
     if chunk.schema != tree.schema:
         raise ValueError("chunk schema does not match the tree's schema")
     out = np.empty(len(chunk), dtype=np.int64)
-    _fill_labels(tree.root, chunk.X, np.arange(len(chunk)), out)
+    for leaf, idx in _leaf_groups(tree.root, chunk.X):
+        out[idx] = leaf.predicted_label
     return out
 
 
@@ -392,16 +388,3 @@ def tree_to_text(tree: Tree) -> str:
     _node_lines(tree.root, lines)
     return "\n".join(lines) + "\n"
 
-
-def leaves(tree: Tree) -> list[Leaf]:
-    out: list[Leaf] = []
-
-    def walk(node: TreeNode):
-        if isinstance(node, Leaf):
-            out.append(node)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(tree.root)
-    return out

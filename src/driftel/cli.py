@@ -29,8 +29,6 @@ overrides the corresponding spec key. Keys and defaults:
   n_steps           120                 steps per generated stream
   protocol          "auto"              auto | synthetic | prequential
   out_dir           "results"
-  workers           1                   concurrent (algorithm, stream, seed) cells
-  transfer_workers  null                concurrent transfers inside a step
   record_wall_time  true
 """
 
@@ -41,8 +39,8 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +76,6 @@ class RunSpec:
     n_steps: int = 120
     protocol: str = "auto"
     out_dir: str = "results"
-    workers: int = 1
-    transfer_workers: int | None = None
     record_wall_time: bool = True
 
     @classmethod
@@ -104,8 +100,6 @@ class RunSpec:
             raise ValueError("no seeds given")
         if self.protocol not in ("auto", "synthetic", "prequential"):
             raise ValueError("protocol must be auto, synthetic, or prequential")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def learner_config(self) -> DtelConfig:
         return DtelConfig(
@@ -116,7 +110,6 @@ class RunSpec:
                 min_samples_split=self.min_samples_split,
                 min_impurity_decrease=self.min_impurity_decrease,
             ),
-            transfer_workers=self.transfer_workers,
         )
 
 
@@ -179,26 +172,13 @@ def run_spec(spec: RunSpec) -> list[RunResult]:
             if key not in loaded:
                 loaded[key] = _load_stream(stream_name, seed, spec)
 
-    cells = [
-        (alg, stream_name, seed)
-        for alg in spec.algorithms
-        for stream_name in spec.streams
-        for seed in spec.seeds
-    ]
-
-    def run_one(cell):
-        alg, stream_name, seed = cell
+    results = []
+    for alg, stream_name, seed in product(spec.algorithms, spec.streams, spec.seeds):
         items, paired = loaded[(stream_name, seed)]
         result = _run_cell(spec, alg, stream_name, seed, items, paired)
         cell_path = out_dir / f"{result.run_id}.csv"
         _atomic_write(cell_path, lambda tmp: write_results_csv([result], tmp))
-        return result
-
-    if spec.workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(run_one, cells))
-    else:
-        results = [run_one(c) for c in cells]
+        results.append(result)
 
     results.sort(key=lambda r: (r.algorithm, r.stream, r.seed))
     _atomic_write(out_dir / "results.csv", lambda tmp: write_results_csv(results, tmp))
@@ -246,8 +226,6 @@ def _apply_overrides(spec: RunSpec, args) -> RunSpec:
         "n_steps",
         "protocol",
         "out_dir",
-        "workers",
-        "transfer_workers",
     ):
         value = getattr(args, name, None)
         if value is not None:
@@ -278,10 +256,7 @@ def _cmd_sweep(args) -> int:
         accs = []
         for seed in seeds:
             cfg = preset_config(args.preset, seed=seed, n_steps=args.steps)
-            spec_cfg = DtelConfig(
-                m=m, transfer_workers=args.transfer_workers
-            )
-            learner = make_learner("dtel", spec_cfg)
+            learner = make_learner("dtel", DtelConfig(m=m))
             result = run_synthetic(
                 learner, make_stream(cfg), stream_id=args.preset, seed=seed,
                 record_wall_time=False,
@@ -396,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", dest="n_steps", type=int, default=None)
     run.add_argument("--protocol", choices=("auto", "synthetic", "prequential"), default=None)
     run.add_argument("--out-dir", dest="out_dir", default=None)
-    run.add_argument("--workers", type=int, default=None)
-    run.add_argument("--transfer-workers", dest="transfer_workers", type=int, default=None)
     run.add_argument("--no-wall-time", action="store_true", help="write zero timings for byte-identical reruns")
     run.set_defaults(fn=_cmd_run)
 
@@ -406,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--m-values", dest="m_values", action="append", required=True)
     sweep.add_argument("--seeds", action="append", default=None)
     sweep.add_argument("--steps", type=int, default=120)
-    sweep.add_argument("--transfer-workers", dest="transfer_workers", type=int, default=None)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(fn=_cmd_sweep)
 

@@ -1,16 +1,14 @@
 """Per-chunk ensemble engine.
 
 Each step trains a fresh tree on the arriving chunk, adapts every archived
-tree to the chunk (independently, so transfers may run concurrently), weights
-all members by the inverse of their squared error plus the squared error of a
-prior-sampling random classifier, and predicts by weighted soft voting over
-member posteriors. The archive of original (never adapted) trees is kept at
+tree to the chunk in archive order, weights all members by the inverse of
+their squared error plus the squared error of a prior-sampling random
+classifier, and predicts by weighted soft voting over member posteriors. The archive of original (never adapted) trees is kept at
 capacity by dropping the model whose removal leaves the most diverse set.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +16,7 @@ import numpy as np
 from .cart import StoppingParams, Tree, posterior_chunk, train_cart
 from .core import Chunk, ClassDistribution, Instance, class_prior
 from .diversity import NEW_MODEL, correctness, select_removal
-from .transfer import AdaptedTree, transfer_tree
+from .transfer import transfer_tree
 
 ADAPTED = "adapted"
 NEW = "new"
@@ -34,15 +32,12 @@ class DtelConfig:
     m: int = 25
     epsilon: float = 1e-10
     stopping: StoppingParams = field(default_factory=StoppingParams)
-    transfer_workers: int | None = None  # None = sequential transfers
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("archive capacity m must be >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.transfer_workers is not None and self.transfer_workers < 1:
-            raise ValueError("transfer_workers must be None or >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +125,6 @@ def predict_ensemble(ens: WeightedEnsemble, instance: Instance) -> tuple[int, Cl
     return int(np.argmax(combined)), ClassDistribution(combined)
 
 
-def _transfer_all(models: tuple[Tree, ...], chunk: Chunk, cfg: DtelConfig) -> list[AdaptedTree]:
-    if not models:
-        return []
-    if cfg.transfer_workers is None or cfg.transfer_workers == 1 or len(models) == 1:
-        return [transfer_tree(f, chunk, cfg.stopping) for f in models]
-    # Transfers are pure functions of immutable inputs; collect in archive
-    # order so results do not depend on scheduling.
-    with ThreadPoolExecutor(max_workers=cfg.transfer_workers) as pool:
-        return list(pool.map(lambda f: transfer_tree(f, chunk, cfg.stopping), models))
-
-
 def _accuracy_removal(candidates) -> int | str:
     # Lowest accuracy removed; ties drop the oldest, the new model last.
     order = sorted(
@@ -186,7 +170,7 @@ def _step(
 ) -> tuple[WeightedEnsemble, Archive]:
     new_tree = train_cart(chunk, cfg.stopping)
     if adapt:
-        member_trees = [a.tree for a in _transfer_all(archive.models, chunk, cfg)]
+        member_trees = [transfer_tree(f, chunk, cfg.stopping).tree for f in archive.models]
     else:
         member_trees = list(archive.models)
     updated = _update_archive(archive, new_tree, chunk, removal)

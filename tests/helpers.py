@@ -1,5 +1,5 @@
 """Shared fixtures-in-code for the test suite: tiny chunk builders, random
-consistent datasets, and tree walkers."""
+consistent datasets, tree walkers and a straight-line router."""
 
 from __future__ import annotations
 
@@ -79,6 +79,16 @@ def walk_nodes(tree: Tree):
 
 def tree_leaves(tree: Tree) -> list[Leaf]:
     return [n for n in walk_nodes(tree) if isinstance(n, Leaf)]
+
+
+def straight_line_route(tree: Tree, x) -> Leaf:
+    """Route one encoded feature row to its leaf, one node test at a time."""
+    node = tree.root
+    while isinstance(node, Internal):
+        v = x[node.feature_index]
+        left = v <= node.threshold if node.threshold is not None else int(v) in node.categories
+        node = node.left if left else node.right
+    return node
 
 
 def assert_structure_above_leaves_preserved(src, adp):

@@ -16,11 +16,20 @@ from driftel.cart import (
     train_cart,
     tree_to_text,
 )
-from driftel.core import CATEGORICAL, Chunk, FeatureDescriptor, Instance, Schema, make_rng
+from driftel.core import (
+    CATEGORICAL,
+    NUMERIC,
+    Chunk,
+    FeatureDescriptor,
+    Instance,
+    Schema,
+    make_rng,
+)
 from helpers import (
     numeric_chunk,
     random_consistent_chunk,
     random_schema,
+    straight_line_route,
     tree_leaves,
     walk_nodes,
 )
@@ -249,3 +258,70 @@ def test_predict_equals_argmax_posterior(data):
     tree = train_cart(chunk, StoppingParams(min_samples_split=max(2, n // 3)))
     post = posterior_chunk(tree, chunk)
     assert np.array_equal(predict_chunk(tree, chunk), np.argmax(post, axis=1))
+
+
+@pytest.mark.parametrize("copies", [1, 33])  # small-node sweep; vectorised sweep (66 rows)
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1 + 2**-52, 1 + 2**-51),  # adjacent doubles: the midpoint rounds onto hi
+        (1.5e308, 1.7e308),  # the sum overflows to inf
+        (-1.7e308, -1.5e308),  # the sum overflows to -inf
+    ],
+)
+def test_threshold_is_lower_value_when_midpoint_leaves_the_gap(lo, hi, copies):
+    assert not lo <= (lo + hi) / 2 < hi
+    chunk = numeric_chunk([lo] * copies + [hi] * copies, [0] * copies + [1] * copies)
+    tree = train_cart(chunk, UNBOUNDED)
+    assert tree.root.threshold == lo
+    assert np.array_equal(predict_chunk(tree, chunk), chunk.y)
+
+
+_WALK_SCHEMA = Schema(
+    (
+        FeatureDescriptor(NUMERIC),
+        FeatureDescriptor(CATEGORICAL, tuple("abcd")),  # exhaustive subsets
+        FeatureDescriptor(CATEGORICAL, tuple("abcdefgh")),  # one-vs-rest
+    ),
+    3,
+)
+
+
+def _walk_rows(data, n: int, seen: tuple[int, int], grid: float) -> np.ndarray:
+    """Rows whose categorical codes stay below ``seen`` (one bound per
+    categorical feature). Numeric values mix free floats with a ``grid``
+    lattice, so ties occur and, on the half lattice, rows hit thresholds."""
+    numeric = st.one_of(st.integers(-6, 6).map(lambda k: k * grid), st.floats(-10, 10))
+    rows = data.draw(
+        st.lists(
+            st.tuples(numeric, st.integers(0, seen[0] - 1), st.integers(0, seen[1] - 1)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return np.asarray(rows, dtype=np.float64).reshape(n, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chunk_routing_matches_straight_line_route(data):
+    # Training sees only a prefix of each categorical domain, so test rows
+    # carrying the later codes reach nodes where no training partition had
+    # them. Test rows repeat the training rows and add rows on the half-integer
+    # lattice, where the midpoints between integer training values lie.
+    seen = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)))
+    n = data.draw(st.integers(2, 90))
+    X = _walk_rows(data, n, seen, grid=1.0)
+    y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    max_depth = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+    tree = train_cart(Chunk(0, _WALK_SCHEMA, X, y), StoppingParams(max_depth=max_depth))
+    X_test = np.vstack([X, _walk_rows(data, data.draw(st.integers(0, 40)), (4, 8), grid=0.5)])
+    test = Chunk(1, _WALK_SCHEMA, X_test, np.zeros(len(X_test), dtype=np.int64))
+    labels = predict_chunk(tree, test)
+    post = posterior_chunk(tree, test)
+    for i, x in enumerate(test.X):
+        leaf = straight_line_route(tree, x)
+        assert labels[i] == leaf.predicted_label
+        assert post[i].tobytes() == leaf.probabilities.tobytes()
+        instance = Instance(_WALK_SCHEMA.decode_features(x), 0)
+        assert route_to_leaf(tree, instance) is leaf

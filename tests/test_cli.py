@@ -69,7 +69,7 @@ def test_run_with_spec_file_and_overrides(tmp_path, capsys):
             }
         )
     )
-    rc = main(["run", "--spec", str(spec_path), "--workers", "2"])
+    rc = main(["run", "--spec", str(spec_path)])
     assert rc == 0
     out_dir = tmp_path / "results"
     assert (out_dir / "results.csv").exists()
@@ -80,7 +80,7 @@ def test_run_with_spec_file_and_overrides(tmp_path, capsys):
     assert text.count("\n") == 1 + 2 * 4  # header + 2 algorithms x 4 steps
 
 
-def test_rerun_is_byte_identical_across_concurrency(tmp_path):
+def test_rerun_is_byte_identical(tmp_path):
     base = {
         "algorithms": ["dtel"],
         "streams": ["SIN200A"],
@@ -90,15 +90,10 @@ def test_rerun_is_byte_identical_across_concurrency(tmp_path):
         "record_wall_time": False,
     }
     outputs = []
-    for tag, extra in [
-        ("seq1", {}),
-        ("seq2", {}),
-        ("par", {"transfer_workers": 4, "workers": 2}),
-    ]:
-        spec = RunSpec(**base, out_dir=str(tmp_path / tag), **extra)
-        run_spec(spec)
+    for tag in ("seq1", "seq2"):
+        run_spec(RunSpec(**base, out_dir=str(tmp_path / tag)))
         outputs.append((tmp_path / tag / "results.csv").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_run_on_csv_stream_prequential(tmp_path):
@@ -125,6 +120,29 @@ def test_run_rejects_bad_inputs(tmp_path):
     bad_spec = tmp_path / "bad.json"
     bad_spec.write_text(json.dumps({"unknown_key": 1}))
     assert main(["run", "--spec", str(bad_spec)]) == 1
+
+
+@pytest.mark.parametrize("key, value", [("transfer_workers", 4), ("workers", 2)])
+def test_removed_concurrency_spec_keys_are_unknown(tmp_path, capsys, key, value):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"streams": ["SEA200A"], "n_steps": 2, key: value}))
+    assert main(["run", "--spec", str(spec_path), "--out-dir", str(tmp_path / "res")]) == 1
+    assert f"unknown spec keys: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--streams", "SEA200A"], "--workers"),
+        (["run", "--streams", "SEA200A"], "--transfer-workers"),
+        (["sweep", "--preset", "SEA200A", "--m-values", "2", "--out", "x.csv"], "--transfer-workers"),
+    ],
+)
+def test_removed_concurrency_flags_are_rejected(capsys, argv, flag):
+    build_parser().parse_args(argv)  # valid without the flag
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + [flag, "2"])
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def test_sweep_writes_deduplicated_sizes(tmp_path, capsys):

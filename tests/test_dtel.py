@@ -205,22 +205,6 @@ def test_capacity_one_archive_keeps_newest():
         assert archive.models[0].origin_chunk_index == t
 
 
-def test_determinism_across_transfer_workers():
-    rng = make_rng(59)
-    schema = random_schema(rng, max_features=2, num_classes=2)
-    chunks = [random_consistent_chunk(rng, schema, 30, index=t) for t in range(6)]
-    test_chunk = random_consistent_chunk(rng, schema, 40, index=99)
-    outputs = []
-    for workers in (None, 4):
-        learner = DtelLearner(DtelConfig(m=3, transfer_workers=workers))
-        preds = []
-        for chunk in chunks:
-            learner.update(chunk)
-            preds.append(learner.predict_chunk(test_chunk))
-        outputs.append(np.stack(preds))
-    assert np.array_equal(outputs[0], outputs[1])
-
-
 def test_learner_interface():
     learner = DtelLearner(DtelConfig(m=2))
     with pytest.raises(ValueError):
@@ -236,5 +220,3 @@ def test_config_validation():
         DtelConfig(m=0)
     with pytest.raises(ValueError):
         DtelConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        DtelConfig(transfer_workers=0)
