@@ -20,6 +20,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -83,10 +84,6 @@ class Internal:
         if self.categories is not None:
             object.__setattr__(self, "categories", tuple(sorted(self.categories)))
 
-    @cached_property
-    def _category_array(self) -> np.ndarray:
-        return np.asarray(self.categories, dtype=np.int64)
-
 
 TreeNode = Leaf | Internal
 
@@ -105,10 +102,6 @@ class SplitCandidate:
     gain: float  # Gini impurity decrease
     threshold: float | None
     categories: tuple[int, ...] | None
-
-
-def _leaf(counts: np.ndarray, depth: int) -> Leaf:
-    return Leaf(counts, int(np.argmax(counts)), depth)
 
 
 def categorical_split_subsets(domain_size: int):
@@ -138,38 +131,78 @@ def _threshold(lo: float, hi: float) -> float:
     return mid if lo <= mid < hi else lo
 
 
-# Below this node size a plain-Python sweep beats numpy call overhead.
-_SMALL_NODE = 64
-
-
-def _numeric_candidate_small(col: np.ndarray, y_list: list[int], n: int, K: int):
+def _numeric_candidate(col, labels: list[int], totals: list[int], total_sq: int):
     """Integer-arithmetic sweep over sorted values; returns (score, threshold)
     of the best cut or None. Exact: all intermediate sums are ints."""
-    order = np.argsort(col)
-    sv = col[order].tolist()
-    sy = [y_list[i] for i in order.tolist()]
-    left = [0] * K
-    right = [0] * K
-    for c in sy:
-        right[c] += 1
+    n = len(col)
+    left = [0] * len(totals)
+    right = list(totals)
     sum_left_sq = 0
-    sum_right_sq = sum(c * c for c in right)
+    sum_right_sq = total_sq
     best_score = None
-    best_thr = 0.0
-    for i in range(n - 1):
-        c = sy[i]
+    order = sorted(range(n), key=col.__getitem__)
+    prev = col[order[0]]
+    nl = 0  # instances below the value being visited
+    for i in order:
+        v = col[i]
+        if v != prev:
+            score = sum_left_sq / nl + sum_right_sq / (n - nl)
+            if best_score is None or score > best_score:
+                best_score = score
+                lo, hi = prev, v
+            prev = v
+        c = labels[i]
         sum_left_sq += 2 * left[c] + 1
         left[c] += 1
         sum_right_sq -= 2 * right[c] - 1
         right[c] -= 1
-        if sv[i] != sv[i + 1]:
-            score = sum_left_sq / (i + 1) + sum_right_sq / (n - i - 1)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_thr = _threshold(sv[i], sv[i + 1])
+        nl += 1
     if best_score is None:
         return None
-    return best_score, best_thr
+    return best_score, _threshold(lo, hi)
+
+
+def _split_rows(rows: list[list[float]], labels: list[int], totals: list[int], schema: Schema):
+    """Best split of a node held as Python lists of feature rows, labels and
+    class totals. Python lists beat numpy here: most nodes hold a handful of
+    instances, where numpy's per-call overhead dominates."""
+    n = len(labels)
+    K = schema.num_classes
+    total_sq = sum(c * c for c in totals)
+    parent_score = total_sq / n
+    best: SplitCandidate | None = None
+    for (f, fd), col in zip(enumerate(schema.features), zip(*rows)):
+        if not fd.is_categorical:
+            found = _numeric_candidate(col, labels, totals, total_sq)
+            if found is None:
+                continue
+            score, threshold = found
+            gain = (score - parent_score) / n
+            if best is None or gain > best.gain:
+                best = SplitCandidate(f, gain, float(threshold), None)
+            continue
+        cat_class = [[0] * K for _ in fd.domain]
+        for v, c in zip(col, labels):
+            cat_class[int(v)][c] += 1
+        for cats in categorical_split_subsets(len(fd.domain)):
+            left = [0] * K
+            for c in cats:
+                row = cat_class[c]
+                for j in range(K):
+                    left[j] += row[j]
+            nl = sum(left)
+            if nl == 0 or nl == n:
+                continue
+            nr = n - nl
+            sl = sr = 0
+            for j in range(K):
+                sl += left[j] * left[j]
+                r = totals[j] - left[j]
+                sr += r * r
+            gain = (sl / nl + sr / nr - parent_score) / n
+            if best is None or gain > best.gain:
+                best = SplitCandidate(f, gain, None, cats)
+    return best
 
 
 def best_split_indices(
@@ -182,79 +215,49 @@ def best_split_indices(
     candidates evaluate to identical floats and the documented tie order
     (lowest feature, lowest threshold / earliest subset) decides.
     """
-    n = idx.size
     y_sub = y[idx]
-    K = schema.num_classes
-    int_counts = np.bincount(y_sub, minlength=K)
-    parent_sq = int((int_counts.astype(np.int64) ** 2).sum())
-    parent_score = parent_sq / n
-    counts = int_counts.astype(np.float64)
-    small = n <= _SMALL_NODE
-    y_list = y_sub.tolist() if small else None
-    best: SplitCandidate | None = None
-
-    for f, fd in enumerate(schema.features):
-        col = X[idx, f]
-        if fd.is_categorical:
-            k = len(fd.domain)
-            codes = col.astype(np.int64)
-            cat_class = np.bincount(codes * K + y_sub, minlength=k * K).reshape(k, K)
-            rows = cat_class.tolist()
-            totals = int_counts.tolist()
-            for cats in categorical_split_subsets(k):
-                left = [0] * K
-                for c in cats:
-                    row = rows[c]
-                    for j in range(K):
-                        left[j] += row[j]
-                nl = sum(left)
-                if nl == 0 or nl == n:
-                    continue
-                nr = n - nl
-                sl = sr = 0
-                for j in range(K):
-                    sl += left[j] * left[j]
-                    r = totals[j] - left[j]
-                    sr += r * r
-                gain = (sl / nl + sr / nr - parent_score) / n
-                if best is None or gain > best.gain:
-                    best = SplitCandidate(f, gain, None, cats)
-        elif small:
-            found = _numeric_candidate_small(col, y_list, n, K)
-            if found is None:
-                continue
-            score, threshold = found
-            gain = (score - parent_score) / n
-            if best is None or gain > best.gain:
-                best = SplitCandidate(f, gain, float(threshold), None)
-        else:
-            order = np.argsort(col)
-            sv = col[order]
-            cuts = np.flatnonzero(sv[1:] != sv[:-1])
-            if cuts.size == 0:
-                continue
-            sy = y_sub[order]
-            onehot = np.zeros((n, K), dtype=np.float64)
-            onehot[np.arange(n), sy] = 1.0
-            cum = np.cumsum(onehot, axis=0)
-            left = cum[cuts]
-            nl = (cuts + 1).astype(np.float64)
-            right = counts - left
-            nr = n - nl
-            score = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / nr
-            gains = (score - parent_score) / n
-            j = int(np.argmax(gains))  # first max = lowest threshold
-            gain = float(gains[j])
-            if best is None or gain > best.gain:
-                cut = int(cuts[j])
-                threshold = _threshold(float(sv[cut]), float(sv[cut + 1]))
-                best = SplitCandidate(f, gain, threshold, None)
-    return best
+    totals = np.bincount(y_sub, minlength=schema.num_classes).tolist()
+    return _split_rows(X[idx].tolist(), y_sub.tolist(), totals, schema)
 
 
 def best_split(chunk: Chunk) -> SplitCandidate | None:
     """Best root split for a whole chunk (exposed for split-enumeration checks)."""
     return best_split_indices(chunk.X, chunk.y, np.arange(len(chunk)), chunk.schema)
+
+
+def _grow_rows(
+    rows: list[list[float]],
+    labels: list[int],
+    depth: int,
+    schema: Schema,
+    params: StoppingParams,
+) -> TreeNode:
+    n = len(labels)
+    counts = [labels.count(c) for c in range(schema.num_classes)]
+    top = max(counts)
+    if (
+        top == n
+        or n < params.min_samples_split
+        or (params.max_depth is not None and depth >= params.max_depth)
+        or rows.count(rows[0]) == n  # identical feature rows admit no split
+    ):
+        return Leaf(np.array(counts, dtype=np.int64), counts.index(top), depth)
+    split = _split_rows(rows, labels, counts, schema)
+    if split is None or split.gain < params.min_impurity_decrease:
+        return Leaf(np.array(counts, dtype=np.int64), counts.index(top), depth)
+    f = split.feature_index
+    if split.threshold is not None:
+        left = [r[f] <= split.threshold for r in rows]
+    else:
+        left = [int(r[f]) in split.categories for r in rows]
+    right = [not g for g in left]
+    children = [
+        _grow_rows(
+            list(compress(rows, side)), list(compress(labels, side)), depth + 1, schema, params
+        )
+        for side in (left, right)
+    ]
+    return Internal(f, depth, split.threshold, split.categories, *children)
 
 
 def grow_subtree(
@@ -266,30 +269,7 @@ def grow_subtree(
     params: StoppingParams,
 ) -> TreeNode:
     """Grow a (sub)tree over the instances selected by ``idx`` starting at ``depth``."""
-    K = schema.num_classes
-    counts = np.bincount(y[idx], minlength=K)
-    if (
-        int((counts > 0).sum()) <= 1
-        or idx.size < params.min_samples_split
-        or (params.max_depth is not None and depth >= params.max_depth)
-    ):
-        return _leaf(counts, depth)
-    split = best_split_indices(X, y, idx, schema)
-    if split is None or split.gain < params.min_impurity_decrease:
-        return _leaf(counts, depth)
-    col = X[idx, split.feature_index]
-    if split.threshold is not None:
-        mask = col <= split.threshold
-    else:
-        mask = np.isin(col.astype(np.int64), np.asarray(split.categories, dtype=np.int64))
-    return Internal(
-        split.feature_index,
-        depth,
-        split.threshold,
-        split.categories,
-        grow_subtree(X, y, idx[mask], depth + 1, schema, params),
-        grow_subtree(X, y, idx[~mask], depth + 1, schema, params),
-    )
+    return _grow_rows(X[idx].tolist(), y[idx].tolist(), depth, schema, params)
 
 
 def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = None) -> Tree:
@@ -304,36 +284,44 @@ def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = Non
 
 def _left_mask(node: Internal, col: np.ndarray) -> np.ndarray:
     # Codes never seen in any training partition are absent from the subset
-    # and therefore route right.
+    # and therefore route right. Trained subsets hold at most five codes (see
+    # categorical_split_subsets), so a few equality tests beat np.isin.
     if node.threshold is not None:
         return col <= node.threshold
-    return np.isin(col.astype(np.int64), node._category_array)
+    codes = col.astype(np.int64)
+    mask = np.zeros(codes.shape, dtype=bool)
+    for c in node.categories:
+        mask |= codes == c
+    return mask
 
 
-def _leaf_groups(root: TreeNode, X: np.ndarray):
-    """Yield ``(leaf, row indices)`` for every leaf that rows of ``X`` reach.
+def _leaf_groups(root: TreeNode, columns: np.ndarray):
+    """Yield ``(leaf, row indices)`` for every leaf that the rows reach, given
+    the features column-major (``Chunk.columns``, shape (d, n)).
 
     The walk is iterative, so tree depth is not bounded by the call stack.
     """
-    stack = [(root, np.arange(X.shape[0]))]
+    stack = [(root, np.arange(columns.shape[1]))]
     while stack:
         node, idx = stack.pop()
         if isinstance(node, Leaf):
             yield node, idx
             continue
-        mask = _left_mask(node, X[idx, node.feature_index])
+        mask = _left_mask(node, columns[node.feature_index][idx])
         left_idx = idx[mask]
-        if left_idx.size:
+        if left_idx.size == idx.size:
+            stack.append((node.left, idx))
+        elif left_idx.size == 0:
+            stack.append((node.right, idx))
+        else:
             stack.append((node.left, left_idx))
-        right_idx = idx[~mask]
-        if right_idx.size:
-            stack.append((node.right, right_idx))
+            stack.append((node.right, idx[~mask]))
 
 
 def route_to_leaf(tree: Tree, instance: Instance) -> Leaf:
     """Deterministically route one instance to its leaf."""
     x = tree.schema.encode_features(instance.features)
-    leaf, _ = next(_leaf_groups(tree.root, x[None, :]))
+    leaf, _ = next(_leaf_groups(tree.root, x[:, None]))
     return leaf
 
 
@@ -351,7 +339,7 @@ def posterior_chunk(tree: Tree, chunk: Chunk) -> np.ndarray:
     if chunk.schema != tree.schema:
         raise ValueError("chunk schema does not match the tree's schema")
     out = np.empty((len(chunk), tree.schema.num_classes), dtype=np.float64)
-    for leaf, idx in _leaf_groups(tree.root, chunk.X):
+    for leaf, idx in _leaf_groups(tree.root, chunk.columns):
         out[idx] = leaf.probabilities
     return out
 
@@ -361,7 +349,7 @@ def predict_chunk(tree: Tree, chunk: Chunk) -> np.ndarray:
     if chunk.schema != tree.schema:
         raise ValueError("chunk schema does not match the tree's schema")
     out = np.empty(len(chunk), dtype=np.int64)
-    for leaf, idx in _leaf_groups(tree.root, chunk.X):
+    for leaf, idx in _leaf_groups(tree.root, chunk.columns):
         out[idx] = leaf.predicted_label
     return out
 

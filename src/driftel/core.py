@@ -193,6 +193,13 @@ class Chunk:
         return self.X.shape[0]
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """The features column-major, shape (d, n), so each feature's values
+        are one contiguous row; computed once and shared by every tree that
+        routes this chunk."""
+        return _readonly(np.ascontiguousarray(self.X.T))
+
+    @cached_property
     def instances(self) -> tuple[Instance, ...]:
         return tuple(
             Instance(self.schema.decode_features(row), int(lab))

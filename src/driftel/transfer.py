@@ -40,9 +40,7 @@ class AdaptedTree:
 def _adapt(
     node: TreeNode,
     idx: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    schema,
+    chunk: Chunk,
     params: StoppingParams,
 ) -> TreeNode:
     if idx.size == 0:
@@ -51,27 +49,25 @@ def _adapt(
         # immutable and safe to share.
         return node
     if isinstance(node, Internal):
-        mask = _left_mask(node, X[idx, node.feature_index])
+        mask = _left_mask(node, chunk.columns[node.feature_index][idx])
         return Internal(
             node.feature_index,
             node.depth,
             node.threshold,
             node.categories,
-            _adapt(node.left, idx[mask], X, y, schema, params),
-            _adapt(node.right, idx[~mask], X, y, schema, params),
+            _adapt(node.left, idx[mask], chunk, params),
+            _adapt(node.right, idx[~mask], chunk, params),
         )
     # grow_subtree re-checks the stopping criteria at the leaf's depth, so it
     # returns a relabeled leaf when they hold and a fresh subtree otherwise.
-    return grow_subtree(X, y, idx, node.depth, schema, params)
+    return grow_subtree(chunk.X, chunk.y, idx, node.depth, chunk.schema, params)
 
 
 def transfer_tree(source: Tree, chunk: Chunk, params: StoppingParams) -> AdaptedTree:
     """Adapt ``source`` to ``chunk``, leaving ``source`` untouched."""
     if chunk.schema != source.schema:
         raise ValueError("chunk schema does not match the source tree's schema")
-    root = _adapt(
-        source.root, np.arange(len(chunk)), chunk.X, chunk.y, source.schema, params
-    )
+    root = _adapt(source.root, np.arange(len(chunk)), chunk, params)
     adapted = Tree(root, source.schema, params, source.origin_chunk_index)
     return AdaptedTree(adapted, source, chunk.index)
 

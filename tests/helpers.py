@@ -1,11 +1,19 @@
 """Shared fixtures-in-code for the test suite: tiny chunk builders, random
-consistent datasets, tree walkers and a straight-line router."""
+consistent datasets, tree walkers, a straight-line router and a numpy
+reference grower."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from driftel.cart import Internal, Leaf, Tree
+from driftel.cart import (
+    Internal,
+    Leaf,
+    SplitCandidate,
+    Tree,
+    _threshold,
+    categorical_split_subsets,
+)
 from driftel.core import (
     CATEGORICAL,
     NUMERIC,
@@ -103,3 +111,79 @@ def assert_structure_above_leaves_preserved(src, adp):
         assert_structure_above_leaves_preserved(src.left, adp.left)
         assert_structure_above_leaves_preserved(src.right, adp.right)
     # source leaves may be replaced by relabeled leaves or grown subtrees
+
+
+def reference_best_split(X, y, idx, schema: Schema) -> SplitCandidate | None:
+    """Gini split search on numpy arrays: a vectorised cumulative-count sweep
+    per numeric feature and a subset loop per categorical one. It is the
+    array implementation that ``cart``'s list-based search replaced, kept as
+    a differential oracle."""
+    n = idx.size
+    y_sub = y[idx]
+    K = schema.num_classes
+    totals = np.bincount(y_sub, minlength=K)
+    parent_score = int((totals**2).sum()) / n
+    best = None
+    for f, fd in enumerate(schema.features):
+        col = X[idx, f]
+        if fd.is_categorical:
+            k = len(fd.domain)
+            cat_class = np.bincount(col.astype(np.int64) * K + y_sub, minlength=k * K)
+            cat_class = cat_class.reshape(k, K)
+            for cats in categorical_split_subsets(k):
+                left = cat_class[list(cats)].sum(axis=0)
+                nl = int(left.sum())
+                if nl == 0 or nl == n:
+                    continue
+                right = totals - left
+                sl, sr = int((left**2).sum()), int((right**2).sum())
+                gain = (sl / nl + sr / (n - nl) - parent_score) / n
+                if best is None or gain > best.gain:
+                    best = SplitCandidate(f, gain, None, cats)
+            continue
+        order = np.argsort(col)
+        sv = col[order]
+        cuts = np.flatnonzero(sv[1:] != sv[:-1])
+        if cuts.size == 0:
+            continue
+        onehot = np.zeros((n, K), dtype=np.float64)
+        onehot[np.arange(n), y_sub[order]] = 1.0
+        left = np.cumsum(onehot, axis=0)[cuts]
+        right = totals.astype(np.float64) - left
+        nl = (cuts + 1).astype(np.float64)
+        score = (left * left).sum(axis=1) / nl + (right * right).sum(axis=1) / (n - nl)
+        gains = (score - parent_score) / n
+        j = int(np.argmax(gains))  # first max = lowest threshold
+        if best is None or float(gains[j]) > best.gain:
+            cut = int(cuts[j])
+            threshold = _threshold(float(sv[cut]), float(sv[cut + 1]))
+            best = SplitCandidate(f, float(gains[j]), threshold, None)
+    return best
+
+
+def reference_grow_subtree(X, y, idx, depth, schema: Schema, params):
+    """Recursive CART growth on index arrays with ``reference_best_split``;
+    same signature as ``cart.grow_subtree``."""
+    counts = np.bincount(y[idx], minlength=schema.num_classes)
+    if (
+        int((counts > 0).sum()) <= 1
+        or idx.size < params.min_samples_split
+        or (params.max_depth is not None and depth >= params.max_depth)
+    ):
+        return Leaf(counts, int(np.argmax(counts)), depth)
+    split = reference_best_split(X, y, idx, schema)
+    if split is None or split.gain < params.min_impurity_decrease:
+        return Leaf(counts, int(np.argmax(counts)), depth)
+    col = X[idx, split.feature_index]
+    if split.threshold is not None:
+        mask = col <= split.threshold
+    else:
+        mask = np.isin(col.astype(np.int64), split.categories)
+    return Internal(
+        split.feature_index,
+        depth,
+        split.threshold,
+        split.categories,
+        reference_grow_subtree(X, y, idx[mask], depth + 1, schema, params),
+        reference_grow_subtree(X, y, idx[~mask], depth + 1, schema, params),
+    )

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftel import transfer
 from driftel.cart import (
     Internal,
     Leaf,
     StoppingParams,
+    Tree,
     best_split,
     posterior,
     posterior_chunk,
@@ -25,10 +29,13 @@ from driftel.core import (
     Schema,
     make_rng,
 )
+from driftel.transfer import transfer_tree
 from helpers import (
     numeric_chunk,
     random_consistent_chunk,
     random_schema,
+    reference_best_split,
+    reference_grow_subtree,
     straight_line_route,
     tree_leaves,
     walk_nodes,
@@ -325,3 +332,41 @@ def test_chunk_routing_matches_straight_line_route(data):
         assert post[i].tobytes() == leaf.probabilities.tobytes()
         instance = Instance(_WALK_SCHEMA.decode_features(x), 0)
         assert route_to_leaf(tree, instance) is leaf
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_growth_matches_reference_grower(data):
+    # cart searches and grows on Python lists; helpers keeps the numpy array
+    # implementation it replaced. New trees, transferred trees (regrown
+    # through the reference via transfer.grow_subtree) and root splits must
+    # be identical. Labels are drawn freely, so identical rows with
+    # different labels occur.
+    seen = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)))
+    chunks = []
+    for index in range(2):
+        n = data.draw(st.integers(1, 150))
+        X = _walk_rows(data, n, seen, grid=1.0)
+        y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        chunks.append(Chunk(index, _WALK_SCHEMA, X, y))
+    params = StoppingParams(
+        max_depth=data.draw(st.one_of(st.none(), st.integers(0, 8))),
+        min_samples_split=data.draw(st.integers(2, 5)),
+        min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
+    )
+    first = chunks[0]
+    tree = train_cart(first, params)
+    reference = Tree(
+        reference_grow_subtree(first.X, first.y, np.arange(len(first)), 0, _WALK_SCHEMA, params),
+        _WALK_SCHEMA,
+        params,
+        0,
+    )
+    assert tree_to_text(tree) == tree_to_text(reference)
+    assert best_split(first) == reference_best_split(
+        first.X, first.y, np.arange(len(first)), _WALK_SCHEMA
+    )
+    adapted = transfer_tree(tree, chunks[1], params).tree
+    with mock.patch.object(transfer, "grow_subtree", reference_grow_subtree):
+        reference_adapted = transfer_tree(tree, chunks[1], params).tree
+    assert tree_to_text(adapted) == tree_to_text(reference_adapted)
