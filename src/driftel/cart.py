@@ -225,13 +225,33 @@ def best_split(chunk: Chunk) -> SplitCandidate | None:
     return best_split_indices(chunk.X, chunk.y, np.arange(len(chunk)), chunk.schema)
 
 
+def _new_leaf(counts: list[int], top: int, depth: int, labels, ids, p_true) -> Leaf:
+    leaf = Leaf(np.array(counts, dtype=np.int64), counts.index(top), depth)
+    if p_true is not None:
+        # Scored growth. The leaf's posterior is taken from the counts held
+        # here: the same quotients as ``Leaf.probabilities``, stored in its
+        # cache before the leaf votes, without a numpy sum per leaf.
+        n = len(labels)
+        share = [c / n for c in counts]
+        p = np.array(share)
+        p.setflags(write=False)
+        leaf.__dict__["probabilities"] = p
+        for i, c in zip(ids, labels):
+            p_true[i] = share[c]
+    return leaf
+
+
 def _grow_rows(
     rows: list[list[float]],
     labels: list[int],
     depth: int,
     schema: Schema,
     params: StoppingParams,
+    ids: list[int] | None = None,
+    p_true: list[float] | None = None,
 ) -> TreeNode:
+    # With ``ids`` (the rows' positions) and ``p_true``, every leaf writes
+    # its posterior of each of its rows' labels to ``p_true`` at that position.
     n = len(labels)
     counts = [labels.count(c) for c in range(schema.num_classes)]
     top = max(counts)
@@ -241,10 +261,10 @@ def _grow_rows(
         or (params.max_depth is not None and depth >= params.max_depth)
         or rows.count(rows[0]) == n  # identical feature rows admit no split
     ):
-        return Leaf(np.array(counts, dtype=np.int64), counts.index(top), depth)
+        return _new_leaf(counts, top, depth, labels, ids, p_true)
     split = _split_rows(rows, labels, counts, schema)
     if split is None or split.gain < params.min_impurity_decrease:
-        return Leaf(np.array(counts, dtype=np.int64), counts.index(top), depth)
+        return _new_leaf(counts, top, depth, labels, ids, p_true)
     f = split.feature_index
     if split.threshold is not None:
         left = [r[f] <= split.threshold for r in rows]
@@ -253,7 +273,13 @@ def _grow_rows(
     right = [not g for g in left]
     children = [
         _grow_rows(
-            list(compress(rows, side)), list(compress(labels, side)), depth + 1, schema, params
+            list(compress(rows, side)),
+            list(compress(labels, side)),
+            depth + 1,
+            schema,
+            params,
+            None if ids is None else list(compress(ids, side)),
+            p_true,
         )
         for side in (left, right)
     ]
@@ -270,6 +296,25 @@ def grow_subtree(
 ) -> TreeNode:
     """Grow a (sub)tree over the instances selected by ``idx`` starting at ``depth``."""
     return _grow_rows(X[idx].tolist(), y[idx].tolist(), depth, schema, params)
+
+
+def grow_subtree_scored(
+    X: np.ndarray,
+    y: np.ndarray,
+    idx: np.ndarray,
+    depth: int,
+    schema: Schema,
+    params: StoppingParams,
+) -> tuple[TreeNode, np.ndarray]:
+    """``grow_subtree`` plus the grown subtree's posterior of each selected
+    instance's label, in ``idx`` order. Each leaf writes the entries of its
+    own instances while it holds their counts, so nothing is routed again;
+    the leaves come with ``probabilities`` already filled."""
+    p_true = [0.0] * idx.size
+    node = _grow_rows(
+        X[idx].tolist(), y[idx].tolist(), depth, schema, params, list(range(idx.size)), p_true
+    )
+    return node, np.array(p_true)
 
 
 def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = None) -> Tree:

@@ -6,7 +6,9 @@ per-instance correctness: Q = (N11*N00 - N01*N10) / (N11*N00 + N01*N10),
 with Q := 0 when the denominator is zero (the value of statistical
 independence). Set diversity is 1 minus the mean pairwise Q.
 
-Internally the replacement decision uses exact rational arithmetic so that
+All pairwise contingencies come from one integer product of the stacked
+correctness bits. The replacement decision compares Q row sums as floats and
+settles the rows near the maximum with exact rational arithmetic, so that
 mathematically tied candidates compare equal and the deterministic tie rule
 (drop the oldest model; the new model survives ties) always applies.
 """
@@ -22,6 +24,11 @@ from .cart import Tree, predict_chunk
 from .core import Chunk
 
 NEW_MODEL = "new"
+
+# Float row sums of Q are within this of their exact values: each Q and each
+# addition rounds once, and a row of k terms errs by about k*k*2**-53, which
+# stays below it for archives of up to a thousand models.
+NEAR_TIE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,32 +57,45 @@ def correctness(model: Tree, chunk: Chunk, model_id: int | str | None = None) ->
     return CorrectnessVector(bits, model_id, model.origin_chunk_index)
 
 
-def contingency(ci: CorrectnessVector, cj: CorrectnessVector) -> tuple[int, int, int, int]:
-    """(N11, N10, N01, N00) correctness contingency counts."""
-    a, b = ci.bits, cj.bits
-    if a.shape != b.shape:
+def _contingency_table(vectors) -> tuple[np.ndarray, ...]:
+    """(N11, N10, N01, N00) for every ordered pair of ``vectors``, as (k, k)
+    int64 matrices: N11 from one product of the stacked 0/1 bits, the rest
+    from its diagonal, each vector's count of correct instances."""
+    vectors = list(vectors)
+    n = vectors[0].bits.size
+    if any(v.bits.size != n for v in vectors):
         raise ValueError("correctness vectors must have equal length")
-    n11 = int(np.count_nonzero(a & b))
-    n10 = int(np.count_nonzero(a & ~b))
-    n01 = int(np.count_nonzero(~a & b))
-    n00 = a.size - n11 - n10 - n01
+    B = np.array([v.bits for v in vectors], dtype=np.int64)
+    n11 = B @ B.T
+    right = np.diag(n11)
+    n10 = right[:, None] - n11
+    n01 = right[None, :] - n11
+    n00 = n - n11 - n10 - n01
     return n11, n10, n01, n00
 
 
-def _q_fraction(ci: CorrectnessVector, cj: CorrectnessVector) -> Fraction:
-    n11, n10, n01, n00 = contingency(ci, cj)
-    den = n11 * n00 + n01 * n10
-    if den == 0:
-        return Fraction(0)
-    return Fraction(n11 * n00 - n01 * n10, den)
+def _q_terms(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Integer numerators and denominators of Q for every ordered pair; the
+    int64 products are exact for evaluation chunks below 3e9 instances."""
+    n11, n10, n01, n00 = _contingency_table(vectors)
+    agree, differ = n11 * n00, n01 * n10
+    return agree - differ, agree + differ
+
+
+def _q_fraction(num: np.ndarray, den: np.ndarray, i: int, j: int) -> Fraction:
+    d = int(den[i, j])
+    return Fraction(int(num[i, j]), d) if d else Fraction(0)
+
+
+def contingency(ci: CorrectnessVector, cj: CorrectnessVector) -> tuple[int, int, int, int]:
+    """(N11, N10, N01, N00) correctness contingency counts."""
+    return tuple(int(m[0, 1]) for m in _contingency_table([ci, cj]))
 
 
 def q_statistic(ci: CorrectnessVector, cj: CorrectnessVector) -> float:
-    n11, n10, n01, n00 = contingency(ci, cj)
-    den = n11 * n00 + n01 * n10
-    if den == 0:
-        return 0.0
-    return (n11 * n00 - n01 * n10) / den
+    num, den = _q_terms([ci, cj])
+    d = int(den[0, 1])
+    return int(num[0, 1]) / d if d else 0.0
 
 
 def div(vectors) -> float:
@@ -86,14 +106,10 @@ def div(vectors) -> float:
     vectors = list(vectors)
     if len(vectors) < 2:
         raise ValueError("div needs at least two correctness vectors")
-    total = Fraction(0)
-    pairs = 0
-    for i, a in enumerate(vectors):
-        for j, b in enumerate(vectors):
-            if i != j:
-                total += _q_fraction(a, b)
-                pairs += 1
-    return float(1 - total / pairs)
+    num, den = _q_terms(vectors)
+    k = len(vectors)
+    total = sum(_q_fraction(num, den, i, j) for i in range(k) for j in range(k) if i != j)
+    return float(1 - total / (k * (k - 1)))
 
 
 def _removal_priority(c: CorrectnessVector) -> tuple[int, int]:
@@ -107,26 +123,23 @@ def select_removal(candidates) -> int | str:
     Because Q is symmetric, removing candidate c changes the ordered-pair sum
     by exactly twice c's summed Q against the others, so the removal that
     maximizes remaining diversity is the one with the largest row sum. Row
-    sums are compared as exact rationals; ties drop the candidate with the
-    smallest origin chunk index, and the new model only when it is the sole
-    argmax.
+    sums are compared as floats; the rows within ``NEAR_TIE`` of the largest,
+    which include every exact maximum, are compared again as exact rationals.
+    Ties drop the candidate with the smallest origin chunk index, and the new
+    model only when it is the sole argmax.
     """
     candidates = list(candidates)
     if len(candidates) < 3:
         raise ValueError("select_removal needs at least three candidates")
-    length = candidates[0].bits.size
-    if any(c.bits.size != length for c in candidates):
-        raise ValueError("correctness vectors must have equal length")
-    rows = []
-    for i, a in enumerate(candidates):
-        row = Fraction(0)
-        for j, b in enumerate(candidates):
-            if i != j:
-                row += _q_fraction(a, b)
-        rows.append(row)
-    order = sorted(range(len(candidates)), key=lambda i: _removal_priority(candidates[i]))
-    best = order[0]
-    for i in order[1:]:
-        if rows[i] > rows[best]:
-            best = i
+    num, den = _q_terms(candidates)
+    q = np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
+    np.fill_diagonal(q, 0.0)
+    rows = q.sum(axis=1)
+    near = np.flatnonzero(rows >= rows.max() - NEAR_TIE).tolist()
+    order = sorted(near, key=lambda i: _removal_priority(candidates[i]))
+    # max keeps the first of equal rows, so priority order decides ties.
+    best = max(
+        order,
+        key=lambda i: sum(_q_fraction(num, den, i, j) for j in range(len(candidates)) if j != i),
+    )
     return candidates[best].model_id

@@ -1,10 +1,16 @@
 """Per-chunk ensemble engine.
 
-Each step trains a fresh tree on the arriving chunk, adapts every archived
-tree to the chunk in archive order, weights all members by the inverse of
-their squared error plus the squared error of a prior-sampling random
-classifier, and predicts by weighted soft voting over member posteriors. The archive of original (never adapted) trees is kept at
+Each step trains a fresh tree on the arriving chunk and adapts every
+archived tree to the chunk in archive order. It weights all members by the
+inverse of their squared error plus the squared error of a prior-sampling
+random classifier, and predicts by weighted soft voting over member
+posteriors. The archive of original (never adapted) trees is kept at
 capacity by dropping the model whose removal leaves the most diverse set.
+
+The chunk passes each archived tree once: the walk that adapts the tree also
+yields the archived tree's correctness bits, which the archive update uses,
+and the adapted tree's true-class posteriors, from which its squared error
+is taken (see ``transfer``).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .cart import StoppingParams, Tree, posterior_chunk, train_cart
 from .core import Chunk, ClassDistribution, Instance, class_prior
-from .diversity import NEW_MODEL, correctness, select_removal
+from .diversity import NEW_MODEL, CorrectnessVector, correctness, select_removal
 from .transfer import transfer_tree
 
 ADAPTED = "adapted"
@@ -82,11 +88,17 @@ class WeightedEnsemble:
             raise ValueError("weights must be finite and positive")
 
 
+def _mse(p_true: np.ndarray) -> float:
+    return float(np.mean((1.0 - p_true) ** 2))
+
+
+def _true_class(post: np.ndarray, chunk: Chunk) -> np.ndarray:
+    return post[np.arange(len(chunk)), chunk.y]
+
+
 def mse_model(model: Tree, chunk: Chunk) -> float:
     """Mean squared error of a model's posterior on the true labels."""
-    post = posterior_chunk(model, chunk)
-    p_true = post[np.arange(len(chunk)), chunk.y]
-    return float(np.mean((1.0 - p_true) ** 2))
+    return _mse(_true_class(posterior_chunk(model, chunk), chunk))
 
 
 def mse_random(chunk: Chunk) -> float:
@@ -138,7 +150,10 @@ def _accuracy_removal(candidates) -> int | str:
     return candidates[worst].model_id
 
 
-def _update_archive(archive: Archive, new_tree: Tree, chunk: Chunk, removal: str) -> Archive:
+def _update_archive(
+    archive: Archive, new_tree: Tree, chunk: Chunk, removal: str, bits: list[np.ndarray]
+) -> Archive:
+    # bits[slot]: the archived model's correctness on the chunk.
     if len(archive) < archive.capacity:
         return Archive(archive.models + (new_tree,), archive.capacity)
     if archive.capacity == 1:
@@ -146,7 +161,8 @@ def _update_archive(archive: Archive, new_tree: Tree, chunk: Chunk, removal: str
         # recency, so the single archived model is replaced.
         return Archive((new_tree,), 1)
     candidates = [
-        correctness(f, chunk, model_id=slot) for slot, f in enumerate(archive.models)
+        CorrectnessVector(b, slot, f.origin_chunk_index)
+        for slot, (f, b) in enumerate(zip(archive.models, bits))
     ]
     candidates.append(correctness(new_tree, chunk, model_id=NEW_MODEL))
     if removal == REMOVAL_DIVERSITY:
@@ -170,14 +186,23 @@ def _step(
 ) -> tuple[WeightedEnsemble, Archive]:
     new_tree = train_cart(chunk, cfg.stopping)
     if adapt:
-        member_trees = [transfer_tree(f, chunk, cfg.stopping).tree for f in archive.models]
+        memo: dict = {}  # regrown subtrees, shared by this step's transfers
+        adapted = [transfer_tree(f, chunk, cfg.stopping, memo) for f in archive.models]
+        member_trees = [a.tree for a in adapted]
+        p_true = [a.p_true for a in adapted]
+        bits = [a.source_correct for a in adapted]
     else:
+        # Labels are the argmax of the counts, lowest class on ties, so one
+        # posterior matrix serves both the weight and the correctness bits.
         member_trees = list(archive.models)
-    updated = _update_archive(archive, new_tree, chunk, removal)
+        posts = [posterior_chunk(f, chunk) for f in member_trees]
+        p_true = [_true_class(post, chunk) for post in posts]
+        bits = [np.argmax(post, axis=1) == chunk.y for post in posts]
+    updated = _update_archive(archive, new_tree, chunk, removal, bits)
     mse_r = mse_random(chunk)
     members = tuple(
-        EnsembleMember(t, weight_adapted(mse_r, mse_model(t, chunk), cfg.epsilon), ADAPTED)
-        for t in member_trees
+        EnsembleMember(t, weight_adapted(mse_r, _mse(p), cfg.epsilon), ADAPTED)
+        for t, p in zip(member_trees, p_true)
     ) + (EnsembleMember(new_tree, weight_new(mse_r, cfg.epsilon), NEW),)
     return WeightedEnsemble(members, chunk.index), updated
 
@@ -185,12 +210,15 @@ def _step(
 def process_chunk(archive: Archive, chunk: Chunk, cfg: DtelConfig) -> tuple[WeightedEnsemble, Archive]:
     """One full learning step.
 
-    Order of operations: train the new tree, adapt every archived tree to the
-    chunk, update the archive (diversity-based replacement once at capacity,
-    judged on the original models' correctness), then weight the adapted
-    trees plus the new tree. The ensemble always contains adapted versions of
-    all models archived at the start of the step; the archive update only
-    affects future steps, and adapted trees themselves are never archived.
+    Order of operations: train the new tree, then adapt every archived tree
+    to the chunk in one pass per tree that also yields the original model's
+    correctness bits and the adapted tree's true-class posteriors. Update the
+    archive (diversity-based replacement once at capacity, judged on the
+    original models' correctness), then weight the adapted trees, by the
+    squared error of those posteriors, plus the new tree. The ensemble always
+    contains adapted versions of all models archived at the start of the
+    step; the archive update only affects future steps, and adapted trees
+    themselves are never archived.
     """
     return _step(archive, chunk, cfg, adapt=True, removal=REMOVAL_DIVERSITY)
 

@@ -1,18 +1,24 @@
 """Shared fixtures-in-code for the test suite: tiny chunk builders, random
-consistent datasets, tree walkers, a straight-line router and a numpy
-reference grower."""
+consistent datasets, tree walkers, a straight-line router, and the replaced
+implementations kept as differential oracles: a numpy reference grower, the
+unfused transfer walk and the rational Q loops."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
+from hypothesis import strategies as st
 
 from driftel.cart import (
     Internal,
     Leaf,
     SplitCandidate,
     Tree,
+    _left_mask,
     _threshold,
     categorical_split_subsets,
+    grow_subtree,
 )
 from driftel.core import (
     CATEGORICAL,
@@ -21,6 +27,7 @@ from driftel.core import (
     FeatureDescriptor,
     Schema,
 )
+from driftel.diversity import NEW_MODEL
 
 
 def numeric_schema(n_features: int = 1, num_classes: int = 2) -> Schema:
@@ -187,3 +194,106 @@ def reference_grow_subtree(X, y, idx, depth, schema: Schema, params):
         reference_grow_subtree(X, y, idx[mask], depth + 1, schema, params),
         reference_grow_subtree(X, y, idx[~mask], depth + 1, schema, params),
     )
+
+
+def reference_adapt(node, idx, chunk: Chunk, params, grow=grow_subtree):
+    """The transfer walk before scoring was fused into it: route the chunk,
+    keep unreached subtrees, and relabel or regrow each reached leaf with
+    ``grow`` (the signature of ``cart.grow_subtree``)."""
+    if idx.size == 0:
+        return node
+    if isinstance(node, Internal):
+        mask = _left_mask(node, chunk.columns[node.feature_index][idx])
+        return Internal(
+            node.feature_index,
+            node.depth,
+            node.threshold,
+            node.categories,
+            reference_adapt(node.left, idx[mask], chunk, params, grow),
+            reference_adapt(node.right, idx[~mask], chunk, params, grow),
+        )
+    return grow(chunk.X, chunk.y, idx, node.depth, chunk.schema, params)
+
+
+def reference_transfer(source: Tree, chunk: Chunk, params, grow=grow_subtree) -> Tree:
+    """The adapted tree of ``reference_adapt``, with no scores."""
+    root = reference_adapt(source.root, np.arange(len(chunk)), chunk, params, grow)
+    return Tree(root, source.schema, params, source.origin_chunk_index)
+
+
+WALK_SCHEMA = Schema(
+    (
+        FeatureDescriptor(NUMERIC),
+        FeatureDescriptor(CATEGORICAL, tuple("abcd")),  # exhaustive subsets
+        FeatureDescriptor(CATEGORICAL, tuple("abcdefgh")),  # one-vs-rest
+    ),
+    3,
+)
+
+
+def walk_rows(data, n: int, seen: tuple[int, int], grid: float) -> np.ndarray:
+    """Hypothesis-drawn ``WALK_SCHEMA`` rows whose categorical codes stay below
+    ``seen`` (one bound per categorical feature). Numeric values mix free
+    floats with a ``grid`` lattice, so ties occur and, on the half lattice,
+    rows hit thresholds."""
+    numeric = st.one_of(st.integers(-6, 6).map(lambda k: k * grid), st.floats(-10, 10))
+    rows = data.draw(
+        st.lists(
+            st.tuples(numeric, st.integers(0, seen[0] - 1), st.integers(0, seen[1] - 1)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return np.asarray(rows, dtype=np.float64).reshape(n, 3)
+
+
+def reference_contingency(ci, cj) -> tuple[int, int, int, int]:
+    """(N11, N10, N01, N00) of two correctness vectors, counted bit by bit."""
+    a, b = ci.bits, cj.bits
+    n11 = int(np.count_nonzero(a & b))
+    n10 = int(np.count_nonzero(a & ~b))
+    n01 = int(np.count_nonzero(~a & b))
+    return n11, n10, n01, a.size - n11 - n10 - n01
+
+
+def reference_q_fraction(ci, cj) -> Fraction:
+    """Yule's Q of two correctness vectors as an exact rational, 0 when the
+    denominator is 0."""
+    n11, n10, n01, n00 = reference_contingency(ci, cj)
+    den = n11 * n00 + n01 * n10
+    if den == 0:
+        return Fraction(0)
+    return Fraction(n11 * n00 - n01 * n10, den)
+
+
+def reference_div(vectors) -> float:
+    """Set diversity from a rational sum over every ordered pair."""
+    total = Fraction(0)
+    pairs = 0
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            if i != j:
+                total += reference_q_fraction(a, b)
+                pairs += 1
+    return float(1 - total / pairs)
+
+
+def reference_select_removal(candidates):
+    """The removal rule with every Q row sum taken as an exact rational;
+    ties drop the oldest model and spare the new one."""
+    rows = []
+    for i, a in enumerate(candidates):
+        row = Fraction(0)
+        for j, b in enumerate(candidates):
+            if i != j:
+                row += reference_q_fraction(a, b)
+        rows.append(row)
+    order = sorted(
+        range(len(candidates)),
+        key=lambda i: (1 if candidates[i].model_id == NEW_MODEL else 0, candidates[i].origin),
+    )
+    best = order[0]
+    for i in order[1:]:
+        if rows[i] > rows[best]:
+            best = i
+    return candidates[best].model_id

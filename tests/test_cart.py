@@ -1,11 +1,8 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftel import transfer
 from driftel.cart import (
     Internal,
     Leaf,
@@ -22,7 +19,6 @@ from driftel.cart import (
 )
 from driftel.core import (
     CATEGORICAL,
-    NUMERIC,
     Chunk,
     FeatureDescriptor,
     Instance,
@@ -31,14 +27,17 @@ from driftel.core import (
 )
 from driftel.transfer import transfer_tree
 from helpers import (
+    WALK_SCHEMA,
     numeric_chunk,
     random_consistent_chunk,
     random_schema,
     reference_best_split,
     reference_grow_subtree,
+    reference_transfer,
     straight_line_route,
     tree_leaves,
     walk_nodes,
+    walk_rows,
 )
 
 UNBOUNDED = StoppingParams()
@@ -284,31 +283,6 @@ def test_threshold_is_lower_value_when_midpoint_leaves_the_gap(lo, hi, copies):
     assert np.array_equal(predict_chunk(tree, chunk), chunk.y)
 
 
-_WALK_SCHEMA = Schema(
-    (
-        FeatureDescriptor(NUMERIC),
-        FeatureDescriptor(CATEGORICAL, tuple("abcd")),  # exhaustive subsets
-        FeatureDescriptor(CATEGORICAL, tuple("abcdefgh")),  # one-vs-rest
-    ),
-    3,
-)
-
-
-def _walk_rows(data, n: int, seen: tuple[int, int], grid: float) -> np.ndarray:
-    """Rows whose categorical codes stay below ``seen`` (one bound per
-    categorical feature). Numeric values mix free floats with a ``grid``
-    lattice, so ties occur and, on the half lattice, rows hit thresholds."""
-    numeric = st.one_of(st.integers(-6, 6).map(lambda k: k * grid), st.floats(-10, 10))
-    rows = data.draw(
-        st.lists(
-            st.tuples(numeric, st.integers(0, seen[0] - 1), st.integers(0, seen[1] - 1)),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    return np.asarray(rows, dtype=np.float64).reshape(n, 3)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_chunk_routing_matches_straight_line_route(data):
@@ -318,19 +292,19 @@ def test_chunk_routing_matches_straight_line_route(data):
     # lattice, where the midpoints between integer training values lie.
     seen = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)))
     n = data.draw(st.integers(2, 90))
-    X = _walk_rows(data, n, seen, grid=1.0)
+    X = walk_rows(data, n, seen, grid=1.0)
     y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     max_depth = data.draw(st.one_of(st.none(), st.integers(0, 6)))
-    tree = train_cart(Chunk(0, _WALK_SCHEMA, X, y), StoppingParams(max_depth=max_depth))
-    X_test = np.vstack([X, _walk_rows(data, data.draw(st.integers(0, 40)), (4, 8), grid=0.5)])
-    test = Chunk(1, _WALK_SCHEMA, X_test, np.zeros(len(X_test), dtype=np.int64))
+    tree = train_cart(Chunk(0, WALK_SCHEMA, X, y), StoppingParams(max_depth=max_depth))
+    X_test = np.vstack([X, walk_rows(data, data.draw(st.integers(0, 40)), (4, 8), grid=0.5)])
+    test = Chunk(1, WALK_SCHEMA, X_test, np.zeros(len(X_test), dtype=np.int64))
     labels = predict_chunk(tree, test)
     post = posterior_chunk(tree, test)
     for i, x in enumerate(test.X):
         leaf = straight_line_route(tree, x)
         assert labels[i] == leaf.predicted_label
         assert post[i].tobytes() == leaf.probabilities.tobytes()
-        instance = Instance(_WALK_SCHEMA.decode_features(x), 0)
+        instance = Instance(WALK_SCHEMA.decode_features(x), 0)
         assert route_to_leaf(tree, instance) is leaf
 
 
@@ -338,17 +312,17 @@ def test_chunk_routing_matches_straight_line_route(data):
 @given(st.data())
 def test_growth_matches_reference_grower(data):
     # cart searches and grows on Python lists; helpers keeps the numpy array
-    # implementation it replaced. New trees, transferred trees (regrown
-    # through the reference via transfer.grow_subtree) and root splits must
-    # be identical. Labels are drawn freely, so identical rows with
+    # implementation it replaced. New trees, transferred trees (regrown by
+    # the reference in helpers.reference_transfer) and root splits must be
+    # identical. Labels are drawn freely, so identical rows with
     # different labels occur.
     seen = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)))
     chunks = []
     for index in range(2):
         n = data.draw(st.integers(1, 150))
-        X = _walk_rows(data, n, seen, grid=1.0)
+        X = walk_rows(data, n, seen, grid=1.0)
         y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-        chunks.append(Chunk(index, _WALK_SCHEMA, X, y))
+        chunks.append(Chunk(index, WALK_SCHEMA, X, y))
     params = StoppingParams(
         max_depth=data.draw(st.one_of(st.none(), st.integers(0, 8))),
         min_samples_split=data.draw(st.integers(2, 5)),
@@ -357,16 +331,15 @@ def test_growth_matches_reference_grower(data):
     first = chunks[0]
     tree = train_cart(first, params)
     reference = Tree(
-        reference_grow_subtree(first.X, first.y, np.arange(len(first)), 0, _WALK_SCHEMA, params),
-        _WALK_SCHEMA,
+        reference_grow_subtree(first.X, first.y, np.arange(len(first)), 0, WALK_SCHEMA, params),
+        WALK_SCHEMA,
         params,
         0,
     )
     assert tree_to_text(tree) == tree_to_text(reference)
     assert best_split(first) == reference_best_split(
-        first.X, first.y, np.arange(len(first)), _WALK_SCHEMA
+        first.X, first.y, np.arange(len(first)), WALK_SCHEMA
     )
     adapted = transfer_tree(tree, chunks[1], params).tree
-    with mock.patch.object(transfer, "grow_subtree", reference_grow_subtree):
-        reference_adapted = transfer_tree(tree, chunks[1], params).tree
+    reference_adapted = reference_transfer(tree, chunks[1], params, reference_grow_subtree)
     assert tree_to_text(adapted) == tree_to_text(reference_adapted)

@@ -9,12 +9,19 @@ from driftel.cart import StoppingParams, train_cart
 from driftel.diversity import (
     NEW_MODEL,
     CorrectnessVector,
+    contingency,
     correctness,
     div,
     q_statistic,
     select_removal,
 )
-from helpers import numeric_chunk
+from helpers import (
+    numeric_chunk,
+    reference_contingency,
+    reference_div,
+    reference_q_fraction,
+    reference_select_removal,
+)
 
 
 def vec(bits, model_id=0, origin=0):
@@ -198,3 +205,36 @@ def test_select_removal_matches_brute_force_random():
             vec(rng.random(length) < rng.random(), model_id=i, origin=i) for i in range(m)
         ] + [vec(rng.random(length) < rng.random(), model_id=NEW_MODEL, origin=m)]
         assert select_removal(cands) == brute_force_removal(cands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_q_table_matches_rational_loops(data):
+    # select_removal compares float row sums and settles near ties exactly;
+    # div sums from the integer table. Both must agree with the rational pair
+    # loops they replaced. Duplicated and complemented columns force exact
+    # ties whose float sums may differ in the last bits; all-true and
+    # all-false columns have a zero Q denominator against every column.
+    length = data.draw(st.integers(1, 24))
+    k = data.draw(st.integers(3, 9))
+    columns = []
+    for _ in range(k):
+        kind = data.draw(st.sampled_from(["free", "copy", "complement", "all", "none"]))
+        if kind in ("copy", "complement") and columns:
+            base = columns[data.draw(st.integers(0, len(columns) - 1))]
+            columns.append(base if kind == "copy" else ~base)
+        elif kind == "all":
+            columns.append(np.ones(length, dtype=bool))
+        elif kind == "none":
+            columns.append(np.zeros(length, dtype=bool))
+        else:
+            bits = data.draw(st.lists(st.booleans(), min_size=length, max_size=length))
+            columns.append(np.asarray(bits, dtype=bool))
+    origins = data.draw(st.permutations(range(k - 1)))
+    cands = [vec(b, model_id=slot, origin=o) for slot, (b, o) in enumerate(zip(columns, origins))]
+    cands.append(vec(columns[-1], model_id=NEW_MODEL, origin=k - 1))
+    assert select_removal(cands) == reference_select_removal(cands)
+    assert div(cands) == reference_div(cands)
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    assert contingency(cands[i], cands[j]) == reference_contingency(cands[i], cands[j])
+    assert q_statistic(cands[i], cands[j]) == float(reference_q_fraction(cands[i], cands[j]))

@@ -1,15 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driftel.cart import Internal, Leaf, StoppingParams, train_cart, tree_to_text
-from driftel.core import make_rng
+from driftel.cart import (
+    Internal,
+    Leaf,
+    StoppingParams,
+    _leaf_groups,
+    posterior_chunk,
+    train_cart,
+    tree_to_text,
+)
+from driftel.core import Chunk, make_rng
+from driftel.diversity import correctness
+from driftel.dtel import _mse, mse_model
 from driftel.transfer import adapted_training_accuracy, transfer_tree
 from helpers import (
+    WALK_SCHEMA,
     assert_structure_above_leaves_preserved,
     numeric_chunk,
     random_consistent_chunk,
     random_schema,
+    reference_transfer,
     tree_leaves,
+    walk_rows,
 )
 
 UNBOUNDED = StoppingParams()
@@ -116,3 +131,49 @@ def test_adapted_accuracy_measures_fit():
     assert adapted_training_accuracy(adapted, mixed) == 0.5
     perfect = transfer_tree(source, chunk, UNBOUNDED)
     assert adapted_training_accuracy(perfect, chunk) == 1.0
+
+
+def _pooled_chunk(data, pool: np.ndarray, index: int) -> Chunk:
+    # Rows are drawn from a small pool under free labels, so duplicated
+    # feature rows with conflicting labels occur: the only way a fully grown
+    # adapted tree misfits its chunk.
+    n = data.draw(st.integers(1, 80))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Chunk(index, WALK_SCHEMA, pool[picks], np.asarray(y, dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fused_transfer_matches_unfused_reference(data):
+    # transfer_tree scores both trees in the walk that adapts the source. The
+    # oracle adapts with the unfused walk, then routes the chunk again
+    # through the source (correctness) and the adapted tree (mse_model).
+    # Several sources transfer to one chunk through one memo, as in a step;
+    # trained on the same pool, they often route equal row sets to leaves.
+    params = StoppingParams(
+        max_depth=data.draw(st.one_of(st.none(), st.integers(0, 6))),
+        min_samples_split=data.draw(st.integers(2, 5)),
+        min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
+    )
+    pool = walk_rows(data, data.draw(st.integers(1, 12)), (4, 8), grid=1.0)
+    n_sources = data.draw(st.integers(1, 4))
+    sources = [train_cart(_pooled_chunk(data, pool, i), params) for i in range(n_sources)]
+    chunk = _pooled_chunk(data, pool, n_sources)
+    rows = np.arange(len(chunk))
+    memo = {}
+    for source in sources:
+        before = tree_to_text(source)
+        fused = transfer_tree(source, chunk, params, memo)
+        reference = reference_transfer(source, chunk, params)
+        assert tree_to_text(fused.tree) == tree_to_text(reference)
+        assert tree_to_text(source) == before
+        assert np.array_equal(fused.source_correct, correctness(source, chunk).bits)
+        expected = posterior_chunk(reference, chunk)[rows, chunk.y]
+        assert fused.p_true.tobytes() == expected.tobytes()
+        assert _mse(fused.p_true).hex() == mse_model(reference, chunk).hex()
+        # Leaves the chunk reaches were grown by the transfer, which fills
+        # their posteriors before they vote.
+        for leaf, _idx in _leaf_groups(fused.tree.root, chunk.columns):
+            filled = vars(leaf)["probabilities"]
+            assert filled.tobytes() == (leaf.class_counts / leaf.class_counts.sum()).tobytes()
