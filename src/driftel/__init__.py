@@ -14,6 +14,7 @@ from .cart import (
     posterior,
     predict,
     predict_chunk,
+    route_forest,
     train_cart,
     tree_to_text,
 )
@@ -56,6 +57,6 @@ from .streams import (
     make_stream,
     preset_config,
 )
-from .transfer import AdaptedTree, adapted_training_accuracy, transfer_tree
+from .transfer import AdaptedTree, adapted_training_accuracy, transfer_tree, transfer_trees
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import Tree, predict_chunk, train_cart
+from .cart import Tree, predict_forest, train_cart
 from .core import Chunk, Instance
 from .dtel import (
     REMOVAL_ACCURACY,
@@ -46,20 +46,39 @@ class SeaEnsemble:
         return cls((), capacity)
 
 
-def majority_vote(predictions: list[np.ndarray], num_classes: int) -> np.ndarray:
-    """Unweighted majority vote over per-model label vectors; ties take the
-    lowest class index."""
-    n = predictions[0].shape[0]
-    votes = np.zeros((n, num_classes), dtype=np.int64)
-    rows = np.arange(n)
-    for pred in predictions:
-        votes[rows, pred] += 1
-    return np.argmax(votes, axis=1)
+def _vote_counts(predictions, num_classes: int) -> np.ndarray:
+    """(instances x classes) vote counts of a (models x instances) label matrix."""
+    labels = np.asarray(predictions)
+    n = labels.shape[1]
+    cells = (labels + num_classes * np.arange(n)).ravel()
+    return np.bincount(cells, minlength=n * num_classes).reshape(n, num_classes)
+
+
+def majority_vote(predictions, num_classes: int) -> np.ndarray:
+    """Unweighted majority vote over per-model label vectors (a list, or the
+    rows of a models x instances matrix); ties take the lowest class index."""
+    return np.argmax(_vote_counts(predictions, num_classes), axis=1)
 
 
 def sea_predict_chunk(state: SeaEnsemble, chunk: Chunk) -> np.ndarray:
-    preds = [predict_chunk(t, chunk) for t in state.models]
-    return majority_vote(preds, chunk.schema.num_classes)
+    return majority_vote(predict_forest(state.models, chunk), chunk.schema.num_classes)
+
+
+def best_swap(preds: np.ndarray, new_pred: np.ndarray, y: np.ndarray, num_classes: int) -> int | None:
+    """The slot whose label row, replaced by ``new_pred``, most raises the
+    majority vote's count of correct instances, or None when no swap
+    strictly beats the unchanged ensemble. Ties take the lowest (oldest)
+    slot. All swaps are scored at once from one vote-count matrix."""
+    slots, n = preds.shape
+    rows = np.arange(n)
+    votes = _vote_counts(preds, num_classes)
+    base = np.count_nonzero(np.argmax(votes, axis=1) == y)
+    swapped = np.repeat(votes[None], slots, axis=0)
+    swapped[:, rows, new_pred] += 1
+    swapped[np.arange(slots)[:, None], rows, preds] -= 1
+    correct = np.count_nonzero(np.argmax(swapped, axis=2) == y, axis=1)
+    slot = int(np.argmax(correct))
+    return slot if correct[slot] > base else None
 
 
 def sea_process_chunk(state: SeaEnsemble, chunk: Chunk, cfg: DtelConfig) -> SeaEnsemble:
@@ -69,24 +88,17 @@ def sea_process_chunk(state: SeaEnsemble, chunk: Chunk, cfg: DtelConfig) -> SeaE
     replacement of an archived tree by the new tree is scored by
     majority-vote accuracy on the chunk; the best one is committed only if it
     strictly beats the unmodified ensemble (ties keep the ensemble
-    unmodified; ties between replacements take the oldest slot).
+    unmodified; ties between replacements take the oldest slot). The archived
+    trees and the new tree are routed in one forest pass.
     """
     new_tree = train_cart(chunk, cfg.stopping)
     if len(state) < state.capacity:
         return SeaEnsemble(state.models + (new_tree,), state.capacity)
-    K = chunk.schema.num_classes
-    preds = [predict_chunk(t, chunk) for t in state.models]
-    new_pred = predict_chunk(new_tree, chunk)
-    base_acc = float(np.mean(majority_vote(preds, K) == chunk.y))
-    best_slot, best_acc = None, base_acc
-    for slot in range(len(preds)):
-        swapped = preds[:slot] + [new_pred] + preds[slot + 1 :]
-        acc = float(np.mean(majority_vote(swapped, K) == chunk.y))
-        if acc > best_acc:
-            best_slot, best_acc = slot, acc
-    if best_slot is None:
+    preds = predict_forest(state.models + (new_tree,), chunk)
+    slot = best_swap(preds[:-1], preds[-1], chunk.y, chunk.schema.num_classes)
+    if slot is None:
         return state
-    models = state.models[:best_slot] + (new_tree,) + state.models[best_slot + 1 :]
+    models = state.models[:slot] + (new_tree,) + state.models[slot + 1 :]
     return SeaEnsemble(models, state.capacity)
 
 

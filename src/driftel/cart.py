@@ -11,13 +11,22 @@ candidate split reaches ``min_impurity_decrease``.
 
 Split ties are broken deterministically: lowest feature index first, then
 lowest threshold (for categorical features, earliest subset in the documented
-enumeration order). Leaf labels are the argmax of the leaf's class counts,
-lowest class index on ties.
+enumeration order). A leaf's label is the argmax of its class counts, lowest
+class index on ties.
+
+A tree is a set of flat per-node arrays (see :class:`Tree`). Growth appends
+nodes to Python lists with an explicit stack and converts them to numpy once
+per tree. Every traversal goes through one forest pass,
+:func:`route_forest`, which moves all (tree, row) pairs of a list of trees
+down one level per numpy round; the per-tree views (``posterior_chunk``,
+``predict_chunk``, ``route_to_leaf``) route a forest of one tree. Transfer
+regrows and splices subtrees through the forest too (``_Forest.grow_block``,
+``_Forest.splice``), so this module alone knows the node layout.
 """
 
 from __future__ import annotations
 
-import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -25,10 +34,6 @@ from itertools import compress
 import numpy as np
 
 from .core import Chunk, ClassDistribution, Instance, Schema
-
-# Fully grown trees on noisy chunks can be deep. Growth, ``transfer._adapt``
-# and ``_node_lines`` recurse; routing does not.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
 
 
 @dataclass(frozen=True)
@@ -49,51 +54,76 @@ class StoppingParams:
 
 
 @dataclass(frozen=True, eq=False)
-class Leaf:
-    class_counts: np.ndarray  # int64 label counts of the training instances here
-    predicted_label: int
-    depth: int
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.class_counts, dtype=np.int64))
-        c.setflags(write=False)
-        object.__setattr__(self, "class_counts", c)
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        total = int(self.class_counts.sum())
-        if total <= 0:
-            raise ValueError("leaf has no training counts")
-        p = self.class_counts / total
-        p.setflags(write=False)
-        return p
-
-
-@dataclass(frozen=True, eq=False)
-class Internal:
-    feature_index: int
-    depth: int
-    threshold: float | None  # numeric test: value <= threshold goes left
-    categories: tuple[int, ...] | None  # categorical test: code in categories goes left
-    left: "TreeNode"
-    right: "TreeNode"
-
-    def __post_init__(self):
-        if (self.threshold is None) == (self.categories is None):
-            raise ValueError("internal node needs exactly one of threshold/categories")
-        if self.categories is not None:
-            object.__setattr__(self, "categories", tuple(sorted(self.categories)))
-
-
-TreeNode = Leaf | Internal
-
-
-@dataclass(frozen=True, eq=False)
 class Tree:
-    root: TreeNode
+    """A trained tree as flat, read-only per-node arrays; node 0 is the root.
+
+    ``feature`` is the tested feature index, -1 at leaves. A numeric test
+    sends a value left iff ``value <= threshold``; a categorical test has a
+    NaN threshold and sends a value left iff its code is in the node's row of
+    ``categories``: the go-left codes in ascending order, padded with -1 to
+    the schema's ``category_width``. ``left`` and ``right`` are child node
+    ids, -1 at leaves. ``counts`` (nodes x classes) holds the class counts of
+    the training instances each node was grown on; those of the leaves give
+    the posteriors and labels. Depth is derived from the structure.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    categories: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
     schema: Schema
     params: StoppingParams
     origin_chunk_index: int
+
+    def __post_init__(self):
+        for a in (self.feature, self.threshold, self.categories, self.left, self.right, self.counts):
+            a.setflags(write=False)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.feature.size
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Per-node class distribution: counts over their total, one division."""
+        p = self.counts / self.counts.sum(axis=1, keepdims=True)
+        p.setflags(write=False)
+        return p
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Per-node label: the argmax of the counts, lowest class on ties."""
+        lab = np.argmax(self.counts, axis=1)
+        lab.setflags(write=False)
+        return lab
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Per-node depth, the root at 0, found one level at a time."""
+        depth = np.empty(self.n_nodes, dtype=np.int64)
+        level, d = np.zeros(1, dtype=np.int64), 0
+        while level.size:
+            depth[level] = d
+            level = level[self.feature[level] >= 0]
+            level = np.concatenate([self.left[level], self.right[level]])
+            d += 1
+        depth.setflags(write=False)
+        return depth
+
+
+def category_width(schema: Schema) -> int:
+    """Most codes in any go-left subset that ``categorical_split_subsets``
+    yields for the schema's features: the width of ``Tree.categories``."""
+    return max(
+        (
+            len(fd.domain) - 1 if len(fd.domain) <= 6 else 1
+            for fd in schema.features
+            if fd.is_categorical
+        ),
+        default=0,
+    )
 
 
 @dataclass(frozen=True)
@@ -225,199 +255,320 @@ def best_split(chunk: Chunk) -> SplitCandidate | None:
     return best_split_indices(chunk.X, chunk.y, np.arange(len(chunk)), chunk.schema)
 
 
-def _new_leaf(counts: list[int], top: int, depth: int, labels, ids, p_true) -> Leaf:
-    leaf = Leaf(np.array(counts, dtype=np.int64), counts.index(top), depth)
-    if p_true is not None:
-        # Scored growth. The leaf's posterior is taken from the counts held
-        # here: the same quotients as ``Leaf.probabilities``, stored in its
-        # cache before the leaf votes, without a numpy sum per leaf.
-        n = len(labels)
-        share = [c / n for c in counts]
-        p = np.array(share)
-        p.setflags(write=False)
-        leaf.__dict__["probabilities"] = p
-        for i, c in zip(ids, labels):
-            p_true[i] = share[c]
-    return leaf
+class _Nodes:
+    """A tree or subtree under construction: one entry per node in each list,
+    in pre-order (a node's left child follows it), child ids local."""
+
+    __slots__ = ("feature", "threshold", "categories", "left", "right", "counts", "no_codes")
+
+    def __init__(self, width: int):
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.categories: list[tuple[int, ...]] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.counts: list[list[int]] = []
+        self.no_codes = (-1,) * width
+
+    def to_tree(self, schema: Schema, params: StoppingParams, origin_chunk_index: int) -> Tree:
+        n = len(self.feature)
+        return Tree(
+            np.array(self.feature, dtype=np.int64),
+            np.array(self.threshold, dtype=np.float64),
+            np.array(self.categories, dtype=np.int64).reshape(n, len(self.no_codes)),
+            np.array(self.left, dtype=np.int64),
+            np.array(self.right, dtype=np.int64),
+            np.array(self.counts, dtype=np.int64).reshape(n, schema.num_classes),
+            schema,
+            params,
+            origin_chunk_index,
+        )
 
 
 def _grow_rows(
+    nodes: _Nodes,
     rows: list[list[float]],
     labels: list[int],
     depth: int,
     schema: Schema,
     params: StoppingParams,
-    ids: list[int] | None = None,
+    ids: Sequence[int] | None = None,
     p_true: list[float] | None = None,
-) -> TreeNode:
-    # With ``ids`` (the rows' positions) and ``p_true``, every leaf writes
-    # its posterior of each of its rows' labels to ``p_true`` at that position.
-    n = len(labels)
-    counts = [labels.count(c) for c in range(schema.num_classes)]
-    top = max(counts)
-    if (
-        top == n
-        or n < params.min_samples_split
-        or (params.max_depth is not None and depth >= params.max_depth)
-        or rows.count(rows[0]) == n  # identical feature rows admit no split
-    ):
-        return _new_leaf(counts, top, depth, labels, ids, p_true)
-    split = _split_rows(rows, labels, counts, schema)
-    if split is None or split.gain < params.min_impurity_decrease:
-        return _new_leaf(counts, top, depth, labels, ids, p_true)
-    f = split.feature_index
-    if split.threshold is not None:
-        left = [r[f] <= split.threshold for r in rows]
-    else:
-        left = [int(r[f]) in split.categories for r in rows]
-    right = [not g for g in left]
-    children = [
-        _grow_rows(
-            list(compress(rows, side)),
-            list(compress(labels, side)),
-            depth + 1,
-            schema,
-            params,
-            None if ids is None else list(compress(ids, side)),
-            p_true,
-        )
-        for side in (left, right)
-    ]
-    return Internal(f, depth, split.threshold, split.categories, *children)
+) -> None:
+    """Append the (sub)tree grown on ``rows`` and ``labels``, its root at
+    ``depth``, to ``nodes`` in pre-order, with an explicit stack.
 
-
-def grow_subtree(
-    X: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    schema: Schema,
-    params: StoppingParams,
-) -> TreeNode:
-    """Grow a (sub)tree over the instances selected by ``idx`` starting at ``depth``."""
-    return _grow_rows(X[idx].tolist(), y[idx].tolist(), depth, schema, params)
-
-
-def grow_subtree_scored(
-    X: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    schema: Schema,
-    params: StoppingParams,
-) -> tuple[TreeNode, np.ndarray]:
-    """``grow_subtree`` plus the grown subtree's posterior of each selected
-    instance's label, in ``idx`` order. Each leaf writes the entries of its
-    own instances while it holds their counts, so nothing is routed again;
-    the leaves come with ``probabilities`` already filled."""
-    p_true = [0.0] * idx.size
-    node = _grow_rows(
-        X[idx].tolist(), y[idx].tolist(), depth, schema, params, list(range(idx.size)), p_true
-    )
-    return node, np.array(p_true)
+    With ``ids`` (the rows' positions) and ``p_true``, every leaf writes its
+    posterior of each of its rows' labels, ``counts[label] / n``, to
+    ``p_true`` at that position, so the grown subtree need not be routed.
+    """
+    K = schema.num_classes
+    max_depth = params.max_depth
+    feature, threshold, categories = nodes.feature, nodes.threshold, nodes.categories
+    left, right, node_counts, no_codes = nodes.left, nodes.right, nodes.counts, nodes.no_codes
+    # Entries: (rows, labels, ids, depth, id of the parent whose right child
+    # this is, or -1). The left child is pushed last, so it is placed next.
+    stack = [(rows, labels, ids, depth, -1)]
+    while stack:
+        rows, labels, ids, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        n = len(labels)
+        counts = [labels.count(c) for c in range(K)]
+        node_counts.append(counts)
+        split = None
+        if not (
+            max(counts) == n
+            or n < params.min_samples_split
+            or (max_depth is not None and depth >= max_depth)
+            or rows.count(rows[0]) == n  # identical feature rows admit no split
+        ):
+            split = _split_rows(rows, labels, counts, schema)
+            if split is not None and split.gain < params.min_impurity_decrease:
+                split = None
+        if split is None:
+            feature.append(-1)
+            threshold.append(np.nan)
+            categories.append(no_codes)
+            left.append(-1)
+            right.append(-1)
+            if p_true is not None:
+                share = [c / n for c in counts]
+                for i, c in zip(ids, labels):
+                    p_true[i] = share[c]
+            continue
+        f = split.feature_index
+        feature.append(f)
+        if split.threshold is not None:
+            threshold.append(split.threshold)
+            categories.append(no_codes)
+            go = [r[f] <= split.threshold for r in rows]
+        else:
+            cats = split.categories
+            threshold.append(np.nan)
+            categories.append(cats + no_codes[len(cats):])
+            go = [int(r[f]) in cats for r in rows]
+        left.append(node + 1)
+        right.append(-1)  # set when the right child is placed
+        back = [not g for g in go]
+        for side, link in ((back, node), (go, -1)):
+            stack.append(
+                (
+                    list(compress(rows, side)),
+                    list(compress(labels, side)),
+                    None if ids is None else list(compress(ids, side)),
+                    depth + 1,
+                    link,
+                )
+            )
 
 
 def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = None) -> Tree:
     """Train a CART tree on one chunk."""
     if schema is not None and schema != chunk.schema:
         raise ValueError("schema does not match the chunk's schema")
-    root = grow_subtree(
-        chunk.X, chunk.y, np.arange(len(chunk)), 0, chunk.schema, params
-    )
-    return Tree(root, chunk.schema, params, chunk.index)
+    nodes = _Nodes(category_width(chunk.schema))
+    _grow_rows(nodes, chunk.X.tolist(), chunk.y.tolist(), 0, chunk.schema, params)
+    return nodes.to_tree(chunk.schema, params, chunk.index)
 
 
-def _left_mask(node: Internal, col: np.ndarray) -> np.ndarray:
-    # Codes never seen in any training partition are absent from the subset
-    # and therefore route right. Trained subsets hold at most five codes (see
-    # categorical_split_subsets), so a few equality tests beat np.isin.
-    if node.threshold is not None:
-        return col <= node.threshold
-    codes = col.astype(np.int64)
-    mask = np.zeros(codes.shape, dtype=bool)
-    for c in node.categories:
-        mask |= codes == c
-    return mask
+class _Forest:
+    """The node arrays of several trees, concatenated, with global node ids.
 
-
-def _leaf_groups(root: TreeNode, columns: np.ndarray):
-    """Yield ``(leaf, row indices)`` for every leaf that the rows reach, given
-    the features column-major (``Chunk.columns``, shape (d, n)).
-
-    The walk is iterative, so tree depth is not bounded by the call stack.
+    ``kids`` holds each node's right and left child at ``2*node`` and
+    ``2*node + 1``, so a go-left bit picks the child by offset. ``codes``
+    holds the go-left codes column by column as floats, NaN where a node has
+    no such code, so a code test is an equality that NaN never meets.
     """
-    stack = [(root, np.arange(columns.shape[1]))]
-    while stack:
-        node, idx = stack.pop()
-        if isinstance(node, Leaf):
-            yield node, idx
-            continue
-        mask = _left_mask(node, columns[node.feature_index][idx])
-        left_idx = idx[mask]
-        if left_idx.size == idx.size:
-            stack.append((node.left, idx))
-        elif left_idx.size == 0:
-            stack.append((node.right, idx))
-        else:
-            stack.append((node.left, left_idx))
-            stack.append((node.right, idx[~mask]))
+
+    def __init__(self, trees):
+        self.trees = trees = list(trees)
+        sizes = [t.n_nodes for t in trees]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.size = sum(sizes)
+        shift = np.repeat(self.starts, sizes)
+        self.feature = np.concatenate([t.feature for t in trees])
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.categories = np.concatenate([t.categories for t in trees])
+        self.left = np.concatenate([t.left for t in trees]) + shift
+        self.right = np.concatenate([t.right for t in trees]) + shift
+        self.kids = np.empty(2 * self.size, dtype=np.int64)
+        self.kids[0::2] = self.right
+        self.kids[1::2] = self.left
+        cats = self.categories[:, np.any(self.categories >= 0, axis=0)]
+        self.codes = np.where(cats >= 0, cats, np.nan).T.copy()
+
+    def grow_block(self, rows: list[list[float]], labels: list[int], depth: int, params: StoppingParams):
+        """The subtree grown on ``rows`` and ``labels`` to replace a leaf at
+        ``depth``, as node lists for :meth:`splice`, and each row's posterior
+        of its own label (see ``_grow_rows``)."""
+        nodes, p_true = _Nodes(self.categories.shape[1]), [0.0] * len(labels)
+        schema = self.trees[0].schema
+        _grow_rows(nodes, rows, labels, depth, schema, params, range(len(labels)), p_true)
+        return nodes, p_true
+
+    def splice(self, reached: np.ndarray, blocks: list[_Nodes], params: StoppingParams) -> list[Tree]:
+        """The forest's trees with each leaf of ``reached`` (global ids,
+        ascending) replaced by its block from :meth:`grow_block`, every other
+        node copied, all in one set of array ops. Each tree keeps its
+        source's schema and origin chunk and takes ``params``."""
+        sizes = np.array([len(b.feature) for b in blocks], dtype=np.int64)
+        extra = np.zeros(self.size, dtype=np.int64)
+        extra[reached] = sizes - 1
+        # A node's new id: its old id plus the growth of the reached leaves
+        # before it. A reached leaf's new id is the first node of its block.
+        new_id = np.arange(self.size) + np.cumsum(extra) - extra
+        total = self.size + int(extra.sum())
+        kept = np.ones(self.size, dtype=bool)
+        kept[reached] = False
+        dest = new_id[kept]
+        grown = np.ones(total, dtype=bool)
+        grown[dest] = False  # block nodes fill the remaining ids, in block order
+
+        def column(src, block_values, dtype, shape=()):
+            out = np.empty((total, *shape), dtype=dtype)
+            out[dest] = src[kept]
+            out[grown] = np.array(block_values, dtype=dtype).reshape(len(block_values), *shape)
+            return out
+
+        feature, threshold, categories, counts, left, right = [], [], [], [], [], []
+        for b in blocks:
+            feature += b.feature
+            threshold += b.threshold
+            categories += b.categories
+            counts += b.counts
+            left += b.left
+            right += b.right
+        counts_all = np.concatenate([t.counts for t in self.trees])
+        columns = [
+            column(self.feature, feature, np.int64),
+            column(self.threshold, threshold, np.float64),
+            column(self.categories, categories, np.int64, self.categories.shape[1:]),
+        ]
+        internal = self.feature[kept] >= 0
+        base = np.repeat(new_id[reached], sizes)
+        starts = np.append(new_id[self.starts], total)
+        rebase = np.repeat(starts[:-1], np.diff(starts))
+        for src, local in ((self.left, left), (self.right, right)):
+            local = np.array(local, dtype=np.int64)
+            child = np.empty(total, dtype=np.int64)
+            child[dest] = np.where(internal, new_id[src[kept]], -1)
+            child[grown] = np.where(local >= 0, local + base, -1)
+            columns.append(np.where(child >= 0, child - rebase, -1))
+        columns.append(column(counts_all, counts, np.int64, counts_all.shape[1:]))
+        return [
+            Tree(
+                *(c[a:b] for c in columns), source.schema, params, source.origin_chunk_index
+            )
+            for source, a, b in zip(self.trees, starts[:-1], starts[1:])
+        ]
+
+    def route(self, columns: np.ndarray) -> np.ndarray:
+        """Global leaf id of every (tree, row) pair, tree-major, given the
+        features column-major (``Chunk.columns``, shape (d, n)).
+
+        Each round moves every pair that is not yet at a leaf down one
+        level, so the loop runs once per level of the deepest tree. Codes no
+        training partition saw are in no subset and go right.
+        """
+        n = columns.shape[1]
+        values = columns.ravel()
+        offset = self.feature * n  # a node's feature row in ``values``; < 0 at leaves
+        out = np.repeat(self.starts, n)
+        pair = np.arange(out.size)
+        row = np.tile(np.arange(n), len(self.trees))
+        node = out
+        f = offset[node]
+        while True:
+            live = f >= 0
+            if not live.all():
+                node, pair, row, f = node[live], pair[live], row[live], f[live]
+                if not node.size:
+                    return out
+            v = values[f + row]
+            go = v <= self.threshold[node]  # NaN thresholds: categorical tests
+            for codes in self.codes:
+                go |= codes[node] == v
+            node = self.kids[2 * node + go]
+            out[pair] = node
+            f = offset[node]
 
 
-def route_to_leaf(tree: Tree, instance: Instance) -> Leaf:
-    """Deterministically route one instance to its leaf."""
+def _check_schema(trees, schema: Schema):
+    for t in trees:
+        if t.schema is not schema and t.schema != schema:
+            raise ValueError("chunk schema does not match the tree's schema")
+
+
+def route_forest(trees, chunk: Chunk) -> np.ndarray:
+    """The leaf id of every (tree, row) pair, shape (len(trees), len(chunk)),
+    from one forest pass; ids index each tree's own node arrays."""
+    trees = list(trees)
+    _check_schema(trees, chunk.schema)
+    if not trees:
+        return np.empty((0, len(chunk)), dtype=np.int64)
+    forest = _Forest(trees)
+    n = len(chunk)
+    return (forest.route(chunk.columns) - np.repeat(forest.starts, n)).reshape(len(trees), n)
+
+
+def predict_forest(trees, chunk: Chunk) -> np.ndarray:
+    """Predicted label of every (tree, row) pair, shape (len(trees), len(chunk))."""
+    trees = list(trees)
+    leaves = route_forest(trees, chunk)
+    out = np.empty(leaves.shape, dtype=np.int64)
+    for t, tree in enumerate(trees):
+        out[t] = tree.labels[leaves[t]]
+    return out
+
+
+def route_to_leaf(tree: Tree, instance: Instance) -> int:
+    """Deterministically route one instance to its leaf; returns the leaf id."""
     x = tree.schema.encode_features(instance.features)
-    leaf, _ = next(_leaf_groups(tree.root, x[:, None]))
-    return leaf
+    return int(_Forest([tree]).route(x[:, None])[0])
 
 
 def predict(tree: Tree, instance: Instance) -> int:
-    return route_to_leaf(tree, instance).predicted_label
+    return int(tree.labels[route_to_leaf(tree, instance)])
 
 
 def posterior(tree: Tree, instance: Instance) -> ClassDistribution:
     """Class distribution of the routed leaf: per-class count ratios."""
-    return ClassDistribution(route_to_leaf(tree, instance).probabilities)
+    return ClassDistribution(tree.probabilities[route_to_leaf(tree, instance)])
 
 
 def posterior_chunk(tree: Tree, chunk: Chunk) -> np.ndarray:
     """Per-instance posterior matrix, shape (len(chunk), num_classes)."""
-    if chunk.schema != tree.schema:
-        raise ValueError("chunk schema does not match the tree's schema")
-    out = np.empty((len(chunk), tree.schema.num_classes), dtype=np.float64)
-    for leaf, idx in _leaf_groups(tree.root, chunk.columns):
-        out[idx] = leaf.probabilities
-    return out
+    return tree.probabilities[route_forest([tree], chunk)[0]]
 
 
 def predict_chunk(tree: Tree, chunk: Chunk) -> np.ndarray:
     """Predicted labels for every instance of a chunk."""
-    if chunk.schema != tree.schema:
-        raise ValueError("chunk schema does not match the tree's schema")
-    out = np.empty(len(chunk), dtype=np.int64)
-    for leaf, idx in _leaf_groups(tree.root, chunk.columns):
-        out[idx] = leaf.predicted_label
-    return out
-
-
-def _node_lines(node: TreeNode, lines: list[str]):
-    if isinstance(node, Leaf):
-        counts = ",".join(str(int(c)) for c in node.class_counts)
-        lines.append(
-            f"leaf depth={node.depth} counts={counts} label={node.predicted_label}"
-        )
-        return
-    if node.threshold is not None:
-        test = f"x{node.feature_index}<={node.threshold!r}"
-    else:
-        test = f"x{node.feature_index}in{{{','.join(map(str, node.categories))}}}"
-    lines.append(f"node depth={node.depth} {test}")
-    _node_lines(node.left, lines)
-    _node_lines(node.right, lines)
+    return tree.labels[route_forest([tree], chunk)[0]]
 
 
 def tree_to_text(tree: Tree) -> str:
     """Stable text serialization: pre-order, one node per line."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    categories, counts, labels = tree.categories.tolist(), tree.counts.tolist(), tree.labels.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
     lines: list[str] = []
-    _node_lines(tree.root, lines)
+    stack = [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        f = feature[node]
+        if f < 0:
+            c = ",".join(map(str, counts[node]))
+            lines.append(f"leaf depth={depth} counts={c} label={labels[node]}")
+            continue
+        t = threshold[node]
+        if t == t:
+            test = f"x{f}<={t!r}"
+        else:
+            codes = ",".join(str(c) for c in categories[node] if c >= 0)
+            test = f"x{f}in{{{codes}}}"
+        lines.append(f"node depth={depth} {test}")
+        stack.append((right[node], depth + 1))
+        stack.append((left[node], depth + 1))
     return "\n".join(lines) + "\n"
-

@@ -124,7 +124,8 @@ def select_removal(candidates) -> int | str:
     by exactly twice c's summed Q against the others, so the removal that
     maximizes remaining diversity is the one with the largest row sum. Row
     sums are compared as floats; the rows within ``NEAR_TIE`` of the largest,
-    which include every exact maximum, are compared again as exact rationals.
+    which include every exact maximum, are compared again as exact rationals,
+    once per distinct correctness column.
     Ties drop the candidate with the smallest origin chunk index, and the new
     model only when it is the sole argmax.
     """
@@ -137,9 +138,15 @@ def select_removal(candidates) -> int | str:
     rows = q.sum(axis=1)
     near = np.flatnonzero(rows >= rows.max() - NEAR_TIE).tolist()
     order = sorted(near, key=lambda i: _removal_priority(candidates[i]))
+    # Candidates with equal bits have equal Q rows, so each distinct column
+    # is summed exactly once.
+    exact: dict[bytes, Fraction] = {}
+
+    def exact_row(i: int) -> Fraction:
+        key = candidates[i].bits.tobytes()
+        if key not in exact:
+            exact[key] = sum(_q_fraction(num, den, i, j) for j in range(len(candidates)) if j != i)
+        return exact[key]
+
     # max keeps the first of equal rows, so priority order decides ties.
-    best = max(
-        order,
-        key=lambda i: sum(_q_fraction(num, den, i, j) for j in range(len(candidates)) if j != i),
-    )
-    return candidates[best].model_id
+    return candidates[max(order, key=exact_row)].model_id

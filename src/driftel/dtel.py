@@ -7,10 +7,12 @@ random classifier, and predicts by weighted soft voting over member
 posteriors. The archive of original (never adapted) trees is kept at
 capacity by dropping the model whose removal leaves the most diverse set.
 
-The chunk passes each archived tree once: the walk that adapts the tree also
-yields the archived tree's correctness bits, which the archive update uses,
-and the adapted tree's true-class posteriors, from which its squared error
-is taken (see ``transfer``).
+The training chunk is routed through all archived trees at once, in one
+forest pass (see ``transfer``). That pass adapts the trees and also yields
+each archived tree's correctness bits, which the archive update uses, and
+each adapted tree's true-class posteriors, from which its squared error is
+taken. Prediction routes the test chunk through all members in one forest
+pass as well.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, posterior_chunk, train_cart
+from .cart import StoppingParams, Tree, posterior_chunk, route_forest, train_cart
 from .core import Chunk, ClassDistribution, Instance, class_prior
 from .diversity import NEW_MODEL, CorrectnessVector, correctness, select_removal
-from .transfer import transfer_tree
+from .transfer import transfer_trees
 
 ADAPTED = "adapted"
 NEW = "new"
@@ -92,13 +94,9 @@ def _mse(p_true: np.ndarray) -> float:
     return float(np.mean((1.0 - p_true) ** 2))
 
 
-def _true_class(post: np.ndarray, chunk: Chunk) -> np.ndarray:
-    return post[np.arange(len(chunk)), chunk.y]
-
-
 def mse_model(model: Tree, chunk: Chunk) -> float:
     """Mean squared error of a model's posterior on the true labels."""
-    return _mse(_true_class(posterior_chunk(model, chunk), chunk))
+    return _mse(posterior_chunk(model, chunk)[np.arange(len(chunk)), chunk.y])
 
 
 def mse_random(chunk: Chunk) -> float:
@@ -116,11 +114,15 @@ def weight_new(mse_r: float, epsilon: float) -> float:
 
 
 def ensemble_posteriors(ens: WeightedEnsemble, chunk: Chunk) -> np.ndarray:
-    """Weighted mean of member posteriors, rows normalized to sum to 1."""
+    """Weighted mean of member posteriors, rows normalized to sum to 1.
+
+    All members are routed in one forest pass; their weighted posteriors are
+    then added in member order."""
+    leaves = route_forest([m.tree for m in ens.members], chunk)
     acc = np.zeros((len(chunk), chunk.schema.num_classes), dtype=np.float64)
     total = 0.0
-    for member in ens.members:
-        acc += member.weight * posterior_chunk(member.tree, chunk)
+    for member, leaf in zip(ens.members, leaves):
+        acc += member.weight * member.tree.probabilities[leaf]
         total += member.weight
     return acc / total
 
@@ -186,18 +188,17 @@ def _step(
 ) -> tuple[WeightedEnsemble, Archive]:
     new_tree = train_cart(chunk, cfg.stopping)
     if adapt:
-        memo: dict = {}  # regrown subtrees, shared by this step's transfers
-        adapted = [transfer_tree(f, chunk, cfg.stopping, memo) for f in archive.models]
+        adapted = transfer_trees(archive.models, chunk, cfg.stopping)
         member_trees = [a.tree for a in adapted]
         p_true = [a.p_true for a in adapted]
         bits = [a.source_correct for a in adapted]
     else:
-        # Labels are the argmax of the counts, lowest class on ties, so one
-        # posterior matrix serves both the weight and the correctness bits.
+        # One forest pass gives each archived tree's leaf per row, and with
+        # it both the weight's posteriors and the correctness bits.
         member_trees = list(archive.models)
-        posts = [posterior_chunk(f, chunk) for f in member_trees]
-        p_true = [_true_class(post, chunk) for post in posts]
-        bits = [np.argmax(post, axis=1) == chunk.y for post in posts]
+        leaves = route_forest(member_trees, chunk)
+        p_true = [t.probabilities[leaf, chunk.y] for t, leaf in zip(member_trees, leaves)]
+        bits = [t.labels[leaf] == chunk.y for t, leaf in zip(member_trees, leaves)]
     updated = _update_archive(archive, new_tree, chunk, removal, bits)
     mse_r = mse_random(chunk)
     members = tuple(
@@ -211,14 +212,14 @@ def process_chunk(archive: Archive, chunk: Chunk, cfg: DtelConfig) -> tuple[Weig
     """One full learning step.
 
     Order of operations: train the new tree, then adapt every archived tree
-    to the chunk in one pass per tree that also yields the original model's
-    correctness bits and the adapted tree's true-class posteriors. Update the
-    archive (diversity-based replacement once at capacity, judged on the
-    original models' correctness), then weight the adapted trees, by the
-    squared error of those posteriors, plus the new tree. The ensemble always
-    contains adapted versions of all models archived at the start of the
-    step; the archive update only affects future steps, and adapted trees
-    themselves are never archived.
+    to the chunk in one forest pass over all of them, which also yields the
+    original models' correctness bits and the adapted trees' true-class
+    posteriors. Update the archive (diversity-based replacement once at
+    capacity, judged on the original models' correctness), then weight the
+    adapted trees, by the squared error of those posteriors, plus the new
+    tree. The ensemble always contains adapted versions of all models
+    archived at the start of the step; the archive update only affects
+    future steps, and adapted trees themselves are never archived.
     """
     return _step(archive, chunk, cfg, adapt=True, removal=REMOVAL_DIVERSITY)
 

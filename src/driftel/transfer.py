@@ -1,4 +1,4 @@
-"""Structure-preserving adaptation of a trained tree to a new chunk.
+"""Structure-preserving adaptation of trained trees to a new chunk.
 
 The new chunk is routed through the existing split structure. Every leaf that
 receives instances has its class counts and label replaced by those of the
@@ -9,20 +9,24 @@ adapted tree). A leaf that receives no instances keeps its historical counts
 and label, so the adapted tree blends current and historical knowledge and
 its posterior is defined everywhere. The source tree is never modified.
 
-The one walk that adapts the tree also scores both trees on the chunk, since
-the adapted tree keeps the source's splits above its leaves:
+All trees transferred to one chunk are routed together in one forest pass
+(``cart.route_forest``). The pass groups the chunk's rows by (tree, leaf);
+each group is regrown in row order, and each adapted tree is assembled from
+its source's node arrays with the regrown subtrees spliced in at their
+leaves. The same pass scores both trees of every transfer, since the adapted
+tree keeps the source's splits above its leaves:
 
-- the source tree's correctness bits: each source leaf records its label for
-  the instances it receives (what ``diversity.correctness`` computes);
+- the source tree's correctness bits: each source leaf's label for the
+  instances it receives (what ``diversity.correctness`` computes);
 - the adapted tree's posterior of each instance's true class: each leaf that
   the regrowth creates writes it for its own instances (what
   ``dtel.mse_model`` reads), so the regrown subtrees are never routed again.
 
 A regrown subtree depends only on the chunk, the stopping parameters, the
-routed instances and the depth. Transfers of one step may therefore share a
-``memo`` dict keyed by (instance ids, depth) that holds each regrown subtree
-and its posteriors. The memo lives for one step only: it is valid for one
-chunk and one set of stopping parameters.
+routed instances and the depth, so the transfers of one ``transfer_trees``
+call share a memo keyed by (instance ids, depth) that holds each regrown
+subtree, as node lists, and its posteriors. ``cart`` owns the node layout:
+it grows the subtrees and splices them into the adapted trees.
 """
 
 from __future__ import annotations
@@ -31,15 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import (
-    Internal,
-    StoppingParams,
-    Tree,
-    TreeNode,
-    _left_mask,
-    grow_subtree_scored,
-    predict_chunk,
-)
+from .cart import StoppingParams, Tree, _check_schema, _Forest, predict_chunk
 from .core import Chunk
 
 
@@ -54,60 +50,63 @@ class AdaptedTree:
     p_true: np.ndarray  # per chunk instance: the adapted tree's true-class posterior
 
 
-def _adapt(
-    node: TreeNode,
-    idx: np.ndarray,
-    chunk: Chunk,
-    params: StoppingParams,
-    memo: dict,
-    source_labels: np.ndarray,
-    p_true: np.ndarray,
-) -> TreeNode:
-    if idx.size == 0:
-        # No routed instances anywhere below: every leaf keeps its historical
-        # counts and label, so the subtree adapts to itself. Nodes are
-        # immutable and safe to share.
-        return node
-    if isinstance(node, Internal):
-        mask = _left_mask(node, chunk.columns[node.feature_index][idx])
-        return Internal(
-            node.feature_index,
-            node.depth,
-            node.threshold,
-            node.categories,
-            _adapt(node.left, idx[mask], chunk, params, memo, source_labels, p_true),
-            _adapt(node.right, idx[~mask], chunk, params, memo, source_labels, p_true),
-        )
-    source_labels[idx] = node.predicted_label
-    # The grower re-checks the stopping criteria at the leaf's depth, so it
-    # returns a relabeled leaf when they hold and a fresh subtree otherwise.
-    key = (idx.tobytes(), node.depth)
-    grown = memo.get(key)
-    if grown is None:
-        grown = memo[key] = grow_subtree_scored(
-            chunk.X, chunk.y, idx, node.depth, chunk.schema, params
-        )
-    p_true[idx] = grown[1]
-    return grown[0]
+def _regrow(forest: _Forest, leaves: np.ndarray, chunk: Chunk, params: StoppingParams):
+    """Regrow every (tree, leaf) row group of the forest pass ``leaves``,
+    once per distinct (rows, depth).
 
-
-def transfer_tree(
-    source: Tree, chunk: Chunk, params: StoppingParams, memo: dict | None = None
-) -> AdaptedTree:
-    """Adapt ``source`` to ``chunk``, leaving ``source`` untouched.
-
-    ``memo`` may be shared by the transfers of one step (same chunk, same
-    ``params``); by default each call regrows on its own.
+    Returns the reached leaves (global ids, ascending), their regrown
+    subtrees, and the regrown trees' true-class posterior of every
+    (tree, row) pair, tree-major.
     """
-    if chunk.schema != source.schema:
-        raise ValueError("chunk schema does not match the source tree's schema")
+    order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
+    ranked = leaves[order]
+    first = np.flatnonzero(np.diff(ranked, prepend=-1))
+    reached = ranked[first]
+    depths = np.concatenate([t.depth for t in forest.trees])[reached].tolist()
+    rows = (order % len(chunk)).tolist()
+    bounds = first.tolist() + [len(rows)]
+    X, y = chunk.X.tolist(), chunk.y.tolist()
+    memo = {}
+    blocks, p_sorted = [], []
+    for a, b, depth in zip(bounds, bounds[1:], depths):
+        ids = tuple(rows[a:b])
+        key = (ids, depth)
+        grown = memo.get(key)
+        if grown is None:
+            grown = memo[key] = forest.grow_block(
+                [X[i] for i in ids], [y[i] for i in ids], depth, params
+            )
+        blocks.append(grown[0])
+        p_sorted.extend(grown[1])
+    p_true = np.empty(leaves.size, dtype=np.float64)
+    p_true[order] = p_sorted
+    return reached, blocks, p_true
+
+
+def transfer_trees(sources, chunk: Chunk, params: StoppingParams) -> list[AdaptedTree]:
+    """Adapt every tree of ``sources`` to ``chunk`` through one forest pass,
+    leaving the sources untouched."""
+    sources = list(sources)
+    _check_schema(sources, chunk.schema)
+    if not sources:
+        return []
+    forest = _Forest(sources)
     n = len(chunk)
-    source_labels = np.empty(n, dtype=np.int64)
-    p_true = np.empty(n, dtype=np.float64)
-    memo = {} if memo is None else memo
-    root = _adapt(source.root, np.arange(n), chunk, params, memo, source_labels, p_true)
-    adapted = Tree(root, source.schema, params, source.origin_chunk_index)
-    return AdaptedTree(adapted, source, chunk.index, source_labels == chunk.y, p_true)
+    leaves = forest.route(chunk.columns)
+    labels = np.concatenate([t.labels for t in sources])
+    correct = (labels[leaves] == np.tile(chunk.y, len(sources))).reshape(len(sources), n)
+    reached, blocks, p_true = _regrow(forest, leaves, chunk, params)
+    p_true = p_true.reshape(len(sources), n)
+    trees = forest.splice(reached, blocks, params)
+    return [
+        AdaptedTree(tree, source, chunk.index, correct[t], p_true[t])
+        for t, (tree, source) in enumerate(zip(trees, sources))
+    ]
+
+
+def transfer_tree(source: Tree, chunk: Chunk, params: StoppingParams) -> AdaptedTree:
+    """Adapt ``source`` to ``chunk``: ``transfer_trees`` on one tree."""
+    return transfer_trees([source], chunk, params)[0]
 
 
 def adapted_training_accuracy(adapted: AdaptedTree, chunk: Chunk) -> float:

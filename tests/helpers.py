@@ -1,24 +1,27 @@
 """Shared fixtures-in-code for the test suite: tiny chunk builders, random
 consistent datasets, tree walkers, a straight-line router, and the replaced
-implementations kept as differential oracles: a numpy reference grower, the
-unfused transfer walk and the rational Q loops."""
+implementations kept as differential oracles: the object-graph trees with
+their list grower, fused transfer walk and per-tree router, a numpy
+reference grower, the unfused transfer walk, the rational Q loops and the
+sea swap loop."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 from hypothesis import strategies as st
 
 from driftel.cart import (
-    Internal,
-    Leaf,
     SplitCandidate,
+    StoppingParams,
     Tree,
-    _left_mask,
+    _split_rows,
     _threshold,
     categorical_split_subsets,
-    grow_subtree,
 )
 from driftel.core import (
     CATEGORICAL,
@@ -82,42 +85,245 @@ def random_consistent_chunk(rng: np.random.Generator, schema: Schema, n: int, in
     return chunk.with_labels(y)
 
 
-def walk_nodes(tree: Tree):
-    def rec(node):
-        yield node
-        if isinstance(node, Internal):
-            yield from rec(node.left)
-            yield from rec(node.right)
-
-    yield from rec(tree.root)
+def tree_leaves(tree: Tree) -> list[int]:
+    """Leaf ids of a flat tree."""
+    return np.flatnonzero(tree.feature < 0).tolist()
 
 
-def tree_leaves(tree: Tree) -> list[Leaf]:
-    return [n for n in walk_nodes(tree) if isinstance(n, Leaf)]
+def node_categories(tree: Tree, node: int) -> tuple[int, ...] | None:
+    """Go-left codes of a categorical test, or None for a numeric test."""
+    if tree.threshold[node] == tree.threshold[node]:
+        return None
+    return tuple(int(c) for c in tree.categories[node] if c >= 0)
 
 
-def straight_line_route(tree: Tree, x) -> Leaf:
-    """Route one encoded feature row to its leaf, one node test at a time."""
-    node = tree.root
-    while isinstance(node, Internal):
-        v = x[node.feature_index]
-        left = v <= node.threshold if node.threshold is not None else int(v) in node.categories
-        node = node.left if left else node.right
+def straight_line_route(tree: Tree, x) -> int:
+    """Route one encoded feature row to its leaf id, one node test at a time."""
+    node = 0
+    while tree.feature[node] >= 0:
+        v = x[tree.feature[node]]
+        cats = node_categories(tree, node)
+        left = v <= tree.threshold[node] if cats is None else int(v) in cats
+        node = int(tree.left[node] if left else tree.right[node])
     return node
 
 
-def assert_structure_above_leaves_preserved(src, adp):
+def assert_structure_above_leaves_preserved(src: Tree, adp: Tree):
     """Every internal node of the source appears unchanged (same feature,
     same test, same depth) at the same position of the adapted tree."""
-    if isinstance(src, Internal):
-        assert isinstance(adp, Internal)
-        assert adp.feature_index == src.feature_index
-        assert adp.threshold == src.threshold
-        assert adp.categories == src.categories
-        assert adp.depth == src.depth
-        assert_structure_above_leaves_preserved(src.left, adp.left)
-        assert_structure_above_leaves_preserved(src.right, adp.right)
-    # source leaves may be replaced by relabeled leaves or grown subtrees
+    stack = [(0, 0)]
+    while stack:
+        s, a = stack.pop()
+        if src.feature[s] < 0:
+            continue  # source leaves may be replaced by relabeled leaves or grown subtrees
+        assert adp.feature[a] == src.feature[s]
+        assert adp.threshold[a].tobytes() == src.threshold[s].tobytes()
+        assert node_categories(adp, a) == node_categories(src, s)
+        assert adp.depth[a] == src.depth[s]
+        stack.append((int(src.left[s]), int(adp.left[a])))
+        stack.append((int(src.right[s]), int(adp.right[a])))
+
+
+# ---------------------------------------------------------------------------
+# The object-graph trees that the flat arrays replaced, with their grower,
+# fused transfer walk, router and serializer, kept as oracles. They recurse,
+# so they serve small trees only.
+
+
+@dataclass(frozen=True, eq=False)
+class Leaf:
+    class_counts: np.ndarray  # int64 label counts of the training instances here
+    predicted_label: int
+    depth: int
+
+    def __post_init__(self):
+        c = np.ascontiguousarray(np.asarray(self.class_counts, dtype=np.int64))
+        c.setflags(write=False)
+        object.__setattr__(self, "class_counts", c)
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        return self.class_counts / int(self.class_counts.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class Internal:
+    feature_index: int
+    depth: int
+    threshold: float | None  # numeric test: value <= threshold goes left
+    categories: tuple[int, ...] | None  # categorical test: code in categories goes left
+    left: "Leaf | Internal"
+    right: "Leaf | Internal"
+
+    def __post_init__(self):
+        if self.categories is not None:
+            object.__setattr__(self, "categories", tuple(sorted(self.categories)))
+
+
+@dataclass(frozen=True, eq=False)
+class GraphTree:
+    root: Leaf | Internal
+    schema: object
+    params: StoppingParams
+    origin_chunk_index: int
+
+
+def graph_grow_rows(rows, labels, depth, schema, params, ids=None, p_true=None):
+    """The recursive list grower of the object graph; with ``ids`` and
+    ``p_true``, each leaf writes its posterior of its rows' labels."""
+    n = len(labels)
+    counts = [labels.count(c) for c in range(schema.num_classes)]
+    top = max(counts)
+
+    def leaf():
+        if p_true is not None:
+            for i, c in zip(ids, labels):
+                p_true[i] = counts[c] / n
+        return Leaf(np.array(counts, dtype=np.int64), counts.index(top), depth)
+
+    if (
+        top == n
+        or n < params.min_samples_split
+        or (params.max_depth is not None and depth >= params.max_depth)
+        or rows.count(rows[0]) == n
+    ):
+        return leaf()
+    split = _split_rows(rows, labels, counts, schema)
+    if split is None or split.gain < params.min_impurity_decrease:
+        return leaf()
+    f = split.feature_index
+    if split.threshold is not None:
+        left = [r[f] <= split.threshold for r in rows]
+    else:
+        left = [int(r[f]) in split.categories for r in rows]
+    right = [not g for g in left]
+    children = [
+        graph_grow_rows(
+            list(compress(rows, side)),
+            list(compress(labels, side)),
+            depth + 1,
+            schema,
+            params,
+            None if ids is None else list(compress(ids, side)),
+            p_true,
+        )
+        for side in (left, right)
+    ]
+    return Internal(f, depth, split.threshold, split.categories, *children)
+
+
+def graph_grow_subtree(X, y, idx, depth, schema, params):
+    """``graph_grow_rows`` on the rows selected by ``idx``; the signature of
+    ``reference_grow_subtree``."""
+    return graph_grow_rows(X[idx].tolist(), y[idx].tolist(), depth, schema, params)
+
+
+def graph_train(chunk: Chunk, params) -> GraphTree:
+    root = graph_grow_rows(chunk.X.tolist(), chunk.y.tolist(), 0, chunk.schema, params)
+    return GraphTree(root, chunk.schema, params, chunk.index)
+
+
+def graph_left_mask(node: Internal, col: np.ndarray) -> np.ndarray:
+    if node.threshold is not None:
+        return col <= node.threshold
+    codes = col.astype(np.int64)
+    mask = np.zeros(codes.shape, dtype=bool)
+    for c in node.categories:
+        mask |= codes == c
+    return mask
+
+
+def graph_leaf_groups(root, columns: np.ndarray):
+    """Yield ``(leaf, row indices)`` for every leaf the rows reach, given the
+    features column-major: the per-tree walk the forest pass replaced."""
+    stack = [(root, np.arange(columns.shape[1]))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Leaf):
+            yield node, idx
+            continue
+        mask = graph_left_mask(node, columns[node.feature_index][idx])
+        left_idx = idx[mask]
+        if left_idx.size == idx.size:
+            stack.append((node.left, idx))
+        elif left_idx.size == 0:
+            stack.append((node.right, idx))
+        else:
+            stack.append((node.left, left_idx))
+            stack.append((node.right, idx[~mask]))
+
+
+def graph_posterior_chunk(tree: GraphTree, chunk: Chunk) -> np.ndarray:
+    out = np.empty((len(chunk), tree.schema.num_classes), dtype=np.float64)
+    for leaf, idx in graph_leaf_groups(tree.root, chunk.columns):
+        out[idx] = leaf.probabilities
+    return out
+
+
+def graph_predict_chunk(tree: GraphTree, chunk: Chunk) -> np.ndarray:
+    out = np.empty(len(chunk), dtype=np.int64)
+    for leaf, idx in graph_leaf_groups(tree.root, chunk.columns):
+        out[idx] = leaf.predicted_label
+    return out
+
+
+def _graph_adapt(node, idx, chunk, params, memo, source_labels, p_true):
+    if idx.size == 0:
+        return node
+    if isinstance(node, Internal):
+        mask = graph_left_mask(node, chunk.columns[node.feature_index][idx])
+        return Internal(
+            node.feature_index,
+            node.depth,
+            node.threshold,
+            node.categories,
+            _graph_adapt(node.left, idx[mask], chunk, params, memo, source_labels, p_true),
+            _graph_adapt(node.right, idx[~mask], chunk, params, memo, source_labels, p_true),
+        )
+    source_labels[idx] = node.predicted_label
+    key = (idx.tobytes(), node.depth)
+    grown = memo.get(key)
+    if grown is None:
+        scores = [0.0] * idx.size
+        root = graph_grow_rows(
+            chunk.X[idx].tolist(), chunk.y[idx].tolist(), node.depth, chunk.schema, params,
+            list(range(idx.size)), scores,
+        )
+        grown = memo[key] = (root, np.array(scores))
+    p_true[idx] = grown[1]
+    return grown[0]
+
+
+def graph_transfer(source: GraphTree, chunk: Chunk, params, memo: dict):
+    """The fused object-graph transfer walk: (adapted tree, source
+    correctness bits, adapted true-class posteriors)."""
+    n = len(chunk)
+    source_labels = np.empty(n, dtype=np.int64)
+    p_true = np.empty(n, dtype=np.float64)
+    root = _graph_adapt(source.root, np.arange(n), chunk, params, memo, source_labels, p_true)
+    tree = GraphTree(root, source.schema, params, source.origin_chunk_index)
+    return tree, source_labels == chunk.y, p_true
+
+
+def graph_to_text(tree: GraphTree) -> str:
+    """``tree_to_text`` of an object-graph tree: pre-order, one node a line."""
+    lines: list[str] = []
+
+    def rec(node):
+        if isinstance(node, Leaf):
+            counts = ",".join(str(int(c)) for c in node.class_counts)
+            lines.append(f"leaf depth={node.depth} counts={counts} label={node.predicted_label}")
+            return
+        if node.threshold is not None:
+            test = f"x{node.feature_index}<={node.threshold!r}"
+        else:
+            test = f"x{node.feature_index}in{{{','.join(map(str, node.categories))}}}"
+        lines.append(f"node depth={node.depth} {test}")
+        rec(node.left)
+        rec(node.right)
+
+    rec(tree.root)
+    return "\n".join(lines) + "\n"
 
 
 def reference_best_split(X, y, idx, schema: Schema) -> SplitCandidate | None:
@@ -169,8 +375,8 @@ def reference_best_split(X, y, idx, schema: Schema) -> SplitCandidate | None:
 
 
 def reference_grow_subtree(X, y, idx, depth, schema: Schema, params):
-    """Recursive CART growth on index arrays with ``reference_best_split``;
-    same signature as ``cart.grow_subtree``."""
+    """Recursive CART growth on index arrays with ``reference_best_split``,
+    into object-graph nodes."""
     counts = np.bincount(y[idx], minlength=schema.num_classes)
     if (
         int((counts > 0).sum()) <= 1
@@ -196,14 +402,14 @@ def reference_grow_subtree(X, y, idx, depth, schema: Schema, params):
     )
 
 
-def reference_adapt(node, idx, chunk: Chunk, params, grow=grow_subtree):
+def reference_adapt(node, idx, chunk: Chunk, params, grow=graph_grow_subtree):
     """The transfer walk before scoring was fused into it: route the chunk,
     keep unreached subtrees, and relabel or regrow each reached leaf with
-    ``grow`` (the signature of ``cart.grow_subtree``)."""
+    ``grow`` (the signature of ``graph_grow_subtree``)."""
     if idx.size == 0:
         return node
     if isinstance(node, Internal):
-        mask = _left_mask(node, chunk.columns[node.feature_index][idx])
+        mask = graph_left_mask(node, chunk.columns[node.feature_index][idx])
         return Internal(
             node.feature_index,
             node.depth,
@@ -215,10 +421,10 @@ def reference_adapt(node, idx, chunk: Chunk, params, grow=grow_subtree):
     return grow(chunk.X, chunk.y, idx, node.depth, chunk.schema, params)
 
 
-def reference_transfer(source: Tree, chunk: Chunk, params, grow=grow_subtree) -> Tree:
+def reference_transfer(source: GraphTree, chunk: Chunk, params, grow=graph_grow_subtree) -> GraphTree:
     """The adapted tree of ``reference_adapt``, with no scores."""
     root = reference_adapt(source.root, np.arange(len(chunk)), chunk, params, grow)
-    return Tree(root, source.schema, params, source.origin_chunk_index)
+    return GraphTree(root, source.schema, params, source.origin_chunk_index)
 
 
 WALK_SCHEMA = Schema(
@@ -297,3 +503,28 @@ def reference_select_removal(candidates):
         if rows[i] > rows[best]:
             best = i
     return candidates[best].model_id
+
+
+def reference_majority_vote(predictions, num_classes):
+    """Majority vote counted model by model; ties take the lowest class."""
+    n = predictions[0].shape[0]
+    votes = np.zeros((n, num_classes), dtype=np.int64)
+    rows = np.arange(n)
+    for pred in predictions:
+        votes[rows, pred] += 1
+    return np.argmax(votes, axis=1)
+
+
+def reference_sea_swap(preds, new_pred, y, num_classes):
+    """The sea swap rule as one majority vote per candidate ensemble: the
+    slot whose swap gives the highest accuracy, ties to the oldest slot, or
+    None unless it strictly beats the unchanged ensemble."""
+    preds = list(preds)
+    base_acc = float(np.mean(reference_majority_vote(preds, num_classes) == y))
+    best_slot, best_acc = None, base_acc
+    for slot in range(len(preds)):
+        swapped = preds[:slot] + [new_pred] + preds[slot + 1 :]
+        acc = float(np.mean(reference_majority_vote(swapped, num_classes) == y))
+        if acc > best_acc:
+            best_slot, best_acc = slot, acc
+    return best_slot

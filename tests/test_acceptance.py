@@ -90,7 +90,7 @@ def straight_line_mse_model(tree, chunk) -> float:
     total = 0.0
     for x, y in zip(chunk.X, chunk.y):
         leaf = straight_line_route(tree, x)
-        p = leaf.class_counts[y] / leaf.class_counts.sum()
+        p = tree.counts[leaf, y] / tree.counts[leaf].sum()
         total += (1.0 - p) ** 2
     return total / len(chunk)
 
@@ -238,7 +238,7 @@ def test_criterion_3_transfer_contract():
         before = tree_to_text(source).encode()
         adapted = transfer_tree(source, target_chunk, UNBOUNDED)
         assert tree_to_text(source).encode() == before
-        assert_structure_above_leaves_preserved(source.root, adapted.tree.root)
+        assert_structure_above_leaves_preserved(source, adapted.tree)
         assert adapted_training_accuracy(adapted, target_chunk) == 1.0
     _report(
         "3 transfer-contract",

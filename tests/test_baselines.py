@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftel.baselines import (
     ALGORITHMS,
     SeaEnsemble,
+    best_swap,
     dtel_accuracy_archive,
     dtel_no_transfer,
     majority_vote,
@@ -13,8 +16,23 @@ from driftel.baselines import (
 )
 from driftel.cart import StoppingParams, predict_chunk, train_cart
 from driftel.core import make_rng
-from driftel.dtel import Archive, DtelConfig, process_chunk
-from helpers import numeric_chunk, random_consistent_chunk, random_schema
+from driftel.diversity import NEW_MODEL, correctness, select_removal
+from driftel.dtel import (
+    Archive,
+    DtelConfig,
+    mse_model,
+    mse_random,
+    process_chunk,
+    weight_adapted,
+)
+from helpers import (
+    numeric_chunk,
+    random_consistent_chunk,
+    random_schema,
+    reference_majority_vote,
+    random_chunk,
+    reference_sea_swap,
+)
 
 UNBOUNDED = StoppingParams()
 
@@ -125,6 +143,27 @@ def test_sea_replacement_matches_brute_force_random():
             ].count(False) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_swap_scoring_matches_majority_vote_loop(data):
+    # best_swap scores every single swap from one vote-count matrix; the
+    # oracle runs one majority vote per candidate ensemble. Few classes, few
+    # slots and short chunks make vote ties, equal swaps and swaps that only
+    # tie the unchanged ensemble common.
+    K = data.draw(st.integers(2, 4))
+    slots = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 12))
+    label = st.integers(0, K - 1)
+    row = st.lists(label, min_size=n, max_size=n)
+    preds = np.array(data.draw(st.lists(row, min_size=slots, max_size=slots)), dtype=np.int64)
+    if data.draw(st.booleans()):
+        preds[1::2] = preds[0::2][: preds[1::2].shape[0]]  # duplicated members force ties
+    new_pred = np.array(data.draw(row), dtype=np.int64)
+    y = np.array(data.draw(row), dtype=np.int64)
+    assert best_swap(preds, new_pred, y, K) == reference_sea_swap(preds, new_pred, y, K)
+    assert np.array_equal(majority_vote(preds, K), reference_majority_vote(list(preds), K))
+
+
 def test_no_transfer_equals_dtel_on_stationary_stream():
     rng = make_rng(67)
     schema = random_schema(rng, max_features=2, num_classes=2)
@@ -141,6 +180,34 @@ def test_no_transfer_equals_dtel_on_stationary_stream():
         assert np.array_equal(
             predict_ensemble_chunk(e1, test_chunk), predict_ensemble_chunk(e2, test_chunk)
         )
+
+
+def test_no_transfer_weights_and_archive_follow_direct_evaluation():
+    # The ablation takes each archived tree's weight and correctness bits
+    # from one forest pass; both must equal a direct evaluation of the tree.
+    # Shallow trees misfit their own chunk, so the new model's bits are not
+    # all true and the archive rule depends on every model's bits.
+    rng = make_rng(83)
+    schema = random_schema(rng, max_features=2, num_classes=3)
+    cfg = DtelConfig(m=3, stopping=StoppingParams(max_depth=2))
+    archive = Archive.empty(3)
+    for t in range(10):
+        chunk = random_chunk(rng, schema, 30, index=t)
+        new_tree = train_cart(chunk, cfg.stopping)
+        ensemble, updated = dtel_no_transfer(archive, chunk, cfg)
+        for member, tree in zip(ensemble.members, archive.models):
+            mse = mse_model(tree, chunk)
+            assert member.weight == weight_adapted(mse_random(chunk), mse, cfg.epsilon)
+        origins = [f.origin_chunk_index for f in archive.models]
+        if len(archive) == archive.capacity:
+            candidates = [correctness(f, chunk, slot) for slot, f in enumerate(archive.models)]
+            removed = select_removal(candidates + [correctness(new_tree, chunk, NEW_MODEL)])
+            if removed != NEW_MODEL:
+                origins = origins[:removed] + origins[removed + 1 :] + [t]
+        else:
+            origins.append(t)
+        assert [f.origin_chunk_index for f in updated.models] == origins
+        archive = updated
 
 
 def test_no_transfer_suffers_on_abrupt_inversion():

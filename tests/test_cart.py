@@ -1,24 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftel
 from driftel.cart import (
-    Internal,
-    Leaf,
     StoppingParams,
-    Tree,
     best_split,
     posterior,
     posterior_chunk,
     predict,
     predict_chunk,
+    route_forest,
     route_to_leaf,
     train_cart,
     tree_to_text,
 )
 from driftel.core import (
     CATEGORICAL,
+    NUMERIC,
     Chunk,
     FeatureDescriptor,
     Instance,
@@ -28,6 +33,13 @@ from driftel.core import (
 from driftel.transfer import transfer_tree
 from helpers import (
     WALK_SCHEMA,
+    GraphTree,
+    assert_structure_above_leaves_preserved,
+    graph_posterior_chunk,
+    graph_to_text,
+    graph_train,
+    graph_transfer,
+    node_categories,
     numeric_chunk,
     random_consistent_chunk,
     random_schema,
@@ -36,7 +48,6 @@ from helpers import (
     reference_transfer,
     straight_line_route,
     tree_leaves,
-    walk_nodes,
     walk_rows,
 )
 
@@ -47,20 +58,19 @@ def test_single_split_on_separable_1d():
     # brute force over all midpoint thresholds puts the best split in [2, 8)
     chunk = numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1])
     tree = train_cart(chunk, UNBOUNDED)
-    root = tree.root
-    assert isinstance(root, Internal)
-    assert root.feature_index == 0
-    assert 2.0 <= root.threshold < 8.0
-    assert isinstance(root.left, Leaf) and isinstance(root.right, Leaf)
-    assert root.left.predicted_label == 0 and root.right.predicted_label == 1
-    assert np.array_equal(root.left.class_counts, [2, 0])
-    assert np.array_equal(root.right.class_counts, [0, 2])
+    left, right = tree.left[0], tree.right[0]
+    assert tree.feature[0] == 0
+    assert 2.0 <= tree.threshold[0] < 8.0
+    assert tree.feature[left] < 0 and tree.feature[right] < 0
+    assert tree.labels[left] == 0 and tree.labels[right] == 1
+    assert np.array_equal(tree.counts[left], [2, 0])
+    assert np.array_equal(tree.counts[right], [0, 2])
 
 
 def test_pure_chunk_gives_single_leaf():
     tree = train_cart(numeric_chunk([1, 2, 3], [1, 1, 1]), UNBOUNDED)
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.predicted_label == 1
+    assert tree.n_nodes == 1 and tree.feature[0] < 0
+    assert tree.labels[0] == 1
 
 
 def test_xor_pattern_needs_zero_gain_splits():
@@ -69,24 +79,24 @@ def test_xor_pattern_needs_zero_gain_splits():
     chunk = numeric_chunk([(0, 0), (1, 1), (0, 1), (1, 0)], [0, 0, 1, 1])
     tree = train_cart(chunk, UNBOUNDED)
     assert np.mean(predict_chunk(tree, chunk) == chunk.y) == 1.0
-    assert max(leaf.depth for leaf in tree_leaves(tree)) == 2
+    assert tree.depth[tree_leaves(tree)].max() == 2
 
 
 def test_route_boundary_is_inclusive():
     chunk = numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1])
     # force the threshold to exactly 5.0
     tree = train_cart(chunk, UNBOUNDED)
-    assert tree.root.threshold == 5.0
-    assert route_to_leaf(tree, Instance((5.0,), 0)) is tree.root.left
-    assert route_to_leaf(tree, Instance((5.01,), 0)) is tree.root.right
+    assert tree.threshold[0] == 5.0
+    assert route_to_leaf(tree, Instance((5.0,), 0)) == tree.left[0]
+    assert route_to_leaf(tree, Instance((5.01,), 0)) == tree.right[0]
     single = train_cart(numeric_chunk([3.0], [1], num_classes=2), UNBOUNDED)
-    assert route_to_leaf(single, Instance((123.0,), 0)) is single.root
+    assert route_to_leaf(single, Instance((123.0,), 0)) == 0
 
 
 def test_predict_and_posterior_examples():
-    leaf = Leaf(np.array([3, 1]), 0, 0)
-    assert np.allclose(leaf.probabilities, [0.75, 0.25])
     tree = train_cart(numeric_chunk([1, 2, 3, 4], [0, 0, 0, 1]), StoppingParams(max_depth=0))
+    assert np.array_equal(tree.counts[0], [3, 1])
+    assert np.allclose(tree.probabilities[0], [0.75, 0.25])
     # majority-count leaf (3 vs 1) predicts the majority
     assert predict(tree, Instance((2.0,), 0)) == 0
     assert np.allclose(posterior(tree, Instance((2.0,), 0)).probabilities, [0.75, 0.25])
@@ -106,15 +116,15 @@ def test_pure_leaf_posterior():
 def test_stopping_max_depth_and_min_samples():
     chunk = numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1])
     stump = train_cart(chunk, StoppingParams(max_depth=0))
-    assert isinstance(stump.root, Leaf)
+    assert stump.n_nodes == 1
     small = train_cart(chunk, StoppingParams(min_samples_split=5))
-    assert isinstance(small.root, Leaf)
+    assert small.n_nodes == 1
     gated = train_cart(
         numeric_chunk([(0, 0), (1, 1), (0, 1), (1, 0)], [0, 0, 1, 1]),
         StoppingParams(min_impurity_decrease=0.01),
     )
     # all candidates on the xor pattern have zero gain, below the gate
-    assert isinstance(gated.root, Leaf)
+    assert gated.n_nodes == 1
 
 
 def test_stopping_params_validation():
@@ -141,11 +151,10 @@ def test_categorical_split_and_unseen_symbol_routes_right():
     X = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([1, 1, 0, 0])
     tree = train_cart(Chunk(0, schema, X, y), UNBOUNDED)
-    root = tree.root
-    assert isinstance(root, Internal) and root.categories is not None
+    assert tree.feature[0] >= 0 and node_categories(tree, 0) is not None
     # symbol "c" (code 2) appears in no training partition -> routes right
     leaf_c = route_to_leaf(tree, Instance(("c",), 0))
-    assert leaf_c is root.right
+    assert leaf_c == tree.right[0]
     assert predict(tree, Instance(("a",), 0)) == 1
     assert predict(tree, Instance(("b",), 0)) == 0
 
@@ -154,7 +163,7 @@ def test_split_tie_breaks_lowest_feature_then_threshold():
     # both features separate the labels equally well -> feature 0 wins
     chunk = numeric_chunk([(0, 0), (0, 0), (1, 1), (1, 1)], [0, 0, 1, 1])
     tree = train_cart(chunk, UNBOUNDED)
-    assert tree.root.feature_index == 0
+    assert tree.feature[0] == 0
 
 
 def test_tree_text_golden_and_depth_invariant():
@@ -165,10 +174,9 @@ def test_tree_text_golden_and_depth_invariant():
         "leaf depth=1 counts=2,0 label=0\n"
         "leaf depth=1 counts=0,2 label=1\n"
     )
-    for node in walk_nodes(tree):
-        if isinstance(node, Internal):
-            assert node.left.depth == node.depth + 1
-            assert node.right.depth == node.depth + 1
+    for node in np.flatnonzero(tree.feature >= 0):
+        assert tree.depth[tree.left[node]] == tree.depth[node] + 1
+        assert tree.depth[tree.right[node]] == tree.depth[node] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +258,7 @@ def test_leaf_counts_sum_to_chunk_size():
         schema = random_schema(rng)
         chunk = random_consistent_chunk(rng, schema, int(rng.integers(2, 80)), index=trial)
         tree = train_cart(chunk, UNBOUNDED)
-        total = sum(int(leaf.class_counts.sum()) for leaf in tree_leaves(tree))
+        total = int(tree.counts[tree_leaves(tree)].sum())
         assert total == len(chunk)
 
 
@@ -279,7 +287,7 @@ def test_threshold_is_lower_value_when_midpoint_leaves_the_gap(lo, hi, copies):
     assert not lo <= (lo + hi) / 2 < hi
     chunk = numeric_chunk([lo] * copies + [hi] * copies, [0] * copies + [1] * copies)
     tree = train_cart(chunk, UNBOUNDED)
-    assert tree.root.threshold == lo
+    assert tree.threshold[0] == lo
     assert np.array_equal(predict_chunk(tree, chunk), chunk.y)
 
 
@@ -302,10 +310,10 @@ def test_chunk_routing_matches_straight_line_route(data):
     post = posterior_chunk(tree, test)
     for i, x in enumerate(test.X):
         leaf = straight_line_route(tree, x)
-        assert labels[i] == leaf.predicted_label
-        assert post[i].tobytes() == leaf.probabilities.tobytes()
+        assert labels[i] == tree.labels[leaf]
+        assert post[i].tobytes() == tree.probabilities[leaf].tobytes()
         instance = Instance(WALK_SCHEMA.decode_features(x), 0)
-        assert route_to_leaf(tree, instance) is leaf
+        assert route_to_leaf(tree, instance) == leaf
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,16 +338,84 @@ def test_growth_matches_reference_grower(data):
     )
     first = chunks[0]
     tree = train_cart(first, params)
-    reference = Tree(
+    reference = GraphTree(
         reference_grow_subtree(first.X, first.y, np.arange(len(first)), 0, WALK_SCHEMA, params),
         WALK_SCHEMA,
         params,
         0,
     )
-    assert tree_to_text(tree) == tree_to_text(reference)
+    assert tree_to_text(tree) == graph_to_text(reference)
     assert best_split(first) == reference_best_split(
         first.X, first.y, np.arange(len(first)), WALK_SCHEMA
     )
     adapted = transfer_tree(tree, chunks[1], params).tree
-    reference_adapted = reference_transfer(tree, chunks[1], params, reference_grow_subtree)
-    assert tree_to_text(adapted) == tree_to_text(reference_adapted)
+    reference_adapted = reference_transfer(reference, chunks[1], params, reference_grow_subtree)
+    assert tree_to_text(adapted) == graph_to_text(reference_adapted)
+
+
+def test_import_leaves_recursion_limit_unchanged():
+    src = str(Path(driftel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; before = sys.getrecursionlimit(); import driftel; "
+        "print(before, sys.getrecursionlimit())"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert before == after
+
+
+def test_tree_deeper_than_the_recursion_limit():
+    # Alternating labels on a line make every best split peel off the lowest
+    # point, so the fully grown tree is a chain of depth n - 1.
+    n = sys.getrecursionlimit() + 100
+    chunk = numeric_chunk(np.arange(n, dtype=np.float64), np.arange(n) % 2)
+    tree = train_cart(chunk, UNBOUNDED)
+    assert tree.depth.max() == n - 1
+    assert np.array_equal(predict_chunk(tree, chunk), chunk.y)
+    # Shifted rows reach the same leaves, each with the other label.
+    target = numeric_chunk(np.arange(n) + 0.25, (np.arange(n) + 1) % 2, index=1)
+    adapted = transfer_tree(tree, target, UNBOUNDED).tree
+    assert_structure_above_leaves_preserved(tree, adapted)
+    leaves = route_forest([tree, adapted], target)
+    assert np.array_equal(leaves[0], leaves[1])
+    for i in (0, n // 2, n - 1):
+        assert leaves[1, i] == straight_line_route(adapted, target.X[i])
+    assert np.array_equal(adapted.labels[leaves[1]], target.y)
+    text = tree_to_text(adapted).splitlines()
+    assert len(text) == adapted.n_nodes
+    assert max(int(line.split()[1].split("=")[1]) for line in text) == n - 1
+
+
+def test_categorical_domain_beyond_64_codes():
+    # Domains above 6 symbols split one code against the rest, so codes of
+    # 64 and more must be representable in a split test.
+    schema = Schema(
+        (
+            FeatureDescriptor(NUMERIC),
+            FeatureDescriptor(CATEGORICAL, tuple(f"s{i}" for i in range(130))),
+        ),
+        2,
+    )
+    rng = make_rng(64)
+    codes = np.concatenate([np.arange(130), rng.integers(0, 130, 70)])
+    X = np.column_stack([rng.uniform(0, 1, codes.size), codes]).astype(np.float64)
+    first = Chunk(0, schema, X, (codes == 100).astype(np.int64))
+    second = Chunk(1, schema, X[::-1], np.isin(codes[::-1], (70, 100, 129)).astype(np.int64))
+    tree = train_cart(first, UNBOUNDED)
+    twin = graph_train(first, UNBOUNDED)
+    assert tree_to_text(tree) == graph_to_text(twin)
+    assert node_categories(tree, 0) == (100,)
+    adapted = transfer_tree(tree, second, UNBOUNDED)
+    reference, bits, p_true = graph_transfer(twin, second, UNBOUNDED, {})
+    assert tree_to_text(adapted.tree) == graph_to_text(reference)
+    assert any(c >= 64 for n in range(adapted.tree.n_nodes) for c in node_categories(adapted.tree, n) or ())
+    assert np.array_equal(adapted.source_correct, bits)
+    assert adapted.p_true.tobytes() == p_true.tobytes()
+    leaves = route_forest([tree, adapted.tree], second)
+    for row, x in enumerate(second.X):
+        assert leaves[0, row] == straight_line_route(tree, x)
+        assert leaves[1, row] == straight_line_route(adapted.tree, x)
+    assert np.array_equal(adapted.tree.labels[leaves[1]], second.y)
+    assert posterior_chunk(adapted.tree, second).tobytes() == graph_posterior_chunk(reference, second).tobytes()

@@ -40,7 +40,7 @@ def test_correctness_bits():
     assert correctness(tree, chunk).bits.all()
     stump = train_cart(chunk, StoppingParams(max_depth=0))
     bits = correctness(stump, chunk).bits
-    assert np.array_equal(bits, chunk.y == stump.root.predicted_label)
+    assert np.array_equal(bits, chunk.y == stump.labels[0])
     again = correctness(stump, chunk).bits
     assert np.array_equal(bits, again)
 
@@ -215,13 +215,18 @@ def test_q_table_matches_rational_loops(data):
     # loops they replaced. Duplicated and complemented columns force exact
     # ties whose float sums may differ in the last bits; all-true and
     # all-false columns have a zero Q denominator against every column.
+    # With ``shared``, most columns copy one of the first two, so many
+    # near-maximal rows share a column and are settled by one exact sum.
     length = data.draw(st.integers(1, 24))
-    k = data.draw(st.integers(3, 9))
+    k = data.draw(st.integers(3, 14))
+    shared = data.draw(st.booleans())
+    kinds = ["free", "copy", "complement", "all", "none"]
     columns = []
     for _ in range(k):
-        kind = data.draw(st.sampled_from(["free", "copy", "complement", "all", "none"]))
+        kind = data.draw(st.sampled_from(["copy"] * 4 + kinds if shared else kinds))
         if kind in ("copy", "complement") and columns:
-            base = columns[data.draw(st.integers(0, len(columns) - 1))]
+            pick = st.integers(0, min(len(columns), 2 if shared else len(columns)) - 1)
+            base = columns[data.draw(pick)]
             columns.append(base if kind == "copy" else ~base)
         elif kind == "all":
             columns.append(np.ones(length, dtype=bool))

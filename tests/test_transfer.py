@@ -4,25 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftel.cart import (
-    Internal,
-    Leaf,
     StoppingParams,
-    _leaf_groups,
-    posterior_chunk,
+    route_forest,
     train_cart,
     tree_to_text,
 )
 from driftel.core import Chunk, make_rng
 from driftel.diversity import correctness
-from driftel.dtel import _mse, mse_model
-from driftel.transfer import adapted_training_accuracy, transfer_tree
+from driftel.dtel import _mse
+from driftel.transfer import adapted_training_accuracy, transfer_tree, transfer_trees
 from helpers import (
     WALK_SCHEMA,
     assert_structure_above_leaves_preserved,
+    graph_posterior_chunk,
+    graph_predict_chunk,
+    graph_to_text,
+    graph_train,
+    graph_transfer,
     numeric_chunk,
     random_consistent_chunk,
     random_schema,
     reference_transfer,
+    straight_line_route,
     tree_leaves,
     walk_rows,
 )
@@ -46,12 +49,12 @@ def test_label_inversion_flips_leaves_without_growth():
     source = train_cart(chunk, UNBOUNDED)
     inverted = chunk.with_labels(1 - np.asarray(chunk.y))
     adapted = transfer_tree(source, inverted, UNBOUNDED)
-    root = adapted.tree.root
-    assert isinstance(root, Internal)
-    assert root.threshold == source.root.threshold
-    assert isinstance(root.left, Leaf) and isinstance(root.right, Leaf)
-    assert root.left.predicted_label == 1
-    assert root.right.predicted_label == 0
+    tree = adapted.tree
+    assert tree.feature[0] >= 0
+    assert tree.threshold[0] == source.threshold[0]
+    assert tree.feature[tree.left[0]] < 0 and tree.feature[tree.right[0]] < 0
+    assert tree.labels[tree.left[0]] == 1
+    assert tree.labels[tree.right[0]] == 0
     assert adapted_training_accuracy(adapted, inverted) == 1.0
 
 
@@ -61,10 +64,10 @@ def test_empty_leaf_keeps_historical_counts_and_label():
     # every new instance routes right; the left leaf sees nothing
     right_only = numeric_chunk([7, 8, 9], [1, 1, 1])
     adapted = transfer_tree(source, right_only, UNBOUNDED)
-    left = adapted.tree.root.left
-    assert isinstance(left, Leaf)
-    assert np.array_equal(left.class_counts, source.root.left.class_counts)
-    assert left.predicted_label == source.root.left.predicted_label
+    tree, left = adapted.tree, adapted.tree.left[0]
+    assert tree.feature[left] < 0
+    assert np.array_equal(tree.counts[left], source.counts[source.left[0]])
+    assert tree.labels[left] == source.labels[source.left[0]]
 
 
 def test_leaf_regrows_subtree_when_impure():
@@ -74,10 +77,10 @@ def test_leaf_regrows_subtree_when_impure():
     target = numeric_chunk([1, 6, 7, 9, 9.5], [0, 0, 0, 1, 1])
     adapted = transfer_tree(source, target, UNBOUNDED)
     assert adapted_training_accuracy(adapted, target) == 1.0
-    assert isinstance(adapted.tree.root.right, Internal)
+    tree = adapted.tree
+    assert tree.feature[tree.right[0]] >= 0
     # depths continue from the hosting leaf
-    for leaf in tree_leaves(adapted.tree):
-        assert leaf.depth >= 1
+    assert all(tree.depth[leaf] >= 1 for leaf in tree_leaves(tree))
 
 
 def test_max_depth_bounds_adapted_tree():
@@ -86,7 +89,7 @@ def test_max_depth_bounds_adapted_tree():
     source = train_cart(chunk, params)
     target = numeric_chunk([1, 6, 7, 9, 9.5], [0, 0, 0, 1, 1])
     adapted = transfer_tree(source, target, params)
-    assert all(leaf.depth <= 1 for leaf in tree_leaves(adapted.tree))
+    assert all(adapted.tree.depth[leaf] <= 1 for leaf in tree_leaves(adapted.tree))
 
 
 def test_schema_mismatch_rejected():
@@ -105,7 +108,7 @@ def test_source_never_mutated_and_structure_preserved():
         before = tree_to_text(source)
         adapted = transfer_tree(source, target_chunk, UNBOUNDED)
         assert tree_to_text(source) == before
-        assert_structure_above_leaves_preserved(source.root, adapted.tree.root)
+        assert_structure_above_leaves_preserved(source, adapted.tree)
         assert adapted_training_accuracy(adapted, target_chunk) == 1.0
 
 
@@ -146,11 +149,13 @@ def _pooled_chunk(data, pool: np.ndarray, index: int) -> Chunk:
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_fused_transfer_matches_unfused_reference(data):
-    # transfer_tree scores both trees in the walk that adapts the source. The
-    # oracle adapts with the unfused walk, then routes the chunk again
-    # through the source (correctness) and the adapted tree (mse_model).
-    # Several sources transfer to one chunk through one memo, as in a step;
-    # trained on the same pool, they often route equal row sets to leaves.
+    # transfer_trees scores both trees in the pass that adapts the source. The
+    # oracle adapts the object-graph twin of the source with the unfused
+    # walk, then routes the chunk again through the source (correctness) and
+    # the adapted tree (the posteriors mse_model reads). Several sources
+    # transfer to one chunk in one transfer_trees call, as in a step, so they
+    # share its memo; trained on the same pool, they often route equal row
+    # sets to leaves.
     params = StoppingParams(
         max_depth=data.draw(st.one_of(st.none(), st.integers(0, 6))),
         min_samples_split=data.draw(st.integers(2, 5)),
@@ -158,22 +163,85 @@ def test_fused_transfer_matches_unfused_reference(data):
     )
     pool = walk_rows(data, data.draw(st.integers(1, 12)), (4, 8), grid=1.0)
     n_sources = data.draw(st.integers(1, 4))
-    sources = [train_cart(_pooled_chunk(data, pool, i), params) for i in range(n_sources)]
+    trained = [_pooled_chunk(data, pool, i) for i in range(n_sources)]
     chunk = _pooled_chunk(data, pool, n_sources)
     rows = np.arange(len(chunk))
-    memo = {}
-    for source in sources:
-        before = tree_to_text(source)
-        fused = transfer_tree(source, chunk, params, memo)
-        reference = reference_transfer(source, chunk, params)
-        assert tree_to_text(fused.tree) == tree_to_text(reference)
-        assert tree_to_text(source) == before
+    sources = [train_cart(c, params) for c in trained]
+    twins = [graph_train(c, params) for c in trained]
+    before = [tree_to_text(source) for source in sources]
+    adapted = transfer_trees(sources, chunk, params)
+    for source, twin, text, fused in zip(sources, twins, before, adapted):
+        assert text == graph_to_text(twin)
+        reference = reference_transfer(twin, chunk, params)
+        assert tree_to_text(fused.tree) == graph_to_text(reference)
+        assert tree_to_text(source) == text
+        assert np.array_equal(fused.source_correct, graph_predict_chunk(twin, chunk) == chunk.y)
         assert np.array_equal(fused.source_correct, correctness(source, chunk).bits)
-        expected = posterior_chunk(reference, chunk)[rows, chunk.y]
+        expected = graph_posterior_chunk(reference, chunk)[rows, chunk.y]
         assert fused.p_true.tobytes() == expected.tobytes()
-        assert _mse(fused.p_true).hex() == mse_model(reference, chunk).hex()
-        # Leaves the chunk reaches were grown by the transfer, which fills
-        # their posteriors before they vote.
-        for leaf, _idx in _leaf_groups(fused.tree.root, chunk.columns):
-            filled = vars(leaf)["probabilities"]
-            assert filled.tobytes() == (leaf.class_counts / leaf.class_counts.sum()).tobytes()
+        assert _mse(fused.p_true).hex() == _mse(expected).hex()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_flat_forest_matches_object_graph(data):
+    # The object-graph grower, fused transfer walk and per-tree router are
+    # kept in helpers as the oracle. Sources are trained on mixed numeric and
+    # categorical chunks under random stopping limits and transferred
+    # together in one call, as in a step; then every tree, source and
+    # adapted, is routed in one forest pass over a test chunk that holds
+    # codes no training chunk saw and rows on the thresholds.
+    params = StoppingParams(
+        max_depth=data.draw(st.one_of(st.none(), st.integers(0, 6))),
+        min_samples_split=data.draw(st.integers(2, 5)),
+        min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
+    )
+    seen = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)))
+    pool = walk_rows(data, data.draw(st.integers(1, 16)), seen, grid=1.0)
+    n_sources = data.draw(st.integers(1, 5))
+    trained = [_pooled_chunk(data, pool, i) for i in range(n_sources)]
+    chunk = _pooled_chunk(data, pool, n_sources)
+    sources = [train_cart(c, params) for c in trained]
+    twins = [graph_train(c, params) for c in trained]
+    adapted = transfer_trees(sources, chunk, params)
+    memo = {}
+    rows = np.arange(len(chunk))
+    references = []
+    for source, twin, fused in zip(sources, twins, adapted):
+        assert tree_to_text(source) == graph_to_text(twin)
+        reference, bits, p_true = graph_transfer(twin, chunk, params, memo)
+        references.append(reference)
+        assert tree_to_text(fused.tree) == graph_to_text(reference)
+        assert np.array_equal(fused.source_correct, bits)
+        assert fused.p_true.tobytes() == p_true.tobytes()
+        assert fused.p_true.tobytes() == graph_posterior_chunk(reference, chunk)[rows, chunk.y].tobytes()
+    n_test = data.draw(st.integers(1, 40))
+    test = Chunk(
+        n_sources + 1,
+        WALK_SCHEMA,
+        np.vstack([chunk.X, walk_rows(data, n_test, (4, 8), grid=0.5)]),
+        np.zeros(len(chunk) + n_test, dtype=np.int64),
+    )
+    trees = sources + [a.tree for a in adapted]
+    leaves = route_forest(trees, test)
+    for tree, graph, leaf in zip(trees, twins + references, leaves):
+        assert tree.probabilities[leaf].tobytes() == graph_posterior_chunk(graph, test).tobytes()
+        assert np.array_equal(tree.labels[leaf], graph_predict_chunk(graph, test))
+        assert leaf.tolist() == [straight_line_route(tree, x) for x in test.X]
+
+
+def test_memo_keeps_depths_apart():
+    # Both sources send every target row to one leaf: the stump's root at
+    # depth 0 and the split tree's left leaf at depth 1. The row sets are
+    # equal, but under max_depth the regrown subtrees are not.
+    params = StoppingParams(max_depth=2)
+    stump = numeric_chunk([1, 2], [1, 1], index=0)
+    split = numeric_chunk([0, 10], [0, 1], index=1)
+    target = numeric_chunk([1, 2, 3, 4], [0, 1, 0, 1], index=2)
+    sources = [train_cart(stump, params), train_cart(split, params)]
+    adapted = transfer_trees(sources, target, params)
+    for chunk, fused in zip((stump, split), adapted):
+        reference, bits, p_true = graph_transfer(graph_train(chunk, params), target, params, {})
+        assert tree_to_text(fused.tree) == graph_to_text(reference)
+        assert fused.p_true.tobytes() == p_true.tobytes()
+        assert fused.tree.depth.max() <= 2
