@@ -1,0 +1,155 @@
+"""Mutation check of the unit tests: each listed mutant must make one of its
+unit test files fail.
+
+    python3 scripts/mutants.py            # every mutant
+    python3 scripts/mutants.py memo-key   # only the named ones
+
+Each entry is (name, file under the repository, exact old text, new text,
+unit test files). The script copies ``src/`` and ``tests/`` to a temporary
+directory, runs the named test files there once unmutated (they must pass),
+then, for each mutant, applies its replacement to a clean copy of its file
+and runs its test files with ``pytest -x``, a fixed hypothesis seed and
+hypothesis's shrinking switched off: a failing example is enough, and
+shrinking one can take minutes. A run past 60 s counts as killed and is
+marked so. The checkout is never modified. It prints ``killed`` or
+``survived`` per mutant and exits 1 if any survives, or 2 if a name is
+unknown, an old text is not found exactly once or a clean run fails.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CART = "src/driftel/cart.py"
+DIVERSITY = "src/driftel/diversity.py"
+DTEL = "src/driftel/dtel.py"
+TIMEOUT_S = 60  # the unmutated unit files take 1-11 s each
+PROFILE = """
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
+"""
+
+MUTANTS = [
+    ("route-strict", CART,
+     "go = v <= self.threshold[node]",
+     "go = v < self.threshold[node]",
+     ["test_cart.py"]),
+    ("numeric-sweep-ge", CART,
+     "if best_score is None or score > best_score:",
+     "if best_score is None or score >= best_score:",
+     ["test_cart.py"]),
+    ("subset-loop-ge", CART,
+     "if best is None or gain > best.gain:\n                best = SplitCandidate(f, gain, None, cats)",
+     "if best is None or gain >= best.gain:\n                best = SplitCandidate(f, gain, None, cats)",
+     ["test_cart.py"]),
+    ("best-swap-ge", "src/driftel/baselines.py",
+     "return slot if correct[slot] > base else None",
+     "return slot if correct[slot] >= base else None",
+     ["test_baselines.py"]),
+    ("near-tie-zero", DIVERSITY,
+     "NEAR_TIE = 1e-9",
+     "NEAR_TIE = 0",
+     ["test_diversity.py"]),
+    ("memo-key", "src/driftel/transfer.py",
+     "key = (ids, depth)",
+     "key = ids",
+     ["test_transfer.py"]),
+    ("kids-swapped", CART,
+     "self.kids[0::2] = self.right\n        self.kids[1::2] = self.left",
+     "self.kids[0::2] = self.left\n        self.kids[1::2] = self.right",
+     ["test_cart.py"]),
+    ("splice-off-by-one", CART,
+     "child[grown] = np.where(local >= 0, local + base, -1)",
+     "child[grown] = np.where(local >= 0, local + base + 1, -1)",
+     ["test_transfer.py"]),
+    ("left-child-first", CART,
+     "for side, link in ((back, node), (go, -1)):",
+     "for side, link in ((go, -1), (back, node)):",
+     ["test_cart.py"]),
+    ("code-test-and", CART,
+     "go |= codes[node] == v",
+     "go &= codes[node] == v",
+     ["test_cart.py"]),
+    ("exact-rows-by-count", DIVERSITY,
+     "key = candidates[i].bits.tobytes()",
+     "key = int(candidates[i].bits.sum())",
+     ["test_diversity.py"]),
+    ("no-transfer-bits-inverted", DTEL,
+     "bits = [t.labels[leaf] == chunk.y for t, leaf in zip(member_trees, leaves)]",
+     "bits = [t.labels[leaf] != chunk.y for t, leaf in zip(member_trees, leaves)]",
+     ["test_dtel.py"]),
+    ("least-accurate-max", DIVERSITY,
+     "return min(ordered, key=lambda c: np.count_nonzero(c.bits)).model_id",
+     "return max(ordered, key=lambda c: np.count_nonzero(c.bits)).model_id",
+     ["test_diversity.py"]),
+    ("diverse-ignored", DTEL,
+     "removed = select_removal(candidates) if diverse else select_least_accurate(candidates)",
+     "removed = select_removal(candidates)",
+     ["test_dtel.py"]),
+]
+
+
+def run_tests(copy: Path, files: list[str], timeout: float) -> str:
+    """"passed", "failed", or "timeout" when they run past ``timeout``: a
+    mutated loop bound may never end."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", "--hypothesis-profile=mutants",
+             *(f"tests/{f}" for f in files)],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if done.returncode == 0 else "failed"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"ERROR unknown mutants: {' '.join(sorted(unknown))}")
+        return 2
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    for name, path, old, _new, _files in chosen:
+        found = (ROOT / path).read_text().count(old)
+        if found != 1:
+            print(f"ERROR {name}: old text found {found} times in {path}")
+            return 2
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for sub in ("src", "tests"):
+            shutil.copytree(ROOT / sub, copy / sub, ignore=shutil.ignore_patterns("__pycache__"))
+        with open(copy / "tests" / "conftest.py", "a") as conftest:
+            conftest.write(PROFILE)
+        files = sorted({f for m in chosen for f in m[4]})
+        if run_tests(copy, files, TIMEOUT_S * len(files)) != "passed":
+            print(f"ERROR unmutated tests fail: {' '.join(files)}")
+            return 2
+        for name, path, old, new, files in chosen:
+            target = copy / path
+            clean = target.read_text()
+            target.write_text(clean.replace(old, new))
+            start = time.perf_counter()
+            outcome = run_tests(copy, files, TIMEOUT_S)
+            target.write_text(clean)
+            survivors += outcome == "passed"
+            verdict = {"passed": "survived", "failed": "killed", "timeout": "killed (timeout)"}
+            print(f"{verdict[outcome]:16} {name}  "
+                  f"({' '.join(files)}, {time.perf_counter() - start:.1f}s)", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,7 +7,7 @@ baseline, two ablations, seeded synthetic drift-stream generators, paired and
 prequential evaluation protocols, and a reproducible benchmark CLI.
 """
 
-from .baselines import ALGORITHMS, SeaEnsemble, make_learner, sea_process_chunk
+from .baselines import ALGORITHMS, make_learner, sea_process_chunk
 from .cart import (
     StoppingParams,
     Tree,

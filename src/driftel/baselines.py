@@ -4,46 +4,23 @@
   Algorithm: unweighted majority voting, and the new tree replaces the single
   archived tree whose replacement most improves majority-vote accuracy on the
   current chunk (only when it strictly beats the unmodified ensemble).
-* ``dtel-no-transfer``: the full engine with tree adaptation disabled; the
+  Its ensemble is a ``dtel.Archive`` of the trees it votes with.
+* ``dtel-no-transfer``: ``dtel.process_chunk`` with ``adapt=False``; the
   original archived trees are weighted and voted directly.
-* ``dtel-acc-archive``: the full engine with the diversity replacement rule
-  swapped for "drop the least accurate model on the current chunk".
+* ``dtel-acc-archive``: ``dtel.process_chunk`` with ``diverse=False``; the
+  diversity replacement rule is swapped for "drop the least accurate model on
+  the current chunk".
+
+Each ablation is a ``DtelLearner`` subclass that sets one of its two flags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cart import Tree, predict_forest, train_cart
+from .cart import predict_forest, train_cart
 from .core import Chunk, Instance
-from .dtel import (
-    REMOVAL_ACCURACY,
-    Archive,
-    DtelConfig,
-    DtelLearner,
-    WeightedEnsemble,
-    _step,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class SeaEnsemble:
-    models: tuple[Tree, ...]
-    capacity: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
-        if len(self.models) > self.capacity:
-            raise ValueError("ensemble over capacity")
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-    @classmethod
-    def empty(cls, capacity: int) -> "SeaEnsemble":
-        return cls((), capacity)
+from .dtel import Archive, DtelConfig, DtelLearner
 
 
 def _vote_counts(predictions, num_classes: int) -> np.ndarray:
@@ -60,7 +37,7 @@ def majority_vote(predictions, num_classes: int) -> np.ndarray:
     return np.argmax(_vote_counts(predictions, num_classes), axis=1)
 
 
-def sea_predict_chunk(state: SeaEnsemble, chunk: Chunk) -> np.ndarray:
+def sea_predict_chunk(state: Archive, chunk: Chunk) -> np.ndarray:
     return majority_vote(predict_forest(state.models, chunk), chunk.schema.num_classes)
 
 
@@ -81,7 +58,7 @@ def best_swap(preds: np.ndarray, new_pred: np.ndarray, y: np.ndarray, num_classe
     return slot if correct[slot] > base else None
 
 
-def sea_process_chunk(state: SeaEnsemble, chunk: Chunk, cfg: DtelConfig) -> SeaEnsemble:
+def sea_process_chunk(state: Archive, chunk: Chunk, cfg: DtelConfig) -> Archive:
     """Train on the chunk and return the updated ensemble.
 
     Under capacity the new tree is appended. At capacity, each single
@@ -93,23 +70,13 @@ def sea_process_chunk(state: SeaEnsemble, chunk: Chunk, cfg: DtelConfig) -> SeaE
     """
     new_tree = train_cart(chunk, cfg.stopping)
     if len(state) < state.capacity:
-        return SeaEnsemble(state.models + (new_tree,), state.capacity)
+        return Archive(state.models + (new_tree,), state.capacity)
     preds = predict_forest(state.models + (new_tree,), chunk)
     slot = best_swap(preds[:-1], preds[-1], chunk.y, chunk.schema.num_classes)
     if slot is None:
         return state
     models = state.models[:slot] + (new_tree,) + state.models[slot + 1 :]
-    return SeaEnsemble(models, state.capacity)
-
-
-def dtel_no_transfer(archive: Archive, chunk: Chunk, cfg: DtelConfig) -> tuple[WeightedEnsemble, Archive]:
-    """Ablation: the per-chunk step without tree adaptation."""
-    return _step(archive, chunk, cfg, adapt=False)
-
-
-def dtel_accuracy_archive(archive: Archive, chunk: Chunk, cfg: DtelConfig) -> tuple[WeightedEnsemble, Archive]:
-    """Ablation: archive replacement by lowest current-chunk accuracy."""
-    return _step(archive, chunk, cfg, removal=REMOVAL_ACCURACY)
+    return Archive(models, state.capacity)
 
 
 class SeaLearner:
@@ -117,7 +84,7 @@ class SeaLearner:
 
     def __init__(self, cfg: DtelConfig | None = None):
         self.cfg = cfg or DtelConfig()
-        self.state = SeaEnsemble.empty(self.cfg.m)
+        self.state = Archive.empty(self.cfg.m)
 
     def update(self, chunk: Chunk) -> None:
         self.state = sea_process_chunk(self.state, chunk, self.cfg)
@@ -135,21 +102,14 @@ class SeaLearner:
         return int(self.predict_chunk(chunk)[0])
 
 
-class _DtelVariantLearner(DtelLearner):
-    _step_fn = None
-
-    def update(self, chunk: Chunk) -> None:
-        self.ensemble, self.archive = type(self)._step_fn(self.archive, chunk, self.cfg)
-
-
-class NoTransferLearner(_DtelVariantLearner):
+class NoTransferLearner(DtelLearner):
     name = "dtel-no-transfer"
-    _step_fn = staticmethod(dtel_no_transfer)
+    adapt = False
 
 
-class AccuracyArchiveLearner(_DtelVariantLearner):
+class AccuracyArchiveLearner(DtelLearner):
     name = "dtel-acc-archive"
-    _step_fn = staticmethod(dtel_accuracy_archive)
+    diverse = False
 
 
 ALGORITHMS = {

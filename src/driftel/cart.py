@@ -74,7 +74,6 @@ class Tree:
     right: np.ndarray
     counts: np.ndarray
     schema: Schema
-    params: StoppingParams
     origin_chunk_index: int
 
     def __post_init__(self):
@@ -235,24 +234,16 @@ def _split_rows(rows: list[list[float]], labels: list[int], totals: list[int], s
     return best
 
 
-def best_split_indices(
-    X: np.ndarray, y: np.ndarray, idx: np.ndarray, schema: Schema
-) -> SplitCandidate | None:
-    """Greedy best Gini split over the instances selected by ``idx``.
+def best_split(chunk: Chunk) -> SplitCandidate | None:
+    """Greedy best Gini split of a whole chunk, for split-enumeration checks.
 
     Returns None when no candidate produces two non-empty sides. The gain of
     a split is computed from integer class counts, so mathematically tied
     candidates evaluate to identical floats and the documented tie order
     (lowest feature, lowest threshold / earliest subset) decides.
     """
-    y_sub = y[idx]
-    totals = np.bincount(y_sub, minlength=schema.num_classes).tolist()
-    return _split_rows(X[idx].tolist(), y_sub.tolist(), totals, schema)
-
-
-def best_split(chunk: Chunk) -> SplitCandidate | None:
-    """Best root split for a whole chunk (exposed for split-enumeration checks)."""
-    return best_split_indices(chunk.X, chunk.y, np.arange(len(chunk)), chunk.schema)
+    totals = np.bincount(chunk.y, minlength=chunk.schema.num_classes).tolist()
+    return _split_rows(chunk.X.tolist(), chunk.y.tolist(), totals, chunk.schema)
 
 
 class _Nodes:
@@ -270,7 +261,7 @@ class _Nodes:
         self.counts: list[list[int]] = []
         self.no_codes = (-1,) * width
 
-    def to_tree(self, schema: Schema, params: StoppingParams, origin_chunk_index: int) -> Tree:
+    def to_tree(self, schema: Schema, origin_chunk_index: int) -> Tree:
         n = len(self.feature)
         return Tree(
             np.array(self.feature, dtype=np.int64),
@@ -280,7 +271,6 @@ class _Nodes:
             np.array(self.right, dtype=np.int64),
             np.array(self.counts, dtype=np.int64).reshape(n, schema.num_classes),
             schema,
-            params,
             origin_chunk_index,
         )
 
@@ -370,7 +360,7 @@ def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = Non
         raise ValueError("schema does not match the chunk's schema")
     nodes = _Nodes(category_width(chunk.schema))
     _grow_rows(nodes, chunk.X.tolist(), chunk.y.tolist(), 0, chunk.schema, params)
-    return nodes.to_tree(chunk.schema, params, chunk.index)
+    return nodes.to_tree(chunk.schema, chunk.index)
 
 
 class _Forest:
@@ -408,11 +398,11 @@ class _Forest:
         _grow_rows(nodes, rows, labels, depth, schema, params, range(len(labels)), p_true)
         return nodes, p_true
 
-    def splice(self, reached: np.ndarray, blocks: list[_Nodes], params: StoppingParams) -> list[Tree]:
+    def splice(self, reached: np.ndarray, blocks: list[_Nodes]) -> list[Tree]:
         """The forest's trees with each leaf of ``reached`` (global ids,
         ascending) replaced by its block from :meth:`grow_block`, every other
         node copied, all in one set of array ops. Each tree keeps its
-        source's schema and origin chunk and takes ``params``."""
+        source's schema and origin chunk."""
         sizes = np.array([len(b.feature) for b in blocks], dtype=np.int64)
         extra = np.zeros(self.size, dtype=np.int64)
         extra[reached] = sizes - 1
@@ -458,9 +448,7 @@ class _Forest:
             columns.append(np.where(child >= 0, child - rebase, -1))
         columns.append(column(counts_all, counts, np.int64, counts_all.shape[1:]))
         return [
-            Tree(
-                *(c[a:b] for c in columns), source.schema, params, source.origin_chunk_index
-            )
+            Tree(*(c[a:b] for c in columns), source.schema, source.origin_chunk_index)
             for source, a, b in zip(self.trees, starts[:-1], starts[1:])
         ]
 

@@ -1,5 +1,7 @@
 """Yule's Q-statistic diversity over classifier correctness patterns, and the
-archive replacement rule that keeps the most diverse model set.
+archive replacement rules: the one that keeps the most diverse model set,
+and the accuracy rule of the ablation that drops the least accurate model.
+Both break ties the same way.
 
 Q for a pair of classifiers is computed from the 2x2 contingency of their
 per-instance correctness: Q = (N11*N00 - N01*N10) / (N11*N00 + N01*N10),
@@ -150,3 +152,14 @@ def select_removal(candidates) -> int | str:
 
     # max keeps the first of equal rows, so priority order decides ties.
     return candidates[max(order, key=exact_row)].model_id
+
+
+def select_least_accurate(candidates) -> int | str:
+    """Pick the candidate with the fewest correct instances on the chunk.
+
+    Ties follow ``select_removal``'s rule: drop the oldest model, and the new
+    model only when it alone is least accurate.
+    """
+    ordered = sorted(candidates, key=_removal_priority)
+    # min keeps the first of equal counts, so priority order decides ties.
+    return min(ordered, key=lambda c: np.count_nonzero(c.bits)).model_id

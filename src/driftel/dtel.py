@@ -13,6 +13,11 @@ each archived tree's correctness bits, which the archive update uses, and
 each adapted tree's true-class posteriors, from which its squared error is
 taken. Prediction routes the test chunk through all members in one forest
 pass as well.
+
+The ablations run the same step with one of its two design choices switched
+off: ``process_chunk(..., adapt=False)`` votes with the archived trees as
+they are, and ``process_chunk(..., diverse=False)`` keeps the archive by
+accuracy instead of diversity.
 """
 
 from __future__ import annotations
@@ -23,14 +28,11 @@ import numpy as np
 
 from .cart import StoppingParams, Tree, posterior_chunk, route_forest, train_cart
 from .core import Chunk, ClassDistribution, Instance, class_prior
-from .diversity import NEW_MODEL, CorrectnessVector, correctness, select_removal
+from .diversity import NEW_MODEL, CorrectnessVector, correctness, select_least_accurate, select_removal
 from .transfer import transfer_trees
 
 ADAPTED = "adapted"
 NEW = "new"
-
-REMOVAL_DIVERSITY = "diversity"
-REMOVAL_ACCURACY = "accuracy"
 
 
 @dataclass(frozen=True)
@@ -139,21 +141,8 @@ def predict_ensemble(ens: WeightedEnsemble, instance: Instance) -> tuple[int, Cl
     return int(np.argmax(combined)), ClassDistribution(combined)
 
 
-def _accuracy_removal(candidates) -> int | str:
-    # Lowest accuracy removed; ties drop the oldest, the new model last.
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (1 if candidates[i].is_new else 0, candidates[i].origin),
-    )
-    worst = order[0]
-    for i in order[1:]:
-        if candidates[i].bits.mean() < candidates[worst].bits.mean():
-            worst = i
-    return candidates[worst].model_id
-
-
 def _update_archive(
-    archive: Archive, new_tree: Tree, chunk: Chunk, removal: str, bits: list[np.ndarray]
+    archive: Archive, new_tree: Tree, chunk: Chunk, diverse: bool, bits: list[np.ndarray]
 ) -> Archive:
     # bits[slot]: the archived model's correctness on the chunk.
     if len(archive) < archive.capacity:
@@ -167,25 +156,33 @@ def _update_archive(
         for slot, (f, b) in enumerate(zip(archive.models, bits))
     ]
     candidates.append(correctness(new_tree, chunk, model_id=NEW_MODEL))
-    if removal == REMOVAL_DIVERSITY:
-        removed = select_removal(candidates)
-    elif removal == REMOVAL_ACCURACY:
-        removed = _accuracy_removal(candidates)
-    else:
-        raise ValueError(f"unknown removal rule: {removal!r}")
+    removed = select_removal(candidates) if diverse else select_least_accurate(candidates)
     if removed == NEW_MODEL:
         return archive
     models = tuple(f for slot, f in enumerate(archive.models) if slot != removed)
     return Archive(models + (new_tree,), archive.capacity)
 
 
-def _step(
-    archive: Archive,
-    chunk: Chunk,
-    cfg: DtelConfig,
-    adapt: bool = True,
-    removal: str = REMOVAL_DIVERSITY,
+def process_chunk(
+    archive: Archive, chunk: Chunk, cfg: DtelConfig, adapt: bool = True, diverse: bool = True
 ) -> tuple[WeightedEnsemble, Archive]:
+    """One full learning step.
+
+    Train the new tree, then adapt every archived tree to the chunk in one
+    forest pass, which also yields the original models' correctness bits and
+    the adapted trees' true-class posteriors. Update the archive (once at
+    capacity, drop the model whose removal leaves the most diverse set,
+    judged on the original models' correctness), then weight the adapted
+    trees, by the squared error of those posteriors, plus the new tree. The
+    ensemble holds all models archived at the start of the step; the archive
+    update only affects future steps, and adapted trees are never archived.
+
+    Each flag switches off one of DTEL's two design choices, for the
+    ablations. ``adapt=False`` skips transfer: the original archived trees
+    are weighted and vote as they are, and one forest pass gives their
+    posteriors and correctness bits. ``diverse=False`` drops the model least
+    accurate on the chunk instead (``select_least_accurate``).
+    """
     new_tree = train_cart(chunk, cfg.stopping)
     if adapt:
         adapted = transfer_trees(archive.models, chunk, cfg.stopping)
@@ -193,13 +190,11 @@ def _step(
         p_true = [a.p_true for a in adapted]
         bits = [a.source_correct for a in adapted]
     else:
-        # One forest pass gives each archived tree's leaf per row, and with
-        # it both the weight's posteriors and the correctness bits.
         member_trees = list(archive.models)
         leaves = route_forest(member_trees, chunk)
         p_true = [t.probabilities[leaf, chunk.y] for t, leaf in zip(member_trees, leaves)]
         bits = [t.labels[leaf] == chunk.y for t, leaf in zip(member_trees, leaves)]
-    updated = _update_archive(archive, new_tree, chunk, removal, bits)
+    updated = _update_archive(archive, new_tree, chunk, diverse, bits)
     mse_r = mse_random(chunk)
     members = tuple(
         EnsembleMember(t, weight_adapted(mse_r, _mse(p), cfg.epsilon), ADAPTED)
@@ -208,26 +203,13 @@ def _step(
     return WeightedEnsemble(members, chunk.index), updated
 
 
-def process_chunk(archive: Archive, chunk: Chunk, cfg: DtelConfig) -> tuple[WeightedEnsemble, Archive]:
-    """One full learning step.
-
-    Order of operations: train the new tree, then adapt every archived tree
-    to the chunk in one forest pass over all of them, which also yields the
-    original models' correctness bits and the adapted trees' true-class
-    posteriors. Update the archive (diversity-based replacement once at
-    capacity, judged on the original models' correctness), then weight the
-    adapted trees, by the squared error of those posteriors, plus the new
-    tree. The ensemble always contains adapted versions of all models
-    archived at the start of the step; the archive update only affects
-    future steps, and adapted trees themselves are never archived.
-    """
-    return _step(archive, chunk, cfg, adapt=True, removal=REMOVAL_DIVERSITY)
-
-
 class DtelLearner:
-    """Incremental learner interface around :func:`process_chunk`."""
+    """Incremental learner interface around :func:`process_chunk`. The
+    ablations are subclasses that switch off ``adapt`` or ``diverse``."""
 
     name = "dtel"
+    adapt = True
+    diverse = True
 
     def __init__(self, cfg: DtelConfig | None = None):
         self.cfg = cfg or DtelConfig()
@@ -235,7 +217,9 @@ class DtelLearner:
         self.ensemble: WeightedEnsemble | None = None
 
     def update(self, chunk: Chunk) -> None:
-        self.ensemble, self.archive = process_chunk(self.archive, chunk, self.cfg)
+        self.ensemble, self.archive = process_chunk(
+            self.archive, chunk, self.cfg, self.adapt, self.diverse
+        )
 
     def predict_chunk(self, chunk: Chunk) -> np.ndarray:
         if self.ensemble is None:

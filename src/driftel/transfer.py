@@ -97,7 +97,7 @@ def transfer_trees(sources, chunk: Chunk, params: StoppingParams) -> list[Adapte
     correct = (labels[leaves] == np.tile(chunk.y, len(sources))).reshape(len(sources), n)
     reached, blocks, p_true = _regrow(forest, leaves, chunk, params)
     p_true = p_true.reshape(len(sources), n)
-    trees = forest.splice(reached, blocks, params)
+    trees = forest.splice(reached, blocks)
     return [
         AdaptedTree(tree, source, chunk.index, correct[t], p_true[t])
         for t, (tree, source) in enumerate(zip(trees, sources))

@@ -2,8 +2,8 @@
 consistent datasets, tree walkers, a straight-line router, and the replaced
 implementations kept as differential oracles: the object-graph trees with
 their list grower, fused transfer walk and per-tree router, a numpy
-reference grower, the unfused transfer walk, the rational Q loops and the
-sea swap loop."""
+reference grower, the unfused transfer walk, the rational Q loops, the
+accuracy removal loop and the sea swap loop."""
 
 from __future__ import annotations
 
@@ -503,6 +503,21 @@ def reference_select_removal(candidates):
         if rows[i] > rows[best]:
             best = i
     return candidates[best].model_id
+
+
+def reference_accuracy_removal(candidates):
+    """The accuracy-archive removal rule as a loop over the candidates in
+    tie order (oldest first, the new model last): the first candidate of
+    lowest accuracy goes."""
+    order = sorted(
+        range(len(candidates)),
+        key=lambda i: (1 if candidates[i].model_id == NEW_MODEL else 0, candidates[i].origin),
+    )
+    worst = order[0]
+    for i in order[1:]:
+        if candidates[i].bits.mean() < candidates[worst].bits.mean():
+            worst = i
+    return candidates[worst].model_id
 
 
 def reference_majority_vote(predictions, num_classes):

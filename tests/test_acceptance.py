@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from driftel.baselines import SeaEnsemble, make_learner, sea_process_chunk
+from driftel.baselines import make_learner, sea_process_chunk
 from driftel.cart import (
     StoppingParams,
     best_split,
@@ -29,7 +29,7 @@ from driftel.diversity import (
     q_statistic,
     select_removal,
 )
-from driftel.dtel import DtelConfig, mse_model, mse_random, weight_adapted, weight_new
+from driftel.dtel import Archive, DtelConfig, mse_model, mse_random, weight_adapted, weight_new
 from driftel.evaluation import run_synthetic
 from driftel.streams import make_stream, preset_config
 from driftel.transfer import adapted_training_accuracy, transfer_tree
@@ -213,7 +213,7 @@ def test_criterion_2_oracle_equivalence():
         # an identically trained twin drives the brute-force enumeration
         new_tree = train_cart(chunk, UNBOUNDED)
         expected_slot = brute_force_sea_choice(models, new_tree, chunk)
-        updated = sea_process_chunk(SeaEnsemble(models, m), chunk, DtelConfig(m=m))
+        updated = sea_process_chunk(Archive(models, m), chunk, DtelConfig(m=m))
         replaced = [i for i in range(m) if updated.models[i] is not models[i]]
         assert replaced == ([] if expected_slot is None else [expected_slot])
     elapsed = time.perf_counter() - t0

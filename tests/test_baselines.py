@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from driftel.baselines import (
     ALGORITHMS,
-    SeaEnsemble,
     best_swap,
-    dtel_accuracy_archive,
-    dtel_no_transfer,
     majority_vote,
     make_learner,
     sea_predict_chunk,
@@ -53,7 +50,7 @@ def test_majority_vote_tie_takes_lowest_class():
 
 def test_sea_appends_under_capacity():
     cfg = DtelConfig(m=3)
-    state = SeaEnsemble.empty(3)
+    state = Archive.empty(3)
     chunk = numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1], index=0)
     state = sea_process_chunk(state, chunk, cfg)
     assert len(state) == 1
@@ -63,7 +60,7 @@ def test_sea_appends_under_capacity():
 def test_sea_no_replacement_when_new_tree_is_equivalent():
     cfg = DtelConfig(m=2)
     chunk = numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1], index=0)
-    state = SeaEnsemble.empty(2)
+    state = Archive.empty(2)
     state = sea_process_chunk(state, chunk, cfg)
     state = sea_process_chunk(state, chunk.with_labels(chunk.y), cfg)
     before = state.models
@@ -78,7 +75,7 @@ def test_sea_replaces_the_always_wrong_model():
     inverted = base.with_labels(1 - np.asarray(base.y))
     wrong = train_cart(inverted, UNBOUNDED)  # wrong on every instance of base
     right = train_cart(base, UNBOUNDED)
-    state = SeaEnsemble((wrong, right), 2)
+    state = Archive((wrong, right), 2)
     updated = sea_process_chunk(state, base, cfg)
     assert wrong not in updated.models
     assert right in updated.models
@@ -121,7 +118,7 @@ def test_sea_replacement_matches_brute_force_random():
     cfg = DtelConfig(m=4)
     for trial in range(40):
         schema = random_schema(rng, max_features=2, num_classes=2)
-        state = SeaEnsemble(
+        state = Archive(
             tuple(
                 train_cart(random_consistent_chunk(rng, schema, 12, index=t), UNBOUNDED)
                 for t in range(4)
@@ -174,7 +171,7 @@ def test_no_transfer_equals_dtel_on_stationary_stream():
     a2 = Archive.empty(3)
     for t in range(4):
         e1, a1 = process_chunk(a1, chunk0, cfg)
-        e2, a2 = dtel_no_transfer(a2, chunk0, cfg)
+        e2, a2 = process_chunk(a2, chunk0, cfg, adapt=False)
         from driftel.dtel import predict_ensemble_chunk
 
         assert np.array_equal(
@@ -194,7 +191,7 @@ def test_no_transfer_weights_and_archive_follow_direct_evaluation():
     for t in range(10):
         chunk = random_chunk(rng, schema, 30, index=t)
         new_tree = train_cart(chunk, cfg.stopping)
-        ensemble, updated = dtel_no_transfer(archive, chunk, cfg)
+        ensemble, updated = process_chunk(archive, chunk, cfg, adapt=False)
         for member, tree in zip(ensemble.members, archive.models):
             mse = mse_model(tree, chunk)
             assert member.weight == weight_adapted(mse_random(chunk), mse, cfg.epsilon)
@@ -223,7 +220,7 @@ def test_no_transfer_suffers_on_abrupt_inversion():
     full_acc, nt_acc = [], []
     for t, chunk in enumerate(chunks):
         e_full, a_full = process_chunk(a_full, chunk, cfg)
-        e_nt, a_nt = dtel_no_transfer(a_nt, chunk, cfg)
+        e_nt, a_nt = process_chunk(a_nt, chunk, cfg, adapt=False)
         if t >= 4:
             probe = chunks[t]
             full_acc.append(np.mean(predict_ensemble_chunk(e_full, probe) == probe.y))
@@ -241,7 +238,7 @@ def test_accuracy_archive_examples():
     for t in range(3):
         chunk = chunk0.with_labels(chunk0.y)
         object.__setattr__(chunk, "index", t)
-        _, archive = dtel_accuracy_archive(archive, chunk, cfg)
+        _, archive = process_chunk(archive, chunk, cfg, diverse=False)
     assert [m.origin_chunk_index for m in archive.models] == [1, 2]
 
 
@@ -253,7 +250,7 @@ def test_accuracy_archive_removes_zero_accuracy_model():
     good_tree = train_cart(base, UNBOUNDED)
     object.__setattr__(good_tree, "origin_chunk_index", 4)
     archive = Archive((inverted_tree, good_tree), 2)
-    _, updated = dtel_accuracy_archive(archive, base, cfg)
+    _, updated = process_chunk(archive, base, cfg, diverse=False)
     assert inverted_tree not in updated.models
     assert good_tree in updated.models
 
@@ -272,9 +269,9 @@ def test_accuracy_archive_diverges_from_diversity_archive():
     _, div_archive = process_chunk(div_archive, mixed, cfg)
 
     acc_archive = Archive.empty(2)
-    _, acc_archive = dtel_accuracy_archive(acc_archive, ones, cfg)
-    _, acc_archive = dtel_accuracy_archive(acc_archive, zeros, cfg)
-    _, acc_archive = dtel_accuracy_archive(acc_archive, mixed, cfg)
+    _, acc_archive = process_chunk(acc_archive, ones, cfg, diverse=False)
+    _, acc_archive = process_chunk(acc_archive, zeros, cfg, diverse=False)
+    _, acc_archive = process_chunk(acc_archive, mixed, cfg, diverse=False)
 
     # diversity keeps the all-zeros model (complementary); accuracy drops it
     assert [m.origin_chunk_index for m in div_archive.models] == [1, 2]

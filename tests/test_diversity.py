@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftel import diversity
 from driftel.cart import StoppingParams, train_cart
 from driftel.diversity import (
     NEW_MODEL,
@@ -13,10 +15,12 @@ from driftel.diversity import (
     correctness,
     div,
     q_statistic,
+    select_least_accurate,
     select_removal,
 )
 from helpers import (
     numeric_chunk,
+    reference_accuracy_removal,
     reference_contingency,
     reference_div,
     reference_q_fraction,
@@ -243,3 +247,39 @@ def test_q_table_matches_rational_loops(data):
     i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
     assert contingency(cands[i], cands[j]) == reference_contingency(cands[i], cands[j])
     assert q_statistic(cands[i], cands[j]) == float(reference_q_fraction(cands[i], cands[j]))
+
+
+def draw_candidates(data, length: int, k: int):
+    """k candidates of ``length`` bits, the last one new, with shuffled
+    origins. Their counts of correct instances take at most two values, so
+    columns with equal counts but different bits are common."""
+    counts = data.draw(st.lists(st.integers(0, length), min_size=1, max_size=2))
+    columns = []
+    for _ in range(k):
+        bits = np.zeros(length, dtype=bool)
+        order = data.draw(st.permutations(range(length)))
+        bits[list(order[: data.draw(st.sampled_from(counts))])] = True
+        columns.append(bits)
+    origins = data.draw(st.permutations(range(k - 1)))
+    cands = [vec(b, model_id=slot, origin=o) for slot, (b, o) in enumerate(zip(columns, origins))]
+    cands.append(vec(columns[-1], model_id=NEW_MODEL, origin=k - 1))
+    return cands
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_rows_are_kept_apart_per_column(data):
+    # With NEAR_TIE infinite every row is settled exactly, so each distinct
+    # column must get its own exact row sum, also columns that share their
+    # count of correct instances. hypothesis rejects function-scoped
+    # fixtures, so the patch is a context manager in the test body.
+    cands = draw_candidates(data, data.draw(st.integers(2, 12)), data.draw(st.integers(3, 8)))
+    with mock.patch.object(diversity, "NEAR_TIE", np.inf):
+        assert select_removal(cands) == reference_select_removal(cands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_select_least_accurate_matches_loop(data):
+    cands = draw_candidates(data, data.draw(st.integers(1, 12)), data.draw(st.integers(2, 8)))
+    assert select_least_accurate(cands) == reference_accuracy_removal(cands)

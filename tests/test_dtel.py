@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from driftel import dtel
 from driftel.cart import StoppingParams, train_cart
 from driftel.core import Instance, make_rng
+from driftel.diversity import correctness
 from driftel.dtel import (
     Archive,
     DtelConfig,
@@ -17,7 +19,7 @@ from driftel.dtel import (
     weight_adapted,
     weight_new,
 )
-from helpers import numeric_chunk, random_consistent_chunk, random_schema
+from helpers import numeric_chunk, random_chunk, random_consistent_chunk, random_schema
 
 UNBOUNDED = StoppingParams()
 
@@ -203,6 +205,43 @@ def test_capacity_one_archive_keeps_newest():
         ens, archive = process_chunk(archive, chunk, cfg)
         assert len(archive) == 1
         assert archive.models[0].origin_chunk_index == t
+
+
+@pytest.mark.parametrize("adapt", [True, False])
+@pytest.mark.parametrize("diverse", [True, False])
+def test_archive_rule_sees_each_models_correctness(monkeypatch, adapt, diverse):
+    # Under full growth the new tree is right on its whole chunk, and its
+    # all-true column has Q = 0 against every column, so the diversity rule
+    # cannot notice wrong archived bits. Instead, record the candidates the
+    # step hands to its rule, at the module attributes it looks up when
+    # called, and check every column against a direct evaluation.
+    calls = {"select_removal": [], "select_least_accurate": []}
+    for name, seen in calls.items():
+
+        def record(candidates, rule=getattr(dtel, name), seen=seen):
+            seen.append(candidates)
+            return rule(candidates)
+
+        monkeypatch.setattr(dtel, name, record)
+    used = calls["select_removal" if diverse else "select_least_accurate"]
+    rng = make_rng(59)
+    schema = random_schema(rng, max_features=2, num_classes=3)
+    cfg = DtelConfig(m=3)
+    archive = Archive.empty(cfg.m)
+    for t in range(8):
+        chunk = random_chunk(rng, schema, 30, index=t)
+        before, made = archive.models, len(used)
+        ens, archive = process_chunk(archive, chunk, cfg, adapt, diverse)
+        if len(before) < cfg.m:
+            assert len(used) == made
+            continue
+        assert len(used) == made + 1
+        new_tree = ens.members[-1].tree
+        for c in used[-1]:
+            model = new_tree if c.is_new else before[c.model_id]
+            assert np.array_equal(c.bits, correctness(model, chunk).bits)
+    assert len(used) == 5
+    assert sum(map(len, calls.values())) == 5  # the other rule is never called
 
 
 def test_learner_interface():
