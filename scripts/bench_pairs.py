@@ -9,6 +9,13 @@ alternate the order, parent first in odd pairs and change first in even
 pairs, so a drift in machine speed falls on both sides alike. After the
 pairs, each side gets one ``--trace 1`` run for the per-layer metrics.
 
+The summary marks a metric ``unresolved``, and a warning is printed, when
+either side's quartile spread, (q3 - q1) / median, exceeds the metric's
+bound in ``BENCHMARK.json``: the runs are then too noisy to judge it. A
+warning is also printed for a per-layer metric that reads 0 on the change
+but not on the parent (a renamed or bypassed traced function, most often),
+and for a ``trace.coverage`` below 0.9.
+
 The result goes to ``BENCH_<tag>.json`` under ``--comparison`` (default
 ``parent_vs_change``); other comparisons already in the file are kept, so one
 file can hold, say, a parent/change comparison and an ablation. Per workload
@@ -33,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+COVERAGE_FLOOR = 0.9
 
 
 def run_bench(checkout: Path, workload: str, trace: int, seed: int) -> dict:
@@ -60,13 +68,25 @@ def spread(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict, better: dict) -> dict:
-    """Per metric: each side's spread, the per-pair and median ratios, and
-    the pairs the change wins."""
+def relative_spread(side: dict) -> float:
+    """(q3 - q1) / median; inf when the median is 0 but the quartiles differ."""
+    width = side["q3"] - side["q1"]
+    if side["median"]:
+        return width / abs(side["median"])
+    return float("inf") if width else 0.0
+
+
+def summarize(runs: dict, better: dict, bounds: dict) -> dict:
+    """Per metric: each side's spread, the per-pair and median ratios, the
+    pairs the change wins, and whether the runs are too noisy to judge it
+    against its bound (``unresolved``)."""
     out = {}
     for metric in runs["parent"][0]["metrics"]:
         values = {s: [r["metrics"][metric] for r in runs[s]] for s in SIDES}
         entry = {s: spread(values[s]) for s in SIDES}
+        bound = bounds.get(metric)
+        if bound is not None:
+            entry["unresolved"] = any(relative_spread(entry[s]) > bound for s in SIDES)
         pairs = list(zip(values["parent"], values["change"]))
         entry["pair_ratios"] = [c / p if p else None for p, c in pairs]
         p50 = entry["parent"]["median"]
@@ -79,6 +99,21 @@ def summarize(runs: dict, better: dict) -> dict:
             )
         out[metric] = entry
     return out
+
+
+def trace_warnings(traced: dict) -> list[str]:
+    """Per-layer metrics that read 0 on the change but not on the parent,
+    and a change ``trace.coverage`` below ``COVERAGE_FLOOR``."""
+    parent, change = traced["parent"]["metrics"], traced["change"]["metrics"]
+    warnings = [
+        f"{metric} reads 0 on the change but {parent[metric]} on the parent"
+        for metric, value in change.items()
+        if value == 0 and parent.get(metric)
+    ]
+    coverage = change.get("trace.coverage")
+    if coverage is not None and coverage < COVERAGE_FLOOR:
+        warnings.append(f"trace.coverage {coverage:.2f} is below {COVERAGE_FLOOR}")
+    return warnings
 
 
 def main(argv=None) -> int:
@@ -102,6 +137,7 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {path} has no perfbench/run.py")
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"] if "bound" in m}
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in declared["workloads"]])
 
@@ -116,11 +152,19 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {pair} {side}: update_ms_p50 {m['update_ms_p50']:.2f} "
                       f"cell_s {m['cell_s']:.2f}", flush=True)
         traced = {s: run_bench(checkouts[s], workload, 1, args.seed) for s in SIDES}
+        summary = summarize(runs, better, bounds)
+        warnings = [
+            f"{metric} unresolved: a side's (q3 - q1) / median exceeds the bound {bounds[metric]}"
+            for metric, entry in summary.items() if entry.get("unresolved")
+        ] + trace_warnings(traced)
+        for warning in warnings:
+            print(f"WARNING {workload}: {warning}", flush=True)
         results[workload] = {
             "order": "parent first in odd pairs, change first in even pairs",
             "runs": runs,
-            "summary": summarize(runs, better),
+            "summary": summary,
             "trace": traced,
+            "warnings": warnings,
         }
 
     path = args.out / f"BENCH_{args.tag}.json"

@@ -2,7 +2,7 @@
 unit test files fail.
 
     python3 scripts/mutants.py            # every mutant
-    python3 scripts/mutants.py memo-key   # only the named ones
+    python3 scripts/mutants.py regrowth-depth-ignored   # only the named ones
 
 Each entry is (name, file under the repository, exact old text, new text,
 unit test files). The script copies ``src/`` and ``tests/`` to a temporary
@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CART = "src/driftel/cart.py"
 DIVERSITY = "src/driftel/diversity.py"
 DTEL = "src/driftel/dtel.py"
+TRANSFER = "src/driftel/transfer.py"
 TIMEOUT_S = 60  # the unmutated unit files take 1-11 s each
 PROFILE = """
 from hypothesis import Phase, settings
@@ -58,9 +59,25 @@ MUTANTS = [
      "NEAR_TIE = 1e-9",
      "NEAR_TIE = 0",
      ["test_diversity.py"]),
-    ("memo-key", "src/driftel/transfer.py",
-     "key = (ids, depth)",
-     "key = ids",
+    ("regrowth-depth-ignored", TRANSFER,
+     "grow_sites(chunk, rows, np.append(first, rows.size), depths, params)",
+     "grow_sites(chunk, rows, np.append(first, rows.size), 0 * depths, params)",
+     ["test_transfer.py"]),
+    ("single-category-searched", CART,
+     "            if subsets:\n",
+     "            if fd.is_categorical:\n",
+     ["test_transfer.py"]),
+    ("batched-last-maximum", CART,
+     "hit = hit[_heads(group[hit])]",
+     "hit = hit[np.append(group[hit][1:] != group[hit][:-1], True)]",
+     ["test_transfer.py"]),
+    ("batched-split-drops-positions", CART,
+     "node, rows, pos = child[order], rows[order], pos[order]",
+     "node, rows, pos = child[order], rows[order], pos",
+     ["test_transfer.py"]),
+    ("batched-depth-stop-off-by-one", CART,
+     "grow &= depth < max_depth",
+     "grow &= depth <= max_depth",
      ["test_transfer.py"]),
     ("kids-swapped", CART,
      "self.kids[0::2] = self.right\n        self.kids[1::2] = self.left",

@@ -22,11 +22,14 @@ tree keeps the source's splits above its leaves:
   the regrowth creates writes it for its own instances (what
   ``dtel.mse_model`` reads), so the regrown subtrees are never routed again.
 
-A regrown subtree depends only on the chunk, the stopping parameters, the
-routed instances and the depth, so the transfers of one ``transfer_trees``
-call share a memo keyed by (instance ids, depth) that holds each regrown
-subtree, as node lists, and its posteriors. ``cart`` owns the node layout:
-it grows the subtrees and splices them into the adapted trees.
+The row groups of all transfers of one ``transfer_trees`` call are grown
+together by ``cart.grow_sites``, each group as one site: one set of numpy
+rounds per tree level rather than one Python growth per group. Groups that
+repeat another's rows and depth are grown again rather than looked up: on
+SEA200A they are 2-3% of a step's groups, too few to pay for finding them.
+(New trees keep ``cart.train_cart``'s list grower; see ``cart``.) ``cart``
+owns the node layout: it grows the subtrees and splices them into the
+adapted trees.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, _check_schema, _Forest, predict_chunk
+from .cart import StoppingParams, Tree, _check_schema, _Forest, grow_sites, predict_chunk
 from .core import Chunk
 
 
@@ -51,8 +54,8 @@ class AdaptedTree:
 
 
 def _regrow(forest: _Forest, leaves: np.ndarray, chunk: Chunk, params: StoppingParams):
-    """Regrow every (tree, leaf) row group of the forest pass ``leaves``,
-    once per distinct (rows, depth).
+    """Regrow every (tree, leaf) row group of the forest pass ``leaves``, all
+    of them together, each as one site of ``cart.grow_sites``.
 
     Returns the reached leaves (global ids, ascending), their regrown
     subtrees, and the regrown trees' true-class posterior of every
@@ -62,22 +65,9 @@ def _regrow(forest: _Forest, leaves: np.ndarray, chunk: Chunk, params: StoppingP
     ranked = leaves[order]
     first = np.flatnonzero(np.diff(ranked, prepend=-1))
     reached = ranked[first]
-    depths = np.concatenate([t.depth for t in forest.trees])[reached].tolist()
-    rows = (order % len(chunk)).tolist()
-    bounds = first.tolist() + [len(rows)]
-    X, y = chunk.X.tolist(), chunk.y.tolist()
-    memo = {}
-    blocks, p_sorted = [], []
-    for a, b, depth in zip(bounds, bounds[1:], depths):
-        ids = tuple(rows[a:b])
-        key = (ids, depth)
-        grown = memo.get(key)
-        if grown is None:
-            grown = memo[key] = forest.grow_block(
-                [X[i] for i in ids], [y[i] for i in ids], depth, params
-            )
-        blocks.append(grown[0])
-        p_sorted.extend(grown[1])
+    depths = np.concatenate([t.depth for t in forest.trees])[reached]
+    rows = order % len(chunk)
+    blocks, p_sorted = grow_sites(chunk, rows, np.append(first, rows.size), depths, params)
     p_true = np.empty(leaves.size, dtype=np.float64)
     p_true[order] = p_sorted
     return reached, blocks, p_true

@@ -2,8 +2,8 @@
 consistent datasets, tree walkers, a straight-line router, and the replaced
 implementations kept as differential oracles: the object-graph trees with
 their list grower, fused transfer walk and per-tree router, a numpy
-reference grower, the unfused transfer walk, the rational Q loops, the
-accuracy removal loop and the sea swap loop."""
+reference grower, the unfused transfer walk, the per-site regrowth loop,
+the rational Q loops, the accuracy removal loop and the sea swap loop."""
 
 from __future__ import annotations
 
@@ -11,14 +11,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress
+from unittest import mock
 
 import numpy as np
+from hypothesis import Phase
 from hypothesis import strategies as st
 
+from driftel import transfer
 from driftel.cart import (
     SplitCandidate,
     StoppingParams,
     Tree,
+    _Blocks,
+    _grow_rows,
+    _Nodes,
     _split_rows,
     _threshold,
     categorical_split_subsets,
@@ -31,6 +37,12 @@ from driftel.core import (
     Schema,
 )
 from driftel.diversity import NEW_MODEL
+
+
+# Hypothesis settings for growth tests: a failing example is reported as
+# found, since shrinking one can take minutes, which makes a broken grower
+# look like a hung suite.
+NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
 
 
 def numeric_schema(n_features: int = 1, num_classes: int = 2) -> Schema:
@@ -425,6 +437,72 @@ def reference_transfer(source: GraphTree, chunk: Chunk, params, grow=graph_grow_
     """The adapted tree of ``reference_adapt``, with no scores."""
     root = reference_adapt(source.root, np.arange(len(chunk)), chunk, params, grow)
     return GraphTree(root, source.schema, params, source.origin_chunk_index)
+
+
+def _block_posterior(nodes: _Nodes, row, label: int) -> float:
+    """The posterior of ``label`` at the leaf of ``nodes`` that ``row``
+    reaches, ``counts[label] / n``, walked straight-line."""
+    node = 0
+    while nodes.feature[node] >= 0:
+        f, t = nodes.feature[node], nodes.threshold[node]
+        go = row[f] <= t if t == t else int(row[f]) in nodes.categories[node]
+        node = nodes.left[node] if go else nodes.right[node]
+    counts = nodes.counts[node]
+    return counts[label] / sum(counts)
+
+
+def reference_regrow(forest, leaves, chunk: Chunk, params):
+    """The regrowth loop that ``transfer._regrow`` ran before its sites were
+    grown together: one list-grower call (``cart._grow_rows``) per (tree,
+    leaf) row group, shared through a memo keyed by (rows, depth). Returns
+    what ``_regrow`` returns."""
+    order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
+    ranked = leaves[order]
+    first = np.flatnonzero(np.diff(ranked, prepend=-1))
+    reached = ranked[first]
+    depths = np.concatenate([t.depth for t in forest.trees])[reached].tolist()
+    rows = (order % len(chunk)).tolist()
+    bounds = first.tolist() + [len(rows)]
+    X, y = chunk.X.tolist(), chunk.y.tolist()
+    memo = {}
+    blocks, p_sorted = [], []
+    for a, b, depth in zip(bounds, bounds[1:], depths):
+        ids = tuple(rows[a:b])
+        key = (ids, depth)
+        grown = memo.get(key)
+        if grown is None:
+            nodes = _Nodes(forest.categories.shape[1])
+            sub_rows, sub_labels = [X[i] for i in ids], [y[i] for i in ids]
+            _grow_rows(nodes, sub_rows, sub_labels, depth, chunk.schema, params)
+            scores = [_block_posterior(nodes, r, c) for r, c in zip(sub_rows, sub_labels)]
+            grown = memo[key] = (nodes, scores)
+        blocks.append(grown[0])
+        p_sorted.extend(grown[1])
+    p_true = np.empty(leaves.size, dtype=np.float64)
+    p_true[order] = p_sorted
+    width, K = forest.categories.shape[1], chunk.schema.num_classes
+
+    def joined(name, dtype, *shape):
+        values = [v for b in blocks for v in getattr(b, name)]
+        return np.array(values, dtype=dtype).reshape(len(values), *shape)
+
+    sizes = np.array([len(b.feature) for b in blocks], dtype=np.int64)
+    return reached, _Blocks(
+        joined("feature", np.int64),
+        joined("threshold", np.float64),
+        joined("categories", np.int64, width),
+        joined("left", np.int64),
+        joined("right", np.int64),
+        joined("counts", np.int64, K),
+        sizes,
+    ), p_true
+
+
+def reference_transfer_trees(sources, chunk: Chunk, params):
+    """``transfer.transfer_trees`` with its regrowth done by
+    ``reference_regrow``."""
+    with mock.patch.object(transfer, "_regrow", reference_regrow):
+        return transfer.transfer_trees(sources, chunk, params)
 
 
 WALK_SCHEMA = Schema(

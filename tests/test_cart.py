@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from driftel.core import (
 )
 from driftel.transfer import transfer_tree
 from helpers import (
+    NO_SHRINK,
     WALK_SCHEMA,
     GraphTree,
     assert_structure_above_leaves_preserved,
@@ -164,6 +166,14 @@ def test_split_tie_breaks_lowest_feature_then_threshold():
     chunk = numeric_chunk([(0, 0), (0, 0), (1, 1), (1, 1)], [0, 0, 1, 1])
     tree = train_cart(chunk, UNBOUNDED)
     assert tree.feature[0] == 0
+    # On 0 1 1 0 the cuts at 1.5 and 3.5 score the same on both features;
+    # the middle cut scores less. Feature 0 at 1.5 wins.
+    tied = numeric_chunk([(1, 1), (2, 2), (3, 3), (4, 4)], [0, 1, 1, 0])
+    assert brute_force_best(tied) == (Fraction(1, 6), 0, 1.5, None)
+    tree = train_cart(tied, UNBOUNDED)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
+    split = best_split(tied)
+    assert (split.feature_index, split.threshold) == (0, 1.5)
 
 
 def test_tree_text_golden_and_depth_invariant():
@@ -182,20 +192,32 @@ def test_tree_text_golden_and_depth_invariant():
 # ---------------------------------------------------------------------------
 # randomized invariants
 
-def brute_force_best_gain(chunk: Chunk) -> float:
-    """Textbook Gini gain maximized over every candidate, straight-line."""
+def brute_force_best(chunk: Chunk):
+    """Textbook Gini gain maximized over every candidate, straight-line, in
+    exact rationals: (gain, feature, threshold, subset) of the first
+    maximum in the documented order (lowest feature, then lowest threshold
+    or earliest subset), or None when no candidate parts the chunk."""
 
     def gini(labels):
         if len(labels) == 0:
-            return 0.0
+            return Fraction(0)
         _, counts = np.unique(labels, return_counts=True)
-        p = counts / len(labels)
-        return 1.0 - float((p * p).sum())
+        return 1 - sum(Fraction(int(c), len(labels)) ** 2 for c in counts)
 
     X, y = chunk.X, chunk.y
     n = len(chunk)
     parent = gini(y)
     best = None
+
+    def consider(mask, f, threshold, cats):
+        nonlocal best
+        nl = int(mask.sum())
+        if nl in (0, n):
+            return
+        gain = parent - Fraction(nl, n) * gini(y[mask]) - Fraction(n - nl, n) * gini(y[~mask])
+        if best is None or gain > best[0]:
+            best = (gain, f, threshold, cats)
+
     for f, fd in enumerate(chunk.schema.features):
         col = X[:, f]
         if fd.is_categorical:
@@ -208,24 +230,12 @@ def brute_force_best_gain(chunk: Chunk) -> float:
             else:
                 subsets = [(c,) for c in range(k)]
             for cats in subsets:
-                mask = np.isin(col.astype(int), cats)
-                if mask.sum() in (0, n):
-                    continue
-                gain = parent - (
-                    mask.sum() / n * gini(y[mask]) + (~mask).sum() / n * gini(y[~mask])
-                )
-                if best is None or gain > best:
-                    best = gain
+                consider(np.isin(col.astype(int), cats), f, None, cats)
         else:
             values = np.unique(col)
             for lo, hi in zip(values[:-1], values[1:]):
                 thr = (lo + hi) / 2.0
-                mask = col <= thr
-                gain = parent - (
-                    mask.sum() / n * gini(y[mask]) + (~mask).sum() / n * gini(y[~mask])
-                )
-                if best is None or gain > best:
-                    best = gain
+                consider(col <= thr, f, float(thr), None)
     return best
 
 
@@ -235,12 +245,13 @@ def test_best_split_matches_brute_force_small():
         schema = random_schema(rng)
         chunk = random_consistent_chunk(rng, schema, int(rng.integers(3, 30)), index=trial)
         found = best_split(chunk)
-        expected = brute_force_best_gain(chunk)
+        expected = brute_force_best(chunk)
         if expected is None:
             assert found is None or found.gain <= 0
         else:
             assert found is not None
-            assert found.gain == pytest.approx(expected, abs=1e-9)
+            assert found.gain == pytest.approx(float(expected[0]), abs=1e-9)
+            assert (found.feature_index, found.threshold, found.categories) == expected[1:]
 
 
 def test_training_accuracy_perfect_on_consistent_chunks():
@@ -316,7 +327,7 @@ def test_chunk_routing_matches_straight_line_route(data):
         assert route_to_leaf(tree, instance) == leaf
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(st.data())
 def test_growth_matches_reference_grower(data):
     # cart searches and grows on Python lists; helpers keeps the numpy array

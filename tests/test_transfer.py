@@ -9,11 +9,12 @@ from driftel.cart import (
     train_cart,
     tree_to_text,
 )
-from driftel.core import Chunk, make_rng
+from driftel.core import CATEGORICAL, NUMERIC, Chunk, FeatureDescriptor, Schema, make_rng
 from driftel.diversity import correctness
 from driftel.dtel import _mse
 from driftel.transfer import adapted_training_accuracy, transfer_tree, transfer_trees
 from helpers import (
+    NO_SHRINK,
     WALK_SCHEMA,
     assert_structure_above_leaves_preserved,
     graph_posterior_chunk,
@@ -25,6 +26,7 @@ from helpers import (
     random_consistent_chunk,
     random_schema,
     reference_transfer,
+    reference_transfer_trees,
     straight_line_route,
     tree_leaves,
     walk_rows,
@@ -245,3 +247,85 @@ def test_memo_keeps_depths_apart():
         assert tree_to_text(fused.tree) == graph_to_text(reference)
         assert fused.p_true.tobytes() == p_true.tobytes()
         assert fused.tree.depth.max() <= 2
+
+
+def test_regrowth_breaks_ties_like_the_list_grower():
+    # Both features cut the target alike, and on each the cuts at 1.5 and
+    # 3.5 score the same: the regrown root takes feature 0 at 1.5, the
+    # lowest feature and then the lowest threshold.
+    target = numeric_chunk([(1, 1), (2, 2), (3, 3), (4, 4)], [0, 1, 1, 0], index=2)
+    stump = train_cart(numeric_chunk([(0, 0), (5, 5)], [1, 1], index=0), UNBOUNDED)
+    split = train_cart(numeric_chunk([(0, 0), (9, 9)], [0, 1], index=1), UNBOUNDED)
+    adapted = transfer_trees([stump, split], target, UNBOUNDED)
+    regrown = adapted[0].tree
+    assert (regrown.feature[0], regrown.threshold[0]) == (0, 1.5)
+    assert tree_to_text(regrown) == tree_to_text(train_cart(target, UNBOUNDED))
+    host = adapted[1].tree.left[0]  # every target row reaches the left leaf
+    assert (adapted[1].tree.feature[host], adapted[1].tree.threshold[host]) == (0, 1.5)
+
+
+MIXED_SCHEMA = Schema(
+    (
+        FeatureDescriptor(NUMERIC),
+        FeatureDescriptor(CATEGORICAL, tuple("abcd")),  # exhaustive subsets
+        FeatureDescriptor(CATEGORICAL, ("a",)),  # no subsets: never splits
+        FeatureDescriptor(NUMERIC),
+        FeatureDescriptor(CATEGORICAL, tuple("abcdefgh")),  # one-vs-rest
+    ),
+    3,
+)
+# Values whose neighbours leave no midpoint: adjacent doubles, signed zeros
+# and the smallest subnormals, and pairs whose sum overflows to +-inf.
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1.0, 1 + 2**-52, 1 + 2**-51,
+    1.5e308, 1.7e308, -1.5e308, -1.7e308,
+]
+
+
+def _mixed_pool(data, n: int) -> np.ndarray:
+    numeric = st.one_of(
+        st.integers(-3, 3).map(float), st.sampled_from(EDGE_VALUES), st.floats(-10, 10)
+    )
+    rows = data.draw(
+        st.lists(
+            st.tuples(numeric, st.integers(0, 3), st.just(0), numeric, st.integers(0, 7)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return np.asarray(rows, dtype=np.float64).reshape(n, 5)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_batched_regrowth_matches_per_site_loop(data):
+    # transfer_trees grows every regrowth site of the call together, level
+    # by level; the oracle grows one site at a time with the list grower,
+    # as transfer did before. Rows come from a small pool under free labels,
+    # so duplicated rows carry conflicting labels, and the sources are often
+    # shallow, so their leaves host large sites.
+    def stopping():
+        return StoppingParams(
+            max_depth=data.draw(st.one_of(st.none(), st.integers(0, 6))),
+            min_samples_split=data.draw(st.integers(2, 5)),
+            min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.005, 0.02, 0.1])),
+        )
+
+    pool = _mixed_pool(data, data.draw(st.integers(1, 24)))
+
+    def chunk(index):
+        n = data.draw(st.integers(1, 90))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return Chunk(index, MIXED_SCHEMA, pool[picks], np.asarray(y, dtype=np.int64))
+
+    n_sources = data.draw(st.integers(1, 5))
+    sources = [train_cart(chunk(i), stopping()) for i in range(n_sources)]
+    target, params = chunk(n_sources), stopping()
+    adapted = transfer_trees(sources, target, params)
+    expected = reference_transfer_trees(sources, target, params)
+    for fused, reference in zip(adapted, expected):
+        assert tree_to_text(fused.tree) == tree_to_text(reference.tree)
+        assert fused.p_true.tobytes() == reference.p_true.tobytes()
+        assert np.array_equal(fused.source_correct, reference.source_correct)
+        assert fused.tree.threshold.tobytes() == reference.tree.threshold.tobytes()
