@@ -4,7 +4,11 @@ BENCH file.
     python scripts/bench_pairs.py --parent ../parent --change . --pairs 5 --tag fused_transfer
 
 Each checkout is run with its own ``perfbench/run.py --workload W --seconds 0``
-(one 120-step round per run), so each side imports its own ``src``. Pairs
+(one 120-step round per run), so each side imports its own ``src``. Every
+run starts from a fresh temporary copy of its side's ``src/``, ``perfbench/``
+and ``BENCHMARK.json``, without ``__pycache__``: both sides then compile
+their modules alike, and a stale ``.pyc`` in one checkout cannot add its
+compilation to that side's ``setup_s`` only. Pairs
 alternate the order, parent first in odd pairs and change first in even
 pairs, so a drift in machine speed falls on both sides alike. After the
 pairs, each side gets one ``--trace 1`` run for the per-layer metrics.
@@ -32,24 +36,41 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 SIDES = ("parent", "change")
+COPIED = ("src", "perfbench", "BENCHMARK.json")  # what a run reads from its checkout
 COVERAGE_FLOOR = 0.9
 
 
+def fresh_copy(checkout: Path, into: Path) -> None:
+    """Copy what a benchmark run reads from ``checkout`` into ``into``,
+    leaving out ``__pycache__`` and the benchmark's own output."""
+    for name in COPIED:
+        source = checkout / name
+        if source.is_dir():
+            shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
+        else:
+            shutil.copy2(source, into / name)
+
+
 def run_bench(checkout: Path, workload: str, trace: int, seed: int) -> dict:
-    """One ``perfbench/run.py`` process; its last output line is the result."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", "0", "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, timeout=1800,
-    )
+    """One ``perfbench/run.py`` process in a fresh copy of ``checkout``; its
+    last output line is the result."""
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        fresh_copy(checkout, Path(tmp))
+        done = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", "0", "--trace", str(trace)],
+            cwd=tmp, capture_output=True, text=True, timeout=1800,
+        )
     if done.returncode != 0:
         raise SystemExit(f"{checkout} {workload} exited {done.returncode}:\n{done.stderr}")
     out = json.loads(done.stdout.strip().splitlines()[-1])
@@ -172,6 +193,8 @@ def main(argv=None) -> int:
     bench["comparisons"][args.comparison] = {
         "pairs": args.pairs,
         "seed": args.seed,
+        "checkouts": "each run in a fresh temporary copy of its side's "
+                     f"{', '.join(COPIED)}, without __pycache__",
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CART = "src/driftel/cart.py"
+CORE = "src/driftel/core.py"
 DIVERSITY = "src/driftel/diversity.py"
 DTEL = "src/driftel/dtel.py"
 TRANSFER = "src/driftel/transfer.py"
@@ -107,6 +108,30 @@ MUTANTS = [
      "return min(ordered, key=lambda c: np.count_nonzero(c.bits)).model_id",
      "return max(ordered, key=lambda c: np.count_nonzero(c.bits)).model_id",
      ["test_diversity.py"]),
+    ("distinct-columns-first-occurrence", CORE,
+     "return _readonly(ranked[:, head]), _readonly(inverse)",
+     "return _readonly(columns[:, np.sort(order[head])]), _readonly(inverse)",
+     ["test_core.py"]),
+    ("distinct-inverse-sorted", CORE,
+     "inverse[order] = np.cumsum(head) - 1",
+     "inverse[:] = np.cumsum(head) - 1",
+     ["test_core.py"]),
+    ("distinct-fast-exit-any", CORE,
+     "if np.all(col[1:] != col[:-1]):",
+     "if np.any(col[1:] != col[:-1]):",
+     ["test_core.py"]),
+    ("distinct-first-column-only", CORE,
+     "for col in ranked[1:]:",
+     "for col in ranked[1:1]:",
+     ["test_core.py"]),
+    ("route-spread-out-of-order", CART,
+     "return leaves if inverse is None else leaves[:, inverse]",
+     "return leaves if inverse is None else leaves[:, np.sort(inverse)]",
+     ["test_cart.py"]),
+    ("vote-spread-out-of-order", DTEL,
+     "return acc if inverse is None else acc[inverse]",
+     "return acc if inverse is None else acc[np.sort(inverse)]",
+     ["test_dtel.py"]),
     ("diverse-ignored", DTEL,
      "removed = select_removal(candidates) if diverse else select_least_accurate(candidates)",
      "removed = select_removal(candidates)",

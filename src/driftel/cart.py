@@ -33,6 +33,18 @@ round; the per-tree views (``posterior_chunk``, ``predict_chunk``,
 ``route_to_leaf``) route a forest of one tree. Transfer splices the grown
 subtrees into its trees through the forest too (``_Forest.splice``), so this
 module alone knows the node layout.
+
+A forest pass over a chunk routes each distinct feature row once
+(``Chunk.distinct``) and spreads the leaves to the rows: transfer's pass,
+the vote (:func:`posterior_distinct`, which also leaves the sum to the
+distinct rows), and every ``route_forest`` caller (correctness bits, member
+scoring, ``dtel-no-transfer`` and ``sea``). Merging is exact: every node
+test is ``<=`` against a threshold or ``==`` against a code, and neither
+tells +0.0 from -0.0 or any two values equal under ``==``, so equal rows
+reach the same leaf. A STAGGER chunk of 200 rows holds at most 27 distinct
+rows; chunks of the numeric streams hold none twice and are routed as they
+are. Growth works on all rows: growing on distinct rows would need
+weighted counts in both growers.
 """
 
 from __future__ import annotations
@@ -650,8 +662,9 @@ class _Forest:
         self.kids = np.empty(2 * self.size, dtype=np.int64)
         self.kids[0::2] = self.right
         self.kids[1::2] = self.left
-        cats = self.categories[:, np.any(self.categories >= 0, axis=0)]
-        self.codes = np.where(cats >= 0, cats, np.nan).T.copy()
+        cats = np.ascontiguousarray(self.categories.T)
+        used = cats >= 0
+        self.codes = np.where(used, cats, np.nan)[used.any(axis=1)]
 
     def splice(self, reached: np.ndarray, blocks: _Blocks) -> list[Tree]:
         """The forest's trees with each leaf of ``reached`` (global ids,
@@ -735,16 +748,47 @@ def _check_schema(trees, schema: Schema):
             raise ValueError("chunk schema does not match the tree's schema")
 
 
+def _route_distinct(forest: _Forest, chunk: Chunk) -> tuple[np.ndarray, np.ndarray | None]:
+    """One forest pass over the chunk's distinct rows (``Chunk.distinct``):
+    the global leaf id of every (tree, distinct row) pair, shape
+    (trees, distinct rows), and each row's index into the distinct rows, or
+    None when every row is distinct and the pass took the rows themselves."""
+    distinct = chunk.distinct
+    columns, inverse = (chunk.columns, None) if distinct is None else distinct
+    return forest.route(columns).reshape(len(forest.trees), -1), inverse
+
+
+def _route_rows(forest: _Forest, chunk: Chunk) -> np.ndarray:
+    """The global leaf id of every (tree, row) pair, shape (trees, rows):
+    the leaves of the distinct rows' forest pass, spread to every row."""
+    leaves, inverse = _route_distinct(forest, chunk)
+    return leaves if inverse is None else leaves[:, inverse]
+
+
 def route_forest(trees, chunk: Chunk) -> np.ndarray:
     """The leaf id of every (tree, row) pair, shape (len(trees), len(chunk)),
-    from one forest pass; ids index each tree's own node arrays."""
+    from one forest pass over the chunk's distinct rows; ids index each
+    tree's own node arrays."""
     trees = list(trees)
     _check_schema(trees, chunk.schema)
     if not trees:
         return np.empty((0, len(chunk)), dtype=np.int64)
     forest = _Forest(trees)
-    n = len(chunk)
-    return (forest.route(chunk.columns) - np.repeat(forest.starts, n)).reshape(len(trees), n)
+    return _route_rows(forest, chunk) - forest.starts[:, None]
+
+
+def posterior_distinct(trees, chunk: Chunk) -> tuple[np.ndarray, np.ndarray | None]:
+    """The posterior of every (tree, distinct row) pair, shape (len(trees),
+    distinct rows, classes), from one forest pass, and each row's index into
+    the distinct rows, or None when every row is distinct. Each posterior is
+    its leaf's row of ``Tree.probabilities``, to the bit: the reached
+    leaves' counts over their totals, one division each. Needs one tree or
+    more."""
+    trees = list(trees)
+    _check_schema(trees, chunk.schema)
+    leaves, inverse = _route_distinct(_Forest(trees), chunk)
+    counts = np.concatenate([t.counts for t in trees])[leaves]
+    return counts / counts.sum(axis=2, keepdims=True), inverse
 
 
 def predict_forest(trees, chunk: Chunk) -> np.ndarray:

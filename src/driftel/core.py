@@ -144,6 +144,12 @@ class Chunk:
     Features are stored encoded: an (n, d) float64 matrix where categorical
     columns hold domain indices. Labels are an (n,) int64 vector. Both arrays
     are read-only; ``instances`` decodes back to raw values on demand.
+
+    Two views are computed at first use and shared by every tree that routes
+    the chunk: ``columns``, the features column-major, and ``distinct``, the
+    distinct feature rows with each row's index into them. Forest passes
+    (transfer, the vote, correctness and member scoring) route only the
+    distinct rows; growth works on all rows.
     """
 
     index: int
@@ -198,6 +204,39 @@ class Chunk:
         are one contiguous row; computed once and shared by every tree that
         routes this chunk."""
         return _readonly(np.ascontiguousarray(self.X.T))
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The distinct feature rows, or None when every row is distinct.
+
+        Otherwise ``(columns, inverse)``: the distinct rows column-major,
+        shape (d, u), in lexicographic order, and each row's index into
+        them, shape (n,), so ``columns[:, inverse]`` equals ``self.columns``
+        under ``==``. Rows are equal when all their values are equal under
+        ``==``, so +0.0 and -0.0 merge; no tree test (``<=`` a threshold,
+        ``==`` a code) tells them apart, so equal rows reach the same leaf
+        and a forest pass routes each distinct row once (see ``cart``).
+        Computed at first use, once per chunk, and never at construction, so
+        stream generation does not pay for it.
+        """
+        columns = self.columns
+        numeric = [j for j, fd in enumerate(self.schema.features) if not fd.is_categorical]
+        if numeric:
+            # One sort: a numeric column without equal values parts all rows.
+            col = np.sort(columns[numeric[0]])
+            if np.all(col[1:] != col[:-1]):
+                return None
+        order = np.lexsort(columns)
+        ranked = columns[:, order]
+        head = np.ones(ranked.shape[1], dtype=bool)  # a row unlike its predecessor
+        head[1:] = ranked[0, 1:] != ranked[0, :-1]
+        for col in ranked[1:]:
+            head[1:] |= col[1:] != col[:-1]
+        if head.all():
+            return None
+        inverse = np.empty(head.size, dtype=np.int64)
+        inverse[order] = np.cumsum(head) - 1
+        return _readonly(ranked[:, head]), _readonly(inverse)
 
     @cached_property
     def instances(self) -> tuple[Instance, ...]:

@@ -12,7 +12,7 @@ forest pass (see ``transfer``). That pass adapts the trees and also yields
 each archived tree's correctness bits, which the archive update uses, and
 each adapted tree's true-class posteriors, from which its squared error is
 taken. Prediction routes the test chunk through all members in one forest
-pass as well.
+pass as well, and votes once per distinct feature row (``Chunk.distinct``).
 
 The ablations run the same step with one of its two design choices switched
 off: ``process_chunk(..., adapt=False)`` votes with the archived trees as
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, posterior_chunk, route_forest, train_cart
+from .cart import StoppingParams, Tree, posterior_chunk, posterior_distinct, route_forest, train_cart
 from .core import Chunk, ClassDistribution, Instance, class_prior
 from .diversity import NEW_MODEL, CorrectnessVector, correctness, select_least_accurate, select_removal
 from .transfer import transfer_trees
@@ -118,15 +118,16 @@ def weight_new(mse_r: float, epsilon: float) -> float:
 def ensemble_posteriors(ens: WeightedEnsemble, chunk: Chunk) -> np.ndarray:
     """Weighted mean of member posteriors, rows normalized to sum to 1.
 
-    All members are routed in one forest pass; their weighted posteriors are
-    then added in member order."""
-    leaves = route_forest([m.tree for m in ens.members], chunk)
-    acc = np.zeros((len(chunk), chunk.schema.num_classes), dtype=np.float64)
-    total = 0.0
-    for member, leaf in zip(ens.members, leaves):
-        acc += member.weight * member.tree.probabilities[leaf]
-        total += member.weight
-    return acc / total
+    All members route the chunk's distinct rows in one forest pass; their
+    weighted posteriors are added in member order over the distinct rows,
+    then spread to every row. An accumulation adds one member at a time, so
+    each row sees the same float operations as when every row is voted on
+    member by member, and the result is the same to the bit."""
+    posteriors, inverse = posterior_distinct([m.tree for m in ens.members], chunk)
+    weights = np.array([m.weight for m in ens.members])
+    acc = np.add.accumulate(weights[:, None, None] * posteriors)[-1]
+    acc /= np.add.accumulate(weights)[-1]
+    return acc if inverse is None else acc[inverse]
 
 
 def predict_ensemble_chunk(ens: WeightedEnsemble, chunk: Chunk) -> np.ndarray:

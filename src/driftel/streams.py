@@ -134,28 +134,29 @@ def _numeric_schema(n_features: int, num_classes: int) -> Schema:
     return Schema(tuple(FeatureDescriptor(NUMERIC) for _ in range(n_features)), num_classes)
 
 
-_STA_SCHEMA = Schema(
-    (
-        FeatureDescriptor(CATEGORICAL, STA_COLORS),
-        FeatureDescriptor(CATEGORICAL, STA_SHAPES),
-        FeatureDescriptor(CATEGORICAL, STA_SIZES),
+# One schema object per family, shared by all its chunks, so a schema check
+# between a tree and a chunk of one stream is an identity test.
+_SCHEMAS = {
+    "SEA": _numeric_schema(3, 2),
+    "ROT": _numeric_schema(2, ROT_CLASSES),
+    "CIR": _numeric_schema(3, 2),
+    "SIN": _numeric_schema(2, 2),
+    "STA": Schema(
+        (
+            FeatureDescriptor(CATEGORICAL, STA_COLORS),
+            FeatureDescriptor(CATEGORICAL, STA_SHAPES),
+            FeatureDescriptor(CATEGORICAL, STA_SIZES),
+        ),
+        2,
     ),
-    2,
-)
+}
 
 
 def schema_for(family: str) -> Schema:
-    if family == "SEA":
-        return _numeric_schema(3, 2)
-    if family == "ROT":
-        return _numeric_schema(2, ROT_CLASSES)
-    if family == "CIR":
-        return _numeric_schema(3, 2)
-    if family == "SIN":
-        return _numeric_schema(2, 2)
-    if family == "STA":
-        return _STA_SCHEMA
-    raise ValueError(f"unknown family {family!r}")
+    try:
+        return _SCHEMAS[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
 
 
 def schedule_for(family: str, variant: str, n_steps: int) -> DriftSchedule | None:
@@ -286,7 +287,7 @@ def gen_sta(cfg: DriftStreamConfig, step: int) -> ChunkPair:
     Xtr = rng.integers(0, 3, (cfg.chunk_size, 3)).astype(np.float64)
     Xte = rng.integers(0, 3, (cfg.chunk_size, 3)).astype(np.float64)
     return _pair(
-        cfg, step, _STA_SCHEMA,
+        cfg, step, schema_for("STA"),
         Xtr, sta_label(Xtr[:, 0], Xtr[:, 1], rule),
         Xte, sta_label(Xte[:, 0], Xte[:, 1], rule),
         rng,

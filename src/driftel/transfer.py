@@ -10,7 +10,8 @@ and label, so the adapted tree blends current and historical knowledge and
 its posterior is defined everywhere. The source tree is never modified.
 
 All trees transferred to one chunk are routed together in one forest pass
-(``cart.route_forest``). The pass groups the chunk's rows by (tree, leaf);
+over the chunk's distinct rows, whose leaves are spread to every row (see
+``cart``). The pass groups the chunk's rows by (tree, leaf);
 each group is regrown in row order, and each adapted tree is assembled from
 its source's node arrays with the regrown subtrees spliced in at their
 leaves. The same pass scores both trees of every transfer, since the adapted
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, _check_schema, _Forest, grow_sites, predict_chunk
+from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_rows, grow_sites, predict_chunk
 from .core import Chunk
 
 
@@ -82,7 +83,7 @@ def transfer_trees(sources, chunk: Chunk, params: StoppingParams) -> list[Adapte
         return []
     forest = _Forest(sources)
     n = len(chunk)
-    leaves = forest.route(chunk.columns)
+    leaves = _route_rows(forest, chunk).ravel()
     labels = np.concatenate([t.labels for t in sources])
     correct = (labels[leaves] == np.tile(chunk.y, len(sources))).reshape(len(sources), n)
     reached, blocks, p_true = _regrow(forest, leaves, chunk, params)

@@ -3,7 +3,8 @@ consistent datasets, tree walkers, a straight-line router, and the replaced
 implementations kept as differential oracles: the object-graph trees with
 their list grower, fused transfer walk and per-tree router, a numpy
 reference grower, the unfused transfer walk, the per-site regrowth loop,
-the rational Q loops, the accuracy removal loop and the sea swap loop."""
+the per-row soft vote, the rational Q loops, the accuracy removal loop and
+the sea swap loop."""
 
 from __future__ import annotations
 
@@ -529,6 +530,36 @@ def walk_rows(data, n: int, seen: tuple[int, int], grid: float) -> np.ndarray:
         )
     )
     return np.asarray(rows, dtype=np.float64).reshape(n, 3)
+
+
+def duplicate_rows(data, n: int) -> np.ndarray:
+    """``n`` hypothesis-drawn ``WALK_SCHEMA`` rows, each a copy of one row of
+    a pool of at most 5: up to 3 rows with any code of each domain and
+    numeric values on the half lattice, and, when drawn, two twins equal
+    but for the sign of a zero numeric value."""
+    pool = walk_rows(data, data.draw(st.integers(1, 3)), (4, 8), grid=0.5)
+    if data.draw(st.booleans()):
+        twin = pool[:1].copy()
+        twin[0, 0] = 0.0
+        pool = np.vstack([pool, twin, twin * [-1.0, 1.0, 1.0]])  # +0.0 and -0.0
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return pool[picks].reshape(n, 3)
+
+
+def reference_ensemble_posteriors(ens, chunk: Chunk) -> np.ndarray:
+    """The weighted soft vote one row at a time: each member's leaf found by
+    ``straight_line_route``, its posterior weighted and added in member
+    order, and the sum divided by the total weight."""
+    total = 0.0
+    for member in ens.members:
+        total += member.weight
+    out = np.empty((len(chunk), chunk.schema.num_classes))
+    for i, x in enumerate(chunk.X):
+        acc = np.zeros(chunk.schema.num_classes)
+        for member in ens.members:
+            acc += member.weight * member.tree.probabilities[straight_line_route(member.tree, x)]
+        out[i] = acc / total
+    return out
 
 
 def reference_contingency(ci, cj) -> tuple[int, int, int, int]:

@@ -37,6 +37,7 @@ from helpers import (
     WALK_SCHEMA,
     GraphTree,
     assert_structure_above_leaves_preserved,
+    duplicate_rows,
     graph_posterior_chunk,
     graph_to_text,
     graph_train,
@@ -315,16 +316,23 @@ def test_chunk_routing_matches_straight_line_route(data):
     y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     max_depth = data.draw(st.one_of(st.none(), st.integers(0, 6)))
     tree = train_cart(Chunk(0, WALK_SCHEMA, X, y), StoppingParams(max_depth=max_depth))
+    # A second test chunk repeats a few rows many times, and may hold two
+    # twins that differ only in the sign of a zero: routing merges equal
+    # rows (Chunk.distinct), and every copy must reach its own leaf.
     X_test = np.vstack([X, walk_rows(data, data.draw(st.integers(0, 40)), (4, 8), grid=0.5)])
-    test = Chunk(1, WALK_SCHEMA, X_test, np.zeros(len(X_test), dtype=np.int64))
-    labels = predict_chunk(tree, test)
-    post = posterior_chunk(tree, test)
-    for i, x in enumerate(test.X):
-        leaf = straight_line_route(tree, x)
-        assert labels[i] == tree.labels[leaf]
-        assert post[i].tobytes() == tree.probabilities[leaf].tobytes()
-        instance = Instance(WALK_SCHEMA.decode_features(x), 0)
-        assert route_to_leaf(tree, instance) == leaf
+    X_dup = duplicate_rows(data, data.draw(st.integers(1, 60)))
+    for index, rows in ((1, X_test), (2, X_dup)):
+        test = Chunk(index, WALK_SCHEMA, rows, np.zeros(len(rows), dtype=np.int64))
+        labels = predict_chunk(tree, test)
+        post = posterior_chunk(tree, test)
+        leaves = route_forest([tree, tree], test)
+        for i, x in enumerate(test.X):
+            leaf = straight_line_route(tree, x)
+            assert labels[i] == tree.labels[leaf]
+            assert post[i].tobytes() == tree.probabilities[leaf].tobytes()
+            assert leaves[0, i] == leaves[1, i] == leaf
+            instance = Instance(WALK_SCHEMA.decode_features(x), 0)
+            assert route_to_leaf(tree, instance) == leaf
 
 
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftel.core import (
@@ -14,7 +14,7 @@ from driftel.core import (
     class_prior,
     make_rng,
 )
-from helpers import numeric_chunk, numeric_schema
+from helpers import NO_SHRINK, WALK_SCHEMA, numeric_chunk, numeric_schema
 
 
 def test_feature_descriptor_validation():
@@ -83,6 +83,44 @@ def test_chunk_arrays_immutable():
         chunk.X[0, 0] = 9.0
     with pytest.raises(ValueError):
         chunk.y[0] = 1
+
+
+DISTINCT_SCHEMAS = (
+    WALK_SCHEMA,  # numeric first, then two categorical features
+    Schema((FeatureDescriptor(CATEGORICAL, ("a", "b", "c")), FeatureDescriptor(NUMERIC)), 2),
+    Schema((FeatureDescriptor(CATEGORICAL, ("a", "b")), FeatureDescriptor(CATEGORICAL, ("a", "b", "c"))), 2),
+    numeric_schema(2),
+)
+
+
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_distinct_rows_match_brute_force_grouping(data):
+    # Rows are copies from a small pool or fresh rows; numeric values come
+    # from a few values, +0.0 and -0.0 among them, or are free floats.
+    schema = data.draw(st.sampled_from(DISTINCT_SCHEMAS))
+    numeric = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.5]), st.floats(-10, 10))
+    row = st.tuples(*(
+        st.integers(0, len(fd.domain) - 1).map(float) if fd.is_categorical else numeric
+        for fd in schema.features
+    ))
+    pool = data.draw(st.lists(row, min_size=1, max_size=6))
+    n = data.draw(st.integers(1, 40))
+    rows = data.draw(st.lists(st.one_of(st.sampled_from(pool), row), min_size=n, max_size=n))
+    X = np.asarray(rows, dtype=np.float64).reshape(n, schema.n_features)
+    chunk = Chunk(0, schema, X, np.zeros(n, dtype=np.int64))
+    same = np.array([[bool(np.all(a == b)) for b in X] for a in X])
+    distinct = chunk.distinct
+    if same.sum() == n:  # every row equals only itself
+        assert distinct is None
+        return
+    columns, inverse = distinct
+    groups = {tuple(np.flatnonzero(r)) for r in same}
+    assert columns.shape == (schema.n_features, len(groups))
+    assert inverse.shape == (n,) and not columns.flags.writeable and not inverse.flags.writeable
+    assert np.array_equal(columns[:, inverse], chunk.columns)  # equal under ==
+    assert np.array_equal(inverse[:, None] == inverse[None, :], same)
+    assert chunk.distinct is distinct  # computed once
 
 
 def test_class_prior_examples():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftel import dtel
 from driftel.cart import StoppingParams, train_cart
-from driftel.core import Instance, make_rng
+from driftel.core import Chunk, Instance, make_rng
 from driftel.diversity import correctness
 from driftel.dtel import (
     Archive,
@@ -15,11 +17,22 @@ from driftel.dtel import (
     mse_model,
     mse_random,
     predict_ensemble,
+    predict_ensemble_chunk,
     process_chunk,
     weight_adapted,
     weight_new,
 )
-from helpers import numeric_chunk, random_chunk, random_consistent_chunk, random_schema
+from helpers import (
+    NO_SHRINK,
+    WALK_SCHEMA,
+    duplicate_rows,
+    numeric_chunk,
+    random_chunk,
+    random_consistent_chunk,
+    random_schema,
+    reference_ensemble_posteriors,
+    walk_rows,
+)
 
 UNBOUNDED = StoppingParams()
 
@@ -166,6 +179,28 @@ def test_weights_match_direct_reevaluation():
             else:
                 expected = 1.0 / (mse_r + mse_model(member.tree, chunk) + cfg.epsilon)
             assert abs(member.weight - expected) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_vote_on_distinct_rows_matches_per_row_vote(data):
+    # The vote adds member posteriors once per distinct row and spreads the
+    # sums to the rows; helpers keeps the row-by-row vote, routed node by
+    # node. Test chunks repeat a few rows, hold codes no training chunk saw
+    # and may hold +0.0 and -0.0 twins, which must vote alike.
+    seen = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)))
+    cfg = DtelConfig(m=3, stopping=StoppingParams(max_depth=data.draw(st.one_of(st.none(), st.integers(0, 6)))))
+    archive = Archive.empty(cfg.m)
+    for index in range(data.draw(st.integers(1, 5))):
+        n = data.draw(st.integers(1, 40))
+        X = walk_rows(data, n, seen, grid=1.0)
+        y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        ens, archive = process_chunk(archive, Chunk(index, WALK_SCHEMA, X, y), cfg)
+    rows = duplicate_rows(data, data.draw(st.integers(1, 60)))
+    test = Chunk(9, WALK_SCHEMA, rows, np.zeros(len(rows), dtype=np.int64))
+    expected = reference_ensemble_posteriors(ens, test)
+    assert ensemble_posteriors(ens, test).tobytes() == expected.tobytes()
+    assert np.array_equal(predict_ensemble_chunk(ens, test), np.argmax(expected, axis=1))
 
 
 def test_ensemble_distribution_sums_to_one():

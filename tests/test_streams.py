@@ -48,6 +48,15 @@ def test_presets_match_published_stream_table():
         preset_config("SEA999X")
 
 
+@pytest.mark.parametrize("family", ["SEA", "ROT", "CIR", "SIN", "STA"])
+def test_chunks_of_a_stream_share_one_schema_object(family):
+    # A tree's schema check against a chunk of its own stream is then an
+    # identity test, not a dataclass comparison.
+    pairs = make_stream(DriftStreamConfig(family, "A", 20, n_steps=3, seed=1))
+    schemas = {id(chunk.schema) for pair in pairs for chunk in (pair.train, pair.test)}
+    assert schemas == {id(schema_for(family))}
+
+
 def test_sea_label_rule_examples():
     cfg = preset_config("SEA200A", seed=0)
     sched = schedule_for("SEA", "A", 120)
