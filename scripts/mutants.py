@@ -61,20 +61,36 @@ MUTANTS = [
      "NEAR_TIE = 0",
      ["test_diversity.py"]),
     ("regrowth-depth-ignored", TRANSFER,
-     "grow_sites(chunk, rows, np.append(first, rows.size), depths, params)",
-     "grow_sites(chunk, rows, np.append(first, rows.size), 0 * depths, params)",
+     "depths = np.concatenate([[0], depth[reached]])",
+     "depths = np.concatenate([[0], 0 * depth[reached]])",
+     ["test_transfer.py"]),
+    ("new-tree-rooted-at-depth-one", TRANSFER,
+     "depths = np.concatenate([[0], depth[reached]])",
+     "depths = np.concatenate([[1], depth[reached]])",
      ["test_transfer.py"]),
     ("single-category-searched", CART,
-     "            if subsets:\n",
-     "            if fd.is_categorical:\n",
+     "self.categorical = [f for f, s in subsets.items() if s]",
+     "self.categorical = list(subsets)",
+     ["test_transfer.py"]),
+    ("node-sizes-unweighted", CART,
+     "n = counts.sum(axis=1)  # rows per node",
+     "n = size  # rows per node",
+     ["test_transfer.py"]),
+    ("numeric-counts-unweighted", CART,
+     "np.cumsum(labels == k if weight is None else (labels == k) * weight, out=before[1:])",
+     "np.cumsum(labels == k, out=before[1:])",
+     ["test_transfer.py"]),
+    ("new-tree-label-last-maximum", CART,
+     "right[done] = counts.argmax(axis=1)[leaf] == own",
+     "right[done] = (K - 1 - counts[:, ::-1].argmax(axis=1))[leaf] == own",
      ["test_transfer.py"]),
     ("batched-last-maximum", CART,
      "hit = hit[_heads(group[hit])]",
      "hit = hit[np.append(group[hit][1:] != group[hit][:-1], True)]",
      ["test_transfer.py"]),
     ("batched-split-drops-positions", CART,
-     "node, rows, pos = child[order], rows[order], pos[order]",
-     "node, rows, pos = child[order], rows[order], pos",
+     "node, rows, labels, pos = child[order], rows[order], labels[order], pos[order]",
+     "node, rows, labels, pos = child[order], rows[order], labels[order], pos",
      ["test_transfer.py"]),
     ("batched-depth-stop-off-by-one", CART,
      "grow &= depth < max_depth",
@@ -131,6 +147,10 @@ MUTANTS = [
     ("vote-spread-out-of-order", DTEL,
      "return acc if inverse is None else acc[inverse]",
      "return acc if inverse is None else acc[np.sort(inverse)]",
+     ["test_dtel.py"]),
+    ("capacity-one-skips-accuracy-rule", DTEL,
+     "if diverse and archive.capacity == 1:",
+     "if archive.capacity == 1:",
      ["test_dtel.py"]),
     ("diverse-ignored", DTEL,
      "removed = select_removal(candidates) if diverse else select_least_accurate(candidates)",

@@ -17,15 +17,20 @@ class index on ties.
 A tree is a set of flat per-node arrays (see :class:`Tree`). Two growers
 build them, and grow the same tree node for node, bit for bit:
 
-- :func:`train_cart` grows one tree node by node on Python lists with an
-  explicit stack (``_grow_rows``) and converts it to numpy once. It serves
-  every new tree: ``sea``'s and each DTEL step's. Over the 120 training
-  chunks (200 rows) of SEA200A and of STA200A, one tree per chunk grew
-  1.6x and 1.5x faster this way, in all, than by ``grow_sites``.
 - :func:`grow_sites` grows many subtrees together, breadth first, one set
   of numpy rounds per level over every open node of every subtree. It
-  serves transfer, which regrows ~600 small row groups per DTEL step on
-  SEA200A, where one Python growth per group took 2.3-3.5x as long.
+  serves each DTEL step (``transfer.grow_step``), in one call: the step's
+  new tree is one site, and the ~600 small row groups per step that
+  transfer regrows on SEA200A are the others. One Python growth per group
+  took 2.3-3.5x as long. The new tree shares the groups' rounds: on
+  SEA200A, whose chunks repeat no row, a cell's growth fell from 1.07 s
+  (the new tree grown on lists, the groups here) to 0.92 s (seed 1,
+  medians of 3 runs).
+- :func:`train_cart` grows one tree node by node on Python lists with an
+  explicit stack (``_grow_rows``) and converts it to numpy once. It serves
+  ``sea``, whose step grows its new tree alone: over the 120 training
+  chunks (200 rows) of SEA200A, one tree per chunk grew 1.3x faster this
+  way than by ``grow_sites`` on its own.
 
 Every traversal goes through one forest pass, :func:`route_forest`, which
 moves all (tree, row) pairs of a list of trees down one level per numpy
@@ -43,8 +48,10 @@ test is ``<=`` against a threshold or ``==`` against a code, and neither
 tells +0.0 from -0.0 or any two values equal under ``==``, so equal rows
 reach the same leaf. A STAGGER chunk of 200 rows holds at most 27 distinct
 rows; chunks of the numeric streams hold none twice and are routed as they
-are. Growth works on all rows: growing on distinct rows would need
-weighted counts in both growers.
+are. ``grow_sites`` grows the same way: on a chunk with repeated rows, each
+site grows on its distinct (feature row, label) pairs, each weighted by its
+number of rows, and the posteriors and bits are spread back to the rows.
+The list grower works on rows.
 """
 
 from __future__ import annotations
@@ -378,15 +385,27 @@ class _Blocks:
         self.feature, self.threshold, self.categories = feature, threshold, categories
         self.left, self.right, self.counts, self.sizes = left, right, counts, sizes
 
+    def split_first(self, schema: Schema, origin_chunk_index: int) -> tuple[Tree, "_Blocks"]:
+        """The first block as a tree and the other blocks. The tree owns
+        copies of its nodes, so keeping it keeps none of the other blocks."""
+        k = int(self.sizes[0])
+        arrays = (self.feature, self.threshold, self.categories, self.left, self.right, self.counts)
+        tree = Tree(*(a[:k].copy() for a in arrays), schema, origin_chunk_index)
+        return tree, _Blocks(*(a[k:] for a in arrays), self.sizes[1:])
+
 
 class _SearchTables:
-    """What the split search of one chunk needs beyond the level's rows,
+    """What the split search of one chunk needs beyond the level's entries,
     built once per :func:`grow_sites` call: the numeric features, their
-    columns and each row's rank in the stable sort of each column; and per
-    categorical feature, the 0/1 (subsets x codes) matrix of
-    ``categorical_split_subsets`` and the subsets padded with -1 to
-    ``category_width``. A feature of one category has no subsets and is
-    left out: it never splits, as in ``_split_rows``."""
+    columns and each row's rank in the stable sort of each column; and the
+    categorical features, searched together. For those it holds each row's
+    codes, each offset by its feature's first code in one numbering of all
+    their codes (``codes``, rows x features), the 0/1 block-diagonal
+    (codes x subsets) matrix of their ``categorical_split_subsets``
+    (``member``), each subset's feature (``owner``), each feature's first
+    subset (``first_subset``), and each subset's go-left codes padded with
+    -1 to ``category_width`` (``padded``). A feature of one category has no
+    subsets and is left out: it never splits, as in ``_split_rows``."""
 
     def __init__(self, chunk: Chunk):
         schema, n = chunk.schema, len(chunk)
@@ -397,16 +416,23 @@ class _SearchTables:
         self.ranks = np.empty(self.values.shape, dtype=np.int64)
         for rank, col in zip(self.ranks, self.values):
             rank[np.argsort(col, kind="stable")] = np.arange(n)
-        self.categorical = []
-        for f, fd in enumerate(schema.features):
-            subsets = list(categorical_split_subsets(len(fd.domain))) if fd.is_categorical else []
-            if subsets:
-                member = np.zeros((len(subsets), len(fd.domain)), dtype=np.int64)
-                padded = np.full((len(subsets), self.width), -1, dtype=np.int64)
-                for s, cats in enumerate(subsets):
-                    member[s, list(cats)] = 1
-                    padded[s, : len(cats)] = cats
-                self.categorical.append((f, chunk.columns[f], member, padded))
+        subsets = {
+            f: list(categorical_split_subsets(len(fd.domain)))
+            for f, fd in enumerate(schema.features)
+            if fd.is_categorical
+        }
+        self.categorical = [f for f, s in subsets.items() if s]
+        domains = [len(schema.features[f].domain) for f in self.categorical]
+        first_code = np.cumsum([0] + domains[:-1], dtype=np.int64)
+        self.codes = chunk.X[:, self.categorical].astype(np.int64) + first_code
+        listed = [(c, f, cats) for c, f in enumerate(self.categorical) for cats in subsets[f]]
+        self.member = np.zeros((sum(domains), len(listed)))
+        self.owner = np.array([f for _c, f, _cats in listed], dtype=np.int64)
+        self.first_subset = np.flatnonzero(_heads(self.owner))
+        self.padded = np.full((len(listed), self.width), -1, dtype=np.int64)
+        for s, (c, _f, cats) in enumerate(listed):
+            self.member[first_code[c] + np.array(cats), s] = 1.0
+            self.padded[s, : len(cats)] = cats
 
 
 def _heads(a: np.ndarray) -> np.ndarray:
@@ -417,43 +443,77 @@ def _heads(a: np.ndarray) -> np.ndarray:
     return head
 
 
+def _collapse(chunk: Chunk, rows, labels, bounds):
+    """Each site's rows as its distinct (feature row, label) pairs, given
+    that the chunk repeats rows (``Chunk.distinct``): one entry per pair,
+    grouped by site, a row of the pair standing for it, weighted by its
+    number of rows. Returns the entries' rows, labels and weights, the new
+    site bounds, and each input row's entry."""
+    columns, inverse = chunk.distinct
+    per_site = columns.shape[1] * chunk.schema.num_classes
+    site = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    key = site * per_site + inverse[rows] * chunk.schema.num_classes + labels
+    order = np.argsort(key, kind="stable")
+    head = _heads(key[order])  # the first row of each pair
+    spread = np.empty(key.size, dtype=np.int64)
+    spread[order] = np.cumsum(head) - 1
+    first = order[head]
+    weight = np.diff(np.append(np.flatnonzero(head), key.size))
+    bounds = np.searchsorted(key[first] // per_site, np.arange(bounds.size))
+    return rows[first], labels[first], weight, bounds, spread
+
+
 def grow_sites(
     chunk: Chunk, rows: np.ndarray, bounds: np.ndarray, depths: np.ndarray, params: StoppingParams
-) -> tuple[_Blocks, np.ndarray]:
+) -> tuple[_Blocks, np.ndarray, np.ndarray]:
     """Grow one subtree per site, all sites together, breadth first: each
     round of numpy calls grows every open node of every site by one level.
 
     Site ``s`` holds the chunk rows ``rows[bounds[s]:bounds[s + 1]]`` and
     its root sits at depth ``depths[s]``. Returns the subtrees as blocks in
     site order and, aligned with ``rows``, each row's posterior of its own
-    label at its leaf, ``counts[label] / n``.
+    label at its leaf, ``counts[label] / n``, and whether the leaf's label,
+    the argmax of its counts (lowest class on ties), is the row's.
 
     A node stops when it is pure, has fewer than ``min_samples_split`` rows,
     sits at ``max_depth``, or its best split gains less than
     ``min_impurity_decrease``. Identical feature rows need no test of their
     own: they admit no cut, so the search finds no split there.
 
+    When the chunk repeats rows (``Chunk.distinct``), each site grows on its
+    distinct (feature row, label) pairs, weighted by their numbers of rows
+    (see ``_collapse``), and the posteriors and bits are spread back to the
+    rows. Class counts, node sizes, the numeric sweep's cumulative counts
+    and the categorical counts all add weights, so they count rows exactly
+    as on the rows themselves; a cut falls only between distinct values,
+    and the rows of a pair share their leaf. Chunks whose rows are all
+    distinct grow on the rows, unweighted.
+
     The subtrees equal ``_grow_rows``'s node for node, bit for bit. Class
     counts are integers, and the Gini score of a cut, ``sl / nl + sr / nr``
     from integer sums, is the same float expression as in ``_split_rows``.
-    Each numeric feature sorts a node's rows by (node, value, row), so the
-    node's cuts come in the order of its sweep and the first maximum of the
-    score wins, as there. The sweep takes ``lo`` from the first row of a
+    Each numeric feature sorts a node's entries by (node, value, row), so
+    the node's cuts come in the order of its sweep and the first maximum of
+    the score wins, as there. The sweep takes ``lo`` from the first row of a
     run of equal values and this search from the last; they differ at most
     in the sign of a zero, which no threshold of ``_threshold`` shows.
     Features and subsets are compared by gain, the first maximum in schema
     and enumeration order winning, as with the sweep's strict ``>``.
     """
     K = chunk.schema.num_classes
-    y = chunk.y
     tables = _SearchTables(chunk)
     width = tables.width
     max_depth, min_gain = params.max_depth, params.min_impurity_decrease
+    labels = chunk.y[rows]
+    weight = spread = None
+    if chunk.distinct is not None:
+        rows, labels, weight, bounds, spread = _collapse(chunk, rows, labels, bounds)
     p_true = np.empty(rows.size, dtype=np.float64)
-    # The open level: each entry is a (node, row) pair, grouped by node, the
-    # rows of a node in their order in ``rows``; ``pos`` is the entry's
-    # position there.
-    size = np.diff(bounds)
+    right = np.empty(rows.size, dtype=bool)
+    # The open level: each entry is a (node, row, label) triple with a
+    # weight, grouped by node, the entries of a node in their order in
+    # ``rows``; ``pos`` is the entry's position there.
+    size = np.diff(bounds)  # entries per node
     node = np.repeat(np.arange(size.size), size)
     pos = np.arange(rows.size)
     depth = np.asarray(depths, dtype=np.int64)
@@ -461,16 +521,18 @@ def grow_sites(
     first_id = 0  # breadth-first id of the level's first node
     while size.size:
         m = size.size
-        labels = y[rows]
-        counts = np.bincount(node * K + labels, minlength=m * K).reshape(m, K)
-        grow = (counts.max(axis=1) < size) & (size >= params.min_samples_split)
+        counts = np.bincount(node * K + labels, weight, m * K).astype(np.int64, copy=False).reshape(m, K)
+        n = counts.sum(axis=1)  # rows per node
+        grow = (counts.max(axis=1) < n) & (n >= params.min_samples_split)
         if max_depth is not None:
             grow &= depth < max_depth
         feature = np.full(m, -1, dtype=np.int64)
         threshold = np.full(m, np.nan)
         categories = np.full((m, width), -1, dtype=np.int64)
         if grow.any():
-            gain, *found = _level_splits(tables, grow, node, rows, labels, counts[grow], size[grow])
+            gain, *found = _level_splits(
+                tables, grow, node, rows, labels, weight, counts[grow], n[grow], size[grow]
+            )
             won = gain >= min_gain
             split = np.flatnonzero(grow)[won]
             feature[split], threshold[split], categories[split] = (a[won] for a in found)
@@ -480,12 +542,13 @@ def grow_sites(
         levels.append((feature, threshold, categories, counts, left, np.where(internal, left + 1, -1)))
         first_id += m
         at_leaf = ~internal[node]
-        leaf = node[at_leaf]
-        p_true[pos[at_leaf]] = counts[leaf, labels[at_leaf]] / size[leaf]
-        # The next level: each split node's rows, stably divided into its
+        leaf, own, done = node[at_leaf], labels[at_leaf], pos[at_leaf]
+        p_true[done] = counts[leaf, own] / n[leaf]
+        right[done] = counts.argmax(axis=1)[leaf] == own
+        # The next level: each split node's entries, stably divided into its
         # left child (2 * rank) and right child (2 * rank + 1).
         moving = ~at_leaf
-        parent, rows, pos = node[moving], rows[moving], pos[moving]
+        parent, rows, labels, pos = node[moving], rows[moving], labels[moving], pos[moving]
         values = chunk.X[rows, feature[parent]]
         go = values <= threshold[parent]  # NaN thresholds: categorical tests
         if width:
@@ -493,65 +556,89 @@ def grow_sites(
             go |= (codes == values[:, None]).any(axis=1)
         child = 2 * rank[parent] + ~go
         order = np.argsort(child, kind="stable")
-        node, rows, pos = child[order], rows[order], pos[order]
+        node, rows, labels, pos = child[order], rows[order], labels[order], pos[order]
+        if weight is not None:
+            weight = weight[moving][order]
         size = np.bincount(node, minlength=2 * int(internal.sum()))
         depth = np.repeat(depth[internal] + 1, 2)
-    return _pre_order(levels, bounds.size - 1), p_true
+    if spread is not None:
+        p_true, right = p_true[spread], right[spread]
+    return _pre_order(levels, bounds.size - 1), p_true, right
 
 
-def _level_splits(tables: _SearchTables, grow, node, rows, labels, totals, size):
+def _level_splits(tables: _SearchTables, grow, node, rows, labels, weight, totals, n, size):
     """Best split of every growing node of one level, from the level's
-    entries (``node``, ``rows``, ``labels``): its gain, feature, threshold
-    and padded go-left codes, with gain -inf where no cut parts its rows."""
+    entries (``node``, ``rows``, ``labels``, ``weight``) and the growing
+    nodes' class counts, rows and entries (``totals``, ``n``, ``size``): its
+    gain, feature, threshold and padded go-left codes, with gain -inf where
+    no cut parts its rows."""
     entry = grow[node]
     node = (np.cumsum(grow) - 1)[node[entry]]  # numbered among growing nodes
     rows, labels = rows[entry], labels[entry]
-    m, K = totals.shape
+    if weight is not None:
+        weight = weight[entry]
+    m = totals.shape[0]
     everyone = np.arange(m)
-    start = np.cumsum(size) - size
-    parent_score = (totals * totals).sum(axis=1) / size
+    parent_score = (totals * totals).sum(axis=1) / n
     gain = np.full((tables.n_features, m), -np.inf)
     threshold = np.full((tables.n_features, m), np.nan)
     if tables.numeric:
+        start = np.cumsum(size) - size  # each node's first entry
         gain[tables.numeric], threshold[tables.numeric] = _numeric_splits(
-            tables, node, rows, labels, totals, size, start, parent_score
+            tables, node, rows, labels, weight, totals, n, start, parent_score
         )
-    picks = []
-    for f, col, member, padded in tables.categorical:
-        k = member.shape[1]
-        cc = np.bincount((labels * m + node) * k + col[rows].astype(np.int64), minlength=K * m * k)
-        left = cc.reshape(K, m, k) @ member.T  # (classes, nodes, subsets)
-        right = totals.T[:, :, None] - left
-        nl = left.sum(axis=0)
-        nr = size[:, None] - nl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sl, sr = (left * left).sum(axis=0), (right * right).sum(axis=0)
-            g = (sl / nl + sr / nr - parent_score[:, None]) / size[:, None]
-        g[(nl == 0) | (nr == 0)] = -np.inf
-        pick = g.argmax(axis=1)  # the first maximum: enumeration order
-        gain[f] = g[everyone, pick]
-        picks.append((f, padded[pick]))
-    feature = gain.argmax(axis=0)  # the first maximum: the lowest feature
     codes = np.full((m, tables.width), -1, dtype=np.int64)
-    for f, padded in picks:
-        chosen = feature == f
-        codes[chosen] = padded[chosen]
+    if tables.categorical:
+        subset_gain = _subset_gains(tables, node, rows, labels, weight, totals, n, parent_score)
+        # Each feature's best gain; the first maximum picks its subset below.
+        gain[tables.categorical] = np.maximum.reduceat(subset_gain, tables.first_subset, axis=1).T
+    feature = gain.argmax(axis=0)  # the first maximum: the lowest feature
+    if tables.categorical:
+        own = tables.owner == feature[:, None]  # (nodes, subsets): the chosen feature's
+        pick = np.where(own, subset_gain, -np.inf).argmax(axis=1)  # enumeration order
+        chosen = own.any(axis=1)
+        codes[chosen] = tables.padded[pick[chosen]]
     return gain[feature, everyone], feature, threshold[feature, everyone], codes
 
 
-def _numeric_splits(tables: _SearchTables, node, rows, labels, totals, size, start, parent_score):
+def _subset_gains(tables: _SearchTables, node, rows, labels, weight, totals, n, parent_score):
+    """The gain of every (growing node, subset) pair, over the subsets of
+    all categorical features together, shape (nodes, subsets); -inf where
+    a subset does not part a node's rows. One count of (class, node, code)
+    triples and one product with the block-diagonal subset matrix give
+    every subset's class counts. Counts stay exact integers in floats."""
+    m, K = totals.shape
+    n_codes = tables.member.shape[0]
+    index = (((labels * m + node) * n_codes)[:, None] + tables.codes[rows]).ravel()
+    if weight is not None:
+        weight = np.repeat(weight, len(tables.categorical))
+    cc = np.bincount(index, weight, K * m * n_codes)
+    left = cc.reshape(K, m, n_codes) @ tables.member  # (classes, nodes, subsets)
+    right = totals.T[:, :, None] - left
+    nl = left.sum(axis=0)
+    nr = n[:, None] - nl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sl, sr = (left * left).sum(axis=0), (right * right).sum(axis=0)
+        g = (sl / nl + sr / nr - parent_score[:, None]) / n[:, None]
+    g[(nl == 0) | (nr == 0)] = -np.inf
+    return g
+
+
+def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, start, parent_score):
     """(gain, threshold) of the best cut of every (numeric feature, growing
     node) pair, shape (numeric features, nodes); gain -inf where a node's
     values of a feature are all equal. All features are swept together:
     entry (f, i) belongs to segment ``f * m + node[i]``. Class counts are
     kept one class at a time in 1-d arrays, which numpy indexes fastest,
     and updated in place, so that few arrays of one entry per cut are
-    alive at once."""
+    alive at once. With weights, every count left of a cut adds them."""
     m, K = totals.shape
-    n_features, n = len(tables.numeric), node.size
+    n_features, e = len(tables.numeric), node.size
     order = np.argsort(node * tables.ranks.shape[1] + np.take(tables.ranks, rows, axis=1), axis=1)
     values = np.take_along_axis(np.take(tables.values, rows, axis=1), order, axis=1).ravel()
     labels = labels[order].ravel()  # (node, value, row) order: keys are distinct
+    if weight is not None:
+        weight = weight[order].ravel()
     del order
     segment = (node + m * np.arange(n_features)[:, None]).ravel()
     # The last entry left of each cut: a value differs from the next one in
@@ -563,16 +650,20 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, totals, size, sta
         return gain.reshape(n_features, m), threshold.reshape(n_features, m)
     at = segment[cut]
     del segment
-    first = (start + n * np.arange(n_features)[:, None]).ravel()  # of each segment
-    nl = cut + 1 - first[at]
-    nr = np.tile(size, n_features)[at] - nl
+    first = (start + e * np.arange(n_features)[:, None]).ravel()  # of each segment
+    before = np.zeros(labels.size + 1, dtype=np.int64)  # count before each entry
+    if weight is None:
+        nl = cut + 1 - first[at]
+    else:
+        np.cumsum(weight, out=before[1:])
+        nl = before[cut + 1] - before[first[at]]
+    nr = np.tile(n, n_features)[at] - nl
     # Squared class counts summed left (sl) and right (sr) of each cut; the
     # last class's counts (ml, mr) are what the others leave.
     sl, sr = np.zeros(cut.size, dtype=np.int64), np.zeros(cut.size, dtype=np.int64)
     ml, mr = nl.copy(), nr.copy()
-    before = np.zeros(labels.size + 1, dtype=np.int64)  # class count before each entry
     for k in range(K - 1):
-        np.cumsum(labels == k, out=before[1:])
+        np.cumsum(labels == k if weight is None else (labels == k) * weight, out=before[1:])
         left = before[cut + 1]
         left -= before[first][at]
         right = np.tile(totals[:, k], n_features)[at]
@@ -603,7 +694,7 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, totals, size, sta
     with np.errstate(over="ignore", invalid="ignore"):
         mid = (lo + hi) / 2.0
     threshold[at] = np.where((lo <= mid) & (mid < hi), mid, lo)  # see ``_threshold``
-    gain[at] = (score[hit] - parent_score[owner]) / size[owner]
+    gain[at] = (score[hit] - parent_score[owner]) / n[owner]
     return gain.reshape(n_features, m), threshold.reshape(n_features, m)
 
 

@@ -149,7 +149,7 @@ class Chunk:
     the chunk: ``columns``, the features column-major, and ``distinct``, the
     distinct feature rows with each row's index into them. Forest passes
     (transfer, the vote, correctness and member scoring) route only the
-    distinct rows; growth works on all rows.
+    distinct rows, and ``cart.grow_sites`` grows on them, weighted.
     """
 
     index: int

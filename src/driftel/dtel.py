@@ -8,11 +8,13 @@ posteriors. The archive of original (never adapted) trees is kept at
 capacity by dropping the model whose removal leaves the most diverse set.
 
 The training chunk is routed through all archived trees at once, in one
-forest pass (see ``transfer``). That pass adapts the trees and also yields
-each archived tree's correctness bits, which the archive update uses, and
-each adapted tree's true-class posteriors, from which its squared error is
-taken. Prediction routes the test chunk through all members in one forest
-pass as well, and votes once per distinct feature row (``Chunk.distinct``).
+forest pass, and the new tree and every adapted tree's regrown leaves grow
+together in one growth call (see ``transfer.grow_step``). The pass yields
+each archived tree's correctness bits, which the archive update uses; the
+growth yields the new tree's bits and each adapted tree's true-class
+posteriors, from which its squared error is taken. Prediction routes the
+test chunk through all members in one forest pass as well, and votes once
+per distinct feature row (``Chunk.distinct``).
 
 The ablations run the same step with one of its two design choices switched
 off: ``process_chunk(..., adapt=False)`` votes with the archived trees as
@@ -26,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, posterior_chunk, posterior_distinct, route_forest, train_cart
+from .cart import StoppingParams, Tree, posterior_chunk, posterior_distinct, route_forest
 from .core import Chunk, ClassDistribution, Instance, class_prior
-from .diversity import NEW_MODEL, CorrectnessVector, correctness, select_least_accurate, select_removal
-from .transfer import transfer_trees
+from .diversity import NEW_MODEL, CorrectnessVector, select_least_accurate, select_removal
+from .transfer import grow_step
 
 ADAPTED = "adapted"
 NEW = "new"
@@ -143,12 +145,13 @@ def predict_ensemble(ens: WeightedEnsemble, instance: Instance) -> tuple[int, Cl
 
 
 def _update_archive(
-    archive: Archive, new_tree: Tree, chunk: Chunk, diverse: bool, bits: list[np.ndarray]
+    archive: Archive, new_tree: Tree, new_bits: np.ndarray, diverse: bool, bits: list[np.ndarray]
 ) -> Archive:
-    # bits[slot]: the archived model's correctness on the chunk.
+    # bits[slot]: the archived model's correctness on the chunk; new_bits:
+    # the new tree's.
     if len(archive) < archive.capacity:
         return Archive(archive.models + (new_tree,), archive.capacity)
-    if archive.capacity == 1:
+    if diverse and archive.capacity == 1:
         # Two candidates cannot carry a pairwise diversity score; ties prefer
         # recency, so the single archived model is replaced.
         return Archive((new_tree,), 1)
@@ -156,7 +159,7 @@ def _update_archive(
         CorrectnessVector(b, slot, f.origin_chunk_index)
         for slot, (f, b) in enumerate(zip(archive.models, bits))
     ]
-    candidates.append(correctness(new_tree, chunk, model_id=NEW_MODEL))
+    candidates.append(CorrectnessVector(new_bits, NEW_MODEL, new_tree.origin_chunk_index))
     removed = select_removal(candidates) if diverse else select_least_accurate(candidates)
     if removed == NEW_MODEL:
         return archive
@@ -169,24 +172,27 @@ def process_chunk(
 ) -> tuple[WeightedEnsemble, Archive]:
     """One full learning step.
 
-    Train the new tree, then adapt every archived tree to the chunk in one
-    forest pass, which also yields the original models' correctness bits and
-    the adapted trees' true-class posteriors. Update the archive (once at
-    capacity, drop the model whose removal leaves the most diverse set,
-    judged on the original models' correctness), then weight the adapted
-    trees, by the squared error of those posteriors, plus the new tree. The
-    ensemble holds all models archived at the start of the step; the archive
-    update only affects future steps, and adapted trees are never archived.
+    Grow the new tree and adapt every archived tree to the chunk together
+    (``transfer.grow_step``): one forest pass routes the chunk through the
+    archived trees and yields the original models' correctness bits, and
+    one growth call grows the new tree and every adapted tree's regrown
+    leaves, yielding the new tree's correctness bits and the adapted trees'
+    true-class posteriors. Update the archive (once at capacity, drop the
+    model whose removal leaves the most diverse set, judged on the
+    correctness bits), then weight the adapted trees, by the squared error
+    of those posteriors, plus the new tree. The ensemble holds all models
+    archived at the start of the step; the archive update only affects
+    future steps, and adapted trees are never archived.
 
     Each flag switches off one of DTEL's two design choices, for the
-    ablations. ``adapt=False`` skips transfer: the original archived trees
-    are weighted and vote as they are, and one forest pass gives their
-    posteriors and correctness bits. ``diverse=False`` drops the model least
-    accurate on the chunk instead (``select_least_accurate``).
+    ablations. ``adapt=False`` skips transfer: the new tree grows alone, the
+    original archived trees are weighted and vote as they are, and one
+    forest pass gives their posteriors and correctness bits.
+    ``diverse=False`` drops the model least accurate on the chunk instead
+    (``select_least_accurate``), also when the archive holds one model.
     """
-    new_tree = train_cart(chunk, cfg.stopping)
+    new_tree, new_bits, adapted = grow_step(archive.models if adapt else (), chunk, cfg.stopping)
     if adapt:
-        adapted = transfer_trees(archive.models, chunk, cfg.stopping)
         member_trees = [a.tree for a in adapted]
         p_true = [a.p_true for a in adapted]
         bits = [a.source_correct for a in adapted]
@@ -195,11 +201,12 @@ def process_chunk(
         leaves = route_forest(member_trees, chunk)
         p_true = [t.probabilities[leaf, chunk.y] for t, leaf in zip(member_trees, leaves)]
         bits = [t.labels[leaf] == chunk.y for t, leaf in zip(member_trees, leaves)]
-    updated = _update_archive(archive, new_tree, chunk, diverse, bits)
+    updated = _update_archive(archive, new_tree, new_bits, diverse, bits)
     mse_r = mse_random(chunk)
+    mse = np.mean((1.0 - np.reshape(p_true, (len(member_trees), len(chunk)))) ** 2, axis=1)
     members = tuple(
-        EnsembleMember(t, weight_adapted(mse_r, _mse(p), cfg.epsilon), ADAPTED)
-        for t, p in zip(member_trees, p_true)
+        EnsembleMember(t, weight_adapted(mse_r, e, cfg.epsilon), ADAPTED)
+        for t, e in zip(member_trees, mse.tolist())
     ) + (EnsembleMember(new_tree, weight_new(mse_r, cfg.epsilon), NEW),)
     return WeightedEnsemble(members, chunk.index), updated
 

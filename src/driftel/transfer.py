@@ -23,14 +23,17 @@ tree keeps the source's splits above its leaves:
   the regrowth creates writes it for its own instances (what
   ``dtel.mse_model`` reads), so the regrown subtrees are never routed again.
 
-The row groups of all transfers of one ``transfer_trees`` call are grown
-together by ``cart.grow_sites``, each group as one site: one set of numpy
-rounds per tree level rather than one Python growth per group. Groups that
-repeat another's rows and depth are grown again rather than looked up: on
-SEA200A they are 2-3% of a step's groups, too few to pay for finding them.
-(New trees keep ``cart.train_cart``'s list grower; see ``cart``.) ``cart``
-owns the node layout: it grows the subtrees and splices them into the
-adapted trees.
+A DTEL step grows everything in one ``cart.grow_sites`` call
+(``grow_step``): the step's new tree is one site, every chunk row from
+depth 0, and each row group of all transfers is one more: one set of numpy
+rounds per tree level rather than one Python growth per group or tree. The
+same call gives the new tree's correctness bits, so it is never routed
+either. On chunks that repeat rows, as STAGGER's do, each site grows on its
+distinct (row, label) pairs, weighted by their rows (see ``cart``). Groups
+that repeat another's rows and depth are grown again rather than looked up:
+on SEA200A they are 2-3% of a step's groups, too few to pay for finding
+them. ``cart`` owns the node layout: it grows the subtrees and splices them
+into the adapted trees.
 """
 
 from __future__ import annotations
@@ -54,45 +57,62 @@ class AdaptedTree:
     p_true: np.ndarray  # per chunk instance: the adapted tree's true-class posterior
 
 
-def _regrow(forest: _Forest, leaves: np.ndarray, chunk: Chunk, params: StoppingParams):
-    """Regrow every (tree, leaf) row group of the forest pass ``leaves``, all
-    of them together, each as one site of ``cart.grow_sites``.
+def _grow(leaves: np.ndarray, depth: np.ndarray, chunk: Chunk, params: StoppingParams):
+    """The growth of one step, in one ``cart.grow_sites`` call. Site 0 is
+    the new tree: every chunk row, its root at depth 0. Then each (tree,
+    leaf) row group of the forest pass ``leaves`` is one site, its root at
+    its leaf's depth (``depth`` holds every forest node's depth); both are
+    empty when no tree is transferred.
 
-    Returns the reached leaves (global ids, ascending), their regrown
-    subtrees, and the regrown trees' true-class posterior of every
-    (tree, row) pair, tree-major.
+    Returns the new tree, its correctness bits, the reached leaves (global
+    ids, ascending), their regrown subtrees, and the regrown trees'
+    true-class posterior of every (tree, row) pair, tree-major.
     """
+    n = len(chunk)
     order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
     ranked = leaves[order]
     first = np.flatnonzero(np.diff(ranked, prepend=-1))
     reached = ranked[first]
-    depths = np.concatenate([t.depth for t in forest.trees])[reached]
-    rows = order % len(chunk)
-    blocks, p_sorted = grow_sites(chunk, rows, np.append(first, rows.size), depths, params)
+    rows = np.concatenate([np.arange(n), order % n])
+    bounds = np.concatenate([[0], first + n, [rows.size]])
+    depths = np.concatenate([[0], depth[reached]])
+    blocks, p_sorted, right = grow_sites(chunk, rows, bounds, depths, params)
+    new_tree, blocks = blocks.split_first(chunk.schema, chunk.index)
     p_true = np.empty(leaves.size, dtype=np.float64)
-    p_true[order] = p_sorted
-    return reached, blocks, p_true
+    p_true[order] = p_sorted[n:]
+    return new_tree, right[:n], reached, blocks, p_true
 
 
-def transfer_trees(sources, chunk: Chunk, params: StoppingParams) -> list[AdaptedTree]:
-    """Adapt every tree of ``sources`` to ``chunk`` through one forest pass,
-    leaving the sources untouched."""
+def grow_step(sources, chunk: Chunk, params: StoppingParams) -> tuple[Tree, np.ndarray, list[AdaptedTree]]:
+    """The growth of one DTEL step: the new tree trained on ``chunk``, its
+    correctness bits on it, and every tree of ``sources`` adapted to it
+    through one forest pass, all grown together by ``_grow``. The new tree
+    equals ``cart.train_cart(chunk, params)``; the sources stay untouched."""
     sources = list(sources)
     _check_schema(sources, chunk.schema)
+    leaves = depth = np.empty(0, dtype=np.int64)
+    if sources:
+        forest = _Forest(sources)
+        leaves = _route_rows(forest, chunk).ravel()
+        depth = np.concatenate([t.depth for t in sources])
+    new_tree, new_correct, reached, blocks, p_true = _grow(leaves, depth, chunk, params)
     if not sources:
-        return []
-    forest = _Forest(sources)
+        return new_tree, new_correct, []
     n = len(chunk)
-    leaves = _route_rows(forest, chunk).ravel()
     labels = np.concatenate([t.labels for t in sources])
     correct = (labels[leaves] == np.tile(chunk.y, len(sources))).reshape(len(sources), n)
-    reached, blocks, p_true = _regrow(forest, leaves, chunk, params)
     p_true = p_true.reshape(len(sources), n)
     trees = forest.splice(reached, blocks)
-    return [
+    return new_tree, new_correct, [
         AdaptedTree(tree, source, chunk.index, correct[t], p_true[t])
         for t, (tree, source) in enumerate(zip(trees, sources))
     ]
+
+
+def transfer_trees(sources, chunk: Chunk, params: StoppingParams) -> list[AdaptedTree]:
+    """Adapt every tree of ``sources`` to ``chunk``: ``grow_step`` without
+    its new tree."""
+    return grow_step(sources, chunk, params)[2]
 
 
 def transfer_tree(source: Tree, chunk: Chunk, params: StoppingParams) -> AdaptedTree:

@@ -2,9 +2,9 @@
 consistent datasets, tree walkers, a straight-line router, and the replaced
 implementations kept as differential oracles: the object-graph trees with
 their list grower, fused transfer walk and per-tree router, a numpy
-reference grower, the unfused transfer walk, the per-site regrowth loop,
-the per-row soft vote, the rational Q loops, the accuracy removal loop and
-the sea swap loop."""
+reference grower, the unfused transfer walk, the per-site regrowth loop
+beside a new tree trained on its own, the per-row soft vote, the rational Q
+loops, the accuracy removal loop and the sea swap loop."""
 
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ from driftel.cart import (
     _split_rows,
     _threshold,
     categorical_split_subsets,
+    category_width,
+    train_cart,
 )
 from driftel.core import (
     CATEGORICAL,
@@ -37,7 +39,7 @@ from driftel.core import (
     FeatureDescriptor,
     Schema,
 )
-from driftel.diversity import NEW_MODEL
+from driftel.diversity import NEW_MODEL, correctness
 
 
 # Hypothesis settings for growth tests: a failing example is reported as
@@ -452,16 +454,18 @@ def _block_posterior(nodes: _Nodes, row, label: int) -> float:
     return counts[label] / sum(counts)
 
 
-def reference_regrow(forest, leaves, chunk: Chunk, params):
-    """The regrowth loop that ``transfer._regrow`` ran before its sites were
-    grown together: one list-grower call (``cart._grow_rows``) per (tree,
-    leaf) row group, shared through a memo keyed by (rows, depth). Returns
-    what ``_regrow`` returns."""
+def reference_regrow(leaves, node_depth, chunk: Chunk, params):
+    """The regrowth loop that transfer ran before its sites were grown
+    together: one list-grower call (``cart._grow_rows``) per (tree, leaf)
+    row group of the forest pass ``leaves``, shared through a memo keyed by
+    (rows, depth); ``node_depth`` holds every forest node's depth. Returns
+    the reached leaves, their subtrees as blocks and the regrown trees'
+    true-class posteriors, as ``transfer._grow`` does."""
     order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
     ranked = leaves[order]
     first = np.flatnonzero(np.diff(ranked, prepend=-1))
     reached = ranked[first]
-    depths = np.concatenate([t.depth for t in forest.trees])[reached].tolist()
+    depths = node_depth[reached].tolist()
     rows = (order % len(chunk)).tolist()
     bounds = first.tolist() + [len(rows)]
     X, y = chunk.X.tolist(), chunk.y.tolist()
@@ -472,7 +476,7 @@ def reference_regrow(forest, leaves, chunk: Chunk, params):
         key = (ids, depth)
         grown = memo.get(key)
         if grown is None:
-            nodes = _Nodes(forest.categories.shape[1])
+            nodes = _Nodes(category_width(chunk.schema))
             sub_rows, sub_labels = [X[i] for i in ids], [y[i] for i in ids]
             _grow_rows(nodes, sub_rows, sub_labels, depth, chunk.schema, params)
             scores = [_block_posterior(nodes, r, c) for r, c in zip(sub_rows, sub_labels)]
@@ -481,7 +485,7 @@ def reference_regrow(forest, leaves, chunk: Chunk, params):
         p_sorted.extend(grown[1])
     p_true = np.empty(leaves.size, dtype=np.float64)
     p_true[order] = p_sorted
-    width, K = forest.categories.shape[1], chunk.schema.num_classes
+    width, K = category_width(chunk.schema), chunk.schema.num_classes
 
     def joined(name, dtype, *shape):
         values = [v for b in blocks for v in getattr(b, name)]
@@ -499,11 +503,25 @@ def reference_regrow(forest, leaves, chunk: Chunk, params):
     ), p_true
 
 
+def reference_grow(leaves, node_depth, chunk: Chunk, params):
+    """What ``transfer._grow`` returns, from the code it replaced: the new
+    tree from ``train_cart`` (the list grower), its bits from
+    ``diversity.correctness`` (a forest pass), and the regrowth from
+    ``reference_regrow``."""
+    new_tree = train_cart(chunk, params)
+    return (new_tree, correctness(new_tree, chunk).bits, *reference_regrow(leaves, node_depth, chunk, params))
+
+
+def reference_grow_step(sources, chunk: Chunk, params):
+    """``transfer.grow_step`` with its growth done by ``reference_grow``."""
+    with mock.patch.object(transfer, "_grow", reference_grow):
+        return transfer.grow_step(sources, chunk, params)
+
+
 def reference_transfer_trees(sources, chunk: Chunk, params):
     """``transfer.transfer_trees`` with its regrowth done by
     ``reference_regrow``."""
-    with mock.patch.object(transfer, "_regrow", reference_regrow):
-        return transfer.transfer_trees(sources, chunk, params)
+    return reference_grow_step(sources, chunk, params)[2]
 
 
 WALK_SCHEMA = Schema(

@@ -245,11 +245,13 @@ def test_capacity_one_archive_keeps_newest():
 @pytest.mark.parametrize("adapt", [True, False])
 @pytest.mark.parametrize("diverse", [True, False])
 def test_archive_rule_sees_each_models_correctness(monkeypatch, adapt, diverse):
-    # Under full growth the new tree is right on its whole chunk, and its
+    # Under full growth the new tree is right on most of its chunk, and an
     # all-true column has Q = 0 against every column, so the diversity rule
     # cannot notice wrong archived bits. Instead, record the candidates the
     # step hands to its rule, at the module attributes it looks up when
-    # called, and check every column against a direct evaluation.
+    # called, and check every column against a direct evaluation. Under
+    # max_depth=1 the new tree misfits its chunk too, so its column must
+    # hold false bits where it is wrong.
     calls = {"select_removal": [], "select_least_accurate": []}
     for name, seen in calls.items():
 
@@ -259,24 +261,49 @@ def test_archive_rule_sees_each_models_correctness(monkeypatch, adapt, diverse):
 
         monkeypatch.setattr(dtel, name, record)
     used = calls["select_removal" if diverse else "select_least_accurate"]
-    rng = make_rng(59)
-    schema = random_schema(rng, max_features=2, num_classes=3)
-    cfg = DtelConfig(m=3)
-    archive = Archive.empty(cfg.m)
-    for t in range(8):
-        chunk = random_chunk(rng, schema, 30, index=t)
-        before, made = archive.models, len(used)
-        ens, archive = process_chunk(archive, chunk, cfg, adapt, diverse)
-        if len(before) < cfg.m:
-            assert len(used) == made
-            continue
-        assert len(used) == made + 1
-        new_tree = ens.members[-1].tree
-        for c in used[-1]:
-            model = new_tree if c.is_new else before[c.model_id]
-            assert np.array_equal(c.bits, correctness(model, chunk).bits)
-    assert len(used) == 5
-    assert sum(map(len, calls.values())) == 5  # the other rule is never called
+    for stopping in (UNBOUNDED, StoppingParams(max_depth=1)):
+        for seen in calls.values():
+            seen.clear()
+        rng = make_rng(59)
+        schema = random_schema(rng, max_features=2, num_classes=3)
+        cfg = DtelConfig(m=3, stopping=stopping)
+        archive = Archive.empty(cfg.m)
+        new_wrong = 0
+        for t in range(8):
+            chunk = random_chunk(rng, schema, 30, index=t)
+            before, made = archive.models, len(used)
+            ens, archive = process_chunk(archive, chunk, cfg, adapt, diverse)
+            if len(before) < cfg.m:
+                assert len(used) == made
+                continue
+            assert len(used) == made + 1
+            new_tree = ens.members[-1].tree
+            for c in used[-1]:
+                model = new_tree if c.is_new else before[c.model_id]
+                assert np.array_equal(c.bits, correctness(model, chunk).bits)
+                new_wrong += c.is_new and not c.bits.all()
+        if stopping.max_depth is not None:
+            assert new_wrong == 5
+        assert len(used) == 5
+        assert sum(map(len, calls.values())) == 5  # the other rule is never called
+
+
+def test_capacity_one_accuracy_rule_keeps_the_more_accurate_model():
+    # A split must gain 0.45. The archived tree cuts its chunk cleanly
+    # (gain 0.5); on the second chunk no cut gains more than 0.25, so the new
+    # tree is a stump with a 3:3 tie, labelled 0: right on 3 of 6 rows,
+    # where the archived tree is right on 5. The accuracy rule keeps the
+    # archived tree; the diversity rule cannot score two candidates and
+    # takes the new one.
+    cfg = DtelConfig(m=1, stopping=StoppingParams(min_impurity_decrease=0.45))
+    first = numeric_chunk([1, 2, 3, 4], [0, 0, 1, 1], index=0)
+    second = numeric_chunk([1, 2, 3, 4, 5, 6], [0, 0, 1, 1, 1, 0], index=1)
+    for diverse, kept in ((False, 0), (True, 1)):
+        _, archive = process_chunk(Archive.empty(1), first, cfg, diverse=diverse)
+        assert archive.models[0].n_nodes == 3
+        ens, archive = process_chunk(archive, second, cfg, diverse=diverse)
+        assert ens.members[-1].tree.n_nodes == 1
+        assert [t.origin_chunk_index for t in archive.models] == [kept]
 
 
 def test_learner_interface():

@@ -12,11 +12,12 @@ from driftel.cart import (
 from driftel.core import CATEGORICAL, NUMERIC, Chunk, FeatureDescriptor, Schema, make_rng
 from driftel.diversity import correctness
 from driftel.dtel import _mse
-from driftel.transfer import adapted_training_accuracy, transfer_tree, transfer_trees
+from driftel.transfer import adapted_training_accuracy, grow_step, transfer_tree, transfer_trees
 from helpers import (
     NO_SHRINK,
     WALK_SCHEMA,
     assert_structure_above_leaves_preserved,
+    duplicate_rows,
     graph_posterior_chunk,
     graph_predict_chunk,
     graph_to_text,
@@ -25,6 +26,7 @@ from helpers import (
     numeric_chunk,
     random_consistent_chunk,
     random_schema,
+    reference_grow_step,
     reference_transfer,
     reference_transfer_trees,
     straight_line_route,
@@ -329,3 +331,67 @@ def test_batched_regrowth_matches_per_site_loop(data):
         assert fused.p_true.tobytes() == reference.p_true.tobytes()
         assert np.array_equal(fused.source_correct, reference.source_correct)
         assert fused.tree.threshold.tobytes() == reference.tree.threshold.tobytes()
+
+
+TREE_ARRAYS = ("feature", "threshold", "categories", "left", "right", "counts")
+# WALK_SCHEMA and a feature of one category: no subsets, so it never splits.
+STEP_SCHEMA = Schema(WALK_SCHEMA.features + (FeatureDescriptor(CATEGORICAL, ("a",)),), 3)
+
+
+def _assert_same_tree(tree, expected):
+    assert tree_to_text(tree) == tree_to_text(expected)
+    for name in TREE_ARRAYS:
+        assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_step_growth_matches_train_cart_and_per_site_loop(data):
+    # grow_step grows the new tree and every regrowth site in one call, each
+    # site on its distinct (row, label) pairs weighted by their numbers of
+    # rows. The oracle trains the new tree with the list grower, takes its
+    # bits from a forest pass (correctness) and regrows one site at a time.
+    # Chunks copy rows from a pool of at most 5 under free labels, so equal
+    # rows carry conflicting labels and limited trees have tied leaves;
+    # min_samples_split is drawn up to the chunk size, so the weighted node
+    # sizes decide where growth stops.
+    def chunk(index):
+        n = data.draw(st.integers(1, 60))
+        X = np.hstack([duplicate_rows(data, n), np.zeros((n, 1))])
+        y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return Chunk(index, STEP_SCHEMA, X, np.asarray(y, dtype=np.int64))
+
+    def stopping(n):
+        return StoppingParams(
+            max_depth=data.draw(st.one_of(st.none(), st.integers(0, 4))),
+            min_samples_split=data.draw(st.integers(2, max(2, n))),
+            min_impurity_decrease=data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1))),
+        )
+
+    trained = [chunk(i) for i in range(data.draw(st.integers(0, 4)))]
+    sources = [train_cart(c, stopping(len(c))) for c in trained]
+    target = chunk(len(sources))
+    params = stopping(len(target))
+    new_tree, new_bits, adapted = grow_step(sources, target, params)
+    reference_tree, reference_bits, expected = reference_grow_step(sources, target, params)
+    _assert_same_tree(new_tree, reference_tree)
+    assert (new_tree.schema, new_tree.origin_chunk_index) == (STEP_SCHEMA, target.index)
+    assert all(getattr(new_tree, name).base is None for name in TREE_ARRAYS)  # owns its nodes
+    assert np.array_equal(new_bits, reference_bits)
+    assert np.array_equal(new_bits, correctness(new_tree, target).bits)
+    assert len(adapted) == len(expected) == len(sources)
+    for fused, reference in zip(adapted, expected):
+        _assert_same_tree(fused.tree, reference.tree)
+        assert fused.p_true.tobytes() == reference.p_true.tobytes()
+        assert np.array_equal(fused.source_correct, reference.source_correct)
+
+
+def test_step_growth_when_the_only_categorical_feature_has_one_category():
+    # The categorical search then has no subset to score at all.
+    schema = Schema((FeatureDescriptor(NUMERIC), FeatureDescriptor(CATEGORICAL, ("a",))), 2)
+    source = train_cart(Chunk(0, schema, [[1, 0], [9, 0]], [0, 1]), UNBOUNDED)
+    target = Chunk(1, schema, [[1, 0], [1, 0], [2, 0], [3, 0], [8, 0], [9, 0]], [0, 1, 0, 1, 1, 0])
+    new_tree, new_bits, (adapted,) = grow_step([source], target, UNBOUNDED)
+    _assert_same_tree(new_tree, train_cart(target, UNBOUNDED))
+    assert np.array_equal(new_bits, correctness(new_tree, target).bits)
+    _assert_same_tree(adapted.tree, reference_transfer_trees([source], target, UNBOUNDED)[0].tree)
