@@ -44,13 +44,13 @@ MUTANTS = [
      "go = v <= self.threshold[node]",
      "go = v < self.threshold[node]",
      ["test_cart.py"]),
-    ("numeric-sweep-ge", CART,
-     "if best_score is None or score > best_score:",
-     "if best_score is None or score >= best_score:",
+    ("feature-last-maximum", CART,
+     "feature = gain.argmax(axis=0)  # the first maximum: the lowest feature",
+     "feature = gain.shape[0] - 1 - gain[::-1].argmax(axis=0)",
      ["test_cart.py"]),
-    ("subset-loop-ge", CART,
-     "if best is None or gain > best.gain:\n                best = SplitCandidate(f, gain, None, cats)",
-     "if best is None or gain >= best.gain:\n                best = SplitCandidate(f, gain, None, cats)",
+    ("subset-pick-last-maximum", CART,
+     "pick = np.where(own, subset_gain, -np.inf).argmax(axis=1)  # enumeration order",
+     "pick = own.shape[1] - 1 - np.where(own, subset_gain, -np.inf)[:, ::-1].argmax(axis=1)",
      ["test_cart.py"]),
     ("best-swap-ge", "src/driftel/baselines.py",
      "return slot if correct[slot] > base else None",
@@ -73,16 +73,16 @@ MUTANTS = [
      "self.categorical = list(subsets)",
      ["test_transfer.py"]),
     ("node-sizes-unweighted", CART,
-     "n = counts.sum(axis=1)  # rows per node",
+     "n = np.add.reduce(counts)  # rows per node",
      "n = size  # rows per node",
      ["test_transfer.py"]),
     ("numeric-counts-unweighted", CART,
-     "np.cumsum(labels == k if weight is None else (labels == k) * weight, out=before[1:])",
-     "np.cumsum(labels == k, out=before[1:])",
+     "onehot = onehot * weight[order].reshape(-1)",
+     "onehot = onehot * 1",
      ["test_transfer.py"]),
     ("new-tree-label-last-maximum", CART,
-     "right[done] = counts.argmax(axis=1)[leaf] == own",
-     "right[done] = (K - 1 - counts[:, ::-1].argmax(axis=1))[leaf] == own",
+     "right = counts.argmax(axis=0)[entry_leaf] == entry_label",
+     "right = (K - 1 - counts[::-1].argmax(axis=0))[entry_leaf] == entry_label",
      ["test_transfer.py"]),
     ("batched-last-maximum", CART,
      "hit = hit[_heads(group[hit])]",
@@ -104,9 +104,11 @@ MUTANTS = [
      "child[grown] = np.where(local >= 0, local + base, -1)",
      "child[grown] = np.where(local >= 0, local + base + 1, -1)",
      ["test_transfer.py"]),
-    ("left-child-first", CART,
-     "for side, link in ((back, node), (go, -1)):",
-     "for side, link in ((go, -1), (back, node)):",
+    ("pre-order-right-subtree-first", CART,
+     "pre[b:c:2] = pre[a:b][internal[a:b]] + 1\n"
+     "        pre[b + 1 : c : 2] = pre[b:c:2] + subtree[b:c:2]",
+     "pre[b + 1 : c : 2] = pre[a:b][internal[a:b]] + 1\n"
+     "        pre[b:c:2] = pre[b + 1 : c : 2] + subtree[b + 1 : c : 2]",
      ["test_cart.py"]),
     ("code-test-and", CART,
      "go |= codes[node] == v",

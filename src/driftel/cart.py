@@ -14,23 +14,16 @@ lowest threshold (for categorical features, earliest subset in the documented
 enumeration order). A leaf's label is the argmax of its class counts, lowest
 class index on ties.
 
-A tree is a set of flat per-node arrays (see :class:`Tree`). Two growers
-build them, and grow the same tree node for node, bit for bit:
-
-- :func:`grow_sites` grows many subtrees together, breadth first, one set
-  of numpy rounds per level over every open node of every subtree. It
-  serves each DTEL step (``transfer.grow_step``), in one call: the step's
-  new tree is one site, and the ~600 small row groups per step that
-  transfer regrows on SEA200A are the others. One Python growth per group
-  took 2.3-3.5x as long. The new tree shares the groups' rounds: on
-  SEA200A, whose chunks repeat no row, a cell's growth fell from 1.07 s
-  (the new tree grown on lists, the groups here) to 0.92 s (seed 1,
-  medians of 3 runs).
-- :func:`train_cart` grows one tree node by node on Python lists with an
-  explicit stack (``_grow_rows``) and converts it to numpy once. It serves
-  ``sea``, whose step grows its new tree alone: over the 120 training
-  chunks (200 rows) of SEA200A, one tree per chunk grew 1.3x faster this
-  way than by ``grow_sites`` on its own.
+A tree is a set of flat per-node arrays (see :class:`Tree`). One grower
+builds every tree: :func:`grow_sites` grows many subtrees together, breadth
+first, one set of numpy rounds per level over every open node of every
+subtree. Each DTEL step (``transfer.grow_step``) calls it once: the step's
+new tree is one site, and the ~600 small row groups per step that transfer
+regrows on SEA200A are the others. :func:`train_cart` calls it with one
+site, the whole chunk, and :func:`best_split` is its search on that site's
+root. The node-by-node grower on Python lists that ``sea`` used before
+lives on in the tests as an oracle; over the 120 training chunks of
+SEA200A, one tree per chunk now grows in about 0.8x its time.
 
 Every traversal goes through one forest pass, :func:`route_forest`, which
 moves all (tree, row) pairs of a list of trees down one level per numpy
@@ -51,14 +44,12 @@ rows; chunks of the numeric streams hold none twice and are routed as they
 are. ``grow_sites`` grows the same way: on a chunk with repeated rows, each
 site grows on its distinct (feature row, label) pairs, each weighted by its
 number of rows, and the posteriors and bits are spread back to the rows.
-The list grower works on rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -178,199 +169,37 @@ def categorical_split_subsets(domain_size: int):
             yield (c,)
 
 
-def _threshold(lo: float, hi: float) -> float:
-    """Numeric threshold between consecutive distinct sorted values ``lo < hi``.
-
-    The midpoint, unless rounding (adjacent doubles) or overflow puts it
-    outside ``[lo, hi)``; then ``lo``, so ``value <= threshold`` still sends
-    ``lo`` left and ``hi`` right.
-    """
-    mid = (lo + hi) / 2.0
-    return mid if lo <= mid < hi else lo
-
-
-def _numeric_candidate(col, labels: list[int], totals: list[int], total_sq: int):
-    """Integer-arithmetic sweep over sorted values; returns (score, threshold)
-    of the best cut or None. Exact: all intermediate sums are ints."""
-    n = len(col)
-    left = [0] * len(totals)
-    right = list(totals)
-    sum_left_sq = 0
-    sum_right_sq = total_sq
-    best_score = None
-    order = sorted(range(n), key=col.__getitem__)
-    prev = col[order[0]]
-    nl = 0  # instances below the value being visited
-    for i in order:
-        v = col[i]
-        if v != prev:
-            score = sum_left_sq / nl + sum_right_sq / (n - nl)
-            if best_score is None or score > best_score:
-                best_score = score
-                lo, hi = prev, v
-            prev = v
-        c = labels[i]
-        sum_left_sq += 2 * left[c] + 1
-        left[c] += 1
-        sum_right_sq -= 2 * right[c] - 1
-        right[c] -= 1
-        nl += 1
-    if best_score is None:
-        return None
-    return best_score, _threshold(lo, hi)
-
-
-def _split_rows(rows: list[list[float]], labels: list[int], totals: list[int], schema: Schema):
-    """Best split of a node held as Python lists of feature rows, labels and
-    class totals. Python lists beat numpy here: most nodes hold a handful of
-    instances, where numpy's per-call overhead dominates."""
-    n = len(labels)
-    K = schema.num_classes
-    total_sq = sum(c * c for c in totals)
-    parent_score = total_sq / n
-    best: SplitCandidate | None = None
-    for (f, fd), col in zip(enumerate(schema.features), zip(*rows)):
-        if not fd.is_categorical:
-            found = _numeric_candidate(col, labels, totals, total_sq)
-            if found is None:
-                continue
-            score, threshold = found
-            gain = (score - parent_score) / n
-            if best is None or gain > best.gain:
-                best = SplitCandidate(f, gain, float(threshold), None)
-            continue
-        cat_class = [[0] * K for _ in fd.domain]
-        for v, c in zip(col, labels):
-            cat_class[int(v)][c] += 1
-        for cats in categorical_split_subsets(len(fd.domain)):
-            left = [0] * K
-            for c in cats:
-                row = cat_class[c]
-                for j in range(K):
-                    left[j] += row[j]
-            nl = sum(left)
-            if nl == 0 or nl == n:
-                continue
-            nr = n - nl
-            sl = sr = 0
-            for j in range(K):
-                sl += left[j] * left[j]
-                r = totals[j] - left[j]
-                sr += r * r
-            gain = (sl / nl + sr / nr - parent_score) / n
-            if best is None or gain > best.gain:
-                best = SplitCandidate(f, gain, None, cats)
-    return best
-
-
 def best_split(chunk: Chunk) -> SplitCandidate | None:
-    """Greedy best Gini split of a whole chunk, for split-enumeration checks.
+    """Greedy best Gini split of a whole chunk, for split-enumeration checks:
+    the root level of the batched search, one node that holds every row.
 
     Returns None when no candidate produces two non-empty sides. The gain of
     a split is computed from integer class counts, so mathematically tied
     candidates evaluate to identical floats and the documented tie order
     (lowest feature, lowest threshold / earliest subset) decides.
     """
-    totals = np.bincount(chunk.y, minlength=chunk.schema.num_classes).tolist()
-    return _split_rows(chunk.X.tolist(), chunk.y.tolist(), totals, chunk.schema)
-
-
-class _Nodes:
-    """A tree or subtree under construction: one entry per node in each list,
-    in pre-order (a node's left child follows it), child ids local."""
-
-    __slots__ = ("feature", "threshold", "categories", "left", "right", "counts", "no_codes")
-
-    def __init__(self, width: int):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.categories: list[tuple[int, ...]] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.counts: list[list[int]] = []
-        self.no_codes = (-1,) * width
-
-    def to_tree(self, schema: Schema, origin_chunk_index: int) -> Tree:
-        n = len(self.feature)
-        return Tree(
-            np.array(self.feature, dtype=np.int64),
-            np.array(self.threshold, dtype=np.float64),
-            np.array(self.categories, dtype=np.int64).reshape(n, len(self.no_codes)),
-            np.array(self.left, dtype=np.int64),
-            np.array(self.right, dtype=np.int64),
-            np.array(self.counts, dtype=np.int64).reshape(n, schema.num_classes),
-            schema,
-            origin_chunk_index,
+    n = len(chunk)
+    counts = np.bincount(chunk.y, minlength=chunk.schema.num_classes).reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain, feature, threshold, codes = _level_splits(
+            _SearchTables(chunk), np.zeros(n, dtype=np.int64), np.arange(n), chunk.y, None,
+            counts, np.array([n]), np.array([n]), -np.inf,
         )
-
-
-def _grow_rows(
-    nodes: _Nodes,
-    rows: list[list[float]],
-    labels: list[int],
-    depth: int,
-    schema: Schema,
-    params: StoppingParams,
-) -> None:
-    """Append the (sub)tree grown on ``rows`` and ``labels``, its root at
-    ``depth``, to ``nodes`` in pre-order, with an explicit stack."""
-    K = schema.num_classes
-    max_depth = params.max_depth
-    feature, threshold, categories = nodes.feature, nodes.threshold, nodes.categories
-    left, right, node_counts, no_codes = nodes.left, nodes.right, nodes.counts, nodes.no_codes
-    # Entries: (rows, labels, depth, id of the parent whose right child this
-    # is, or -1). The left child is pushed last, so it is placed next.
-    stack = [(rows, labels, depth, -1)]
-    while stack:
-        rows, labels, depth, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        n = len(labels)
-        counts = [labels.count(c) for c in range(K)]
-        node_counts.append(counts)
-        split = None
-        if not (
-            max(counts) == n
-            or n < params.min_samples_split
-            or (max_depth is not None and depth >= max_depth)
-            or rows.count(rows[0]) == n  # identical feature rows admit no split
-        ):
-            split = _split_rows(rows, labels, counts, schema)
-            if split is not None and split.gain < params.min_impurity_decrease:
-                split = None
-        if split is None:
-            feature.append(-1)
-            threshold.append(np.nan)
-            categories.append(no_codes)
-            left.append(-1)
-            right.append(-1)
-            continue
-        f = split.feature_index
-        feature.append(f)
-        if split.threshold is not None:
-            threshold.append(split.threshold)
-            categories.append(no_codes)
-            go = [r[f] <= split.threshold for r in rows]
-        else:
-            cats = split.categories
-            threshold.append(np.nan)
-            categories.append(cats + no_codes[len(cats):])
-            go = [int(r[f]) in cats for r in rows]
-        left.append(node + 1)
-        right.append(-1)  # set when the right child is placed
-        back = [not g for g in go]
-        for side, link in ((back, node), (go, -1)):
-            stack.append((list(compress(rows, side)), list(compress(labels, side)), depth + 1, link))
+    if gain[0] == -np.inf:
+        return None
+    if threshold[0] == threshold[0]:
+        return SplitCandidate(int(feature[0]), float(gain[0]), float(threshold[0]), None)
+    return SplitCandidate(int(feature[0]), float(gain[0]), None, tuple(c for c in codes[0].tolist() if c >= 0))
 
 
 def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = None) -> Tree:
-    """Train a CART tree on one chunk."""
+    """Train a CART tree on one chunk: :func:`grow_sites` with one site,
+    every row at depth 0."""
     if schema is not None and schema != chunk.schema:
         raise ValueError("schema does not match the chunk's schema")
-    nodes = _Nodes(category_width(chunk.schema))
-    _grow_rows(nodes, chunk.X.tolist(), chunk.y.tolist(), 0, chunk.schema, params)
-    return nodes.to_tree(chunk.schema, chunk.index)
+    n = len(chunk)
+    blocks = grow_sites(chunk, np.arange(n), np.array([0, n]), np.zeros(1, dtype=np.int64), params)[0]
+    return blocks.split_first(chunk.schema, chunk.index)[0]
 
 
 class _Blocks:
@@ -396,25 +225,31 @@ class _Blocks:
 
 class _SearchTables:
     """What the split search of one chunk needs beyond the level's entries,
-    built once per :func:`grow_sites` call: the numeric features, their
-    columns and each row's rank in the stable sort of each column; and the
-    categorical features, searched together. For those it holds each row's
-    codes, each offset by its feature's first code in one numbering of all
-    their codes (``codes``, rows x features), the 0/1 block-diagonal
-    (codes x subsets) matrix of their ``categorical_split_subsets``
-    (``member``), each subset's feature (``owner``), each feature's first
-    subset (``first_subset``), and each subset's go-left codes padded with
-    -1 to ``category_width`` (``padded``). A feature of one category has no
-    subsets and is left out: it never splits, as in ``_split_rows``."""
+    built once per :func:`grow_sites` call.
+
+    For the numeric features (``numeric``, schema indices): their columns,
+    end to end (``flat``), each column's offset there (``offset``), and each
+    row's rank in the stable sort of each column (``ranks``). The categorical features are searched together:
+    each row's codes, each offset by its feature's first code in one
+    numbering of all their codes (``codes``, rows x features), the 0/1
+    block-diagonal (codes x subsets) matrix of their
+    ``categorical_split_subsets`` (``member``), each subset's feature
+    (``owner``), each feature's first subset (``first_subset``), and each
+    subset's go-left codes padded with -1 to ``category_width``
+    (``padded``). A feature of one category has no subsets and is left out:
+    it never splits."""
 
     def __init__(self, chunk: Chunk):
         schema, n = chunk.schema, len(chunk)
         self.n_features = schema.n_features
         self.width = category_width(schema)
-        self.numeric = [f for f, fd in enumerate(schema.features) if not fd.is_categorical]
-        self.values = chunk.columns[self.numeric]
-        self.ranks = np.empty(self.values.shape, dtype=np.int64)
-        for rank, col in zip(self.ranks, self.values):
+        self.classes = np.arange(schema.num_classes)[:, None]
+        self.numeric = np.array([f for f, fd in enumerate(schema.features) if not fd.is_categorical], dtype=np.int64)
+        values = chunk.columns[self.numeric]
+        self.flat = values.reshape(-1)
+        self.offset = (n * np.arange(self.numeric.size))[:, None]
+        self.ranks = np.empty(values.shape, dtype=np.int64)
+        for rank, col in zip(self.ranks, values):
             rank[np.argsort(col, kind="stable")] = np.arange(n)
         subsets = {
             f: list(categorical_split_subsets(len(fd.domain)))
@@ -489,16 +324,13 @@ def grow_sites(
     and the rows of a pair share their leaf. Chunks whose rows are all
     distinct grow on the rows, unweighted.
 
-    The subtrees equal ``_grow_rows``'s node for node, bit for bit. Class
-    counts are integers, and the Gini score of a cut, ``sl / nl + sr / nr``
-    from integer sums, is the same float expression as in ``_split_rows``.
-    Each numeric feature sorts a node's entries by (node, value, row), so
-    the node's cuts come in the order of its sweep and the first maximum of
-    the score wins, as there. The sweep takes ``lo`` from the first row of a
-    run of equal values and this search from the last; they differ at most
-    in the sign of a zero, which no threshold of ``_threshold`` shows.
-    Features and subsets are compared by gain, the first maximum in schema
-    and enumeration order winning, as with the sweep's strict ``>``.
+    Class counts are integers, and the Gini score of a cut, ``sl / nl +
+    sr / nr`` from integer sums, is one float expression, so tied cuts tie
+    exactly. Each numeric feature sorts a node's entries by (node, value,
+    row), so the node's cuts come in ascending order and the first maximum
+    of the score wins: the lowest threshold. Features and subsets are
+    compared by gain, the first maximum in schema and enumeration order
+    winning.
     """
     K = chunk.schema.num_classes
     tables = _SearchTables(chunk)
@@ -508,226 +340,223 @@ def grow_sites(
     weight = spread = None
     if chunk.distinct is not None:
         rows, labels, weight, bounds, spread = _collapse(chunk, rows, labels, bounds)
-    p_true = np.empty(rows.size, dtype=np.float64)
-    right = np.empty(rows.size, dtype=bool)
+    entry_label = labels
+    entry_leaf = np.empty(rows.size, dtype=np.int64)  # each entry's deepest node so far
     # The open level: each entry is a (node, row, label) triple with a
     # weight, grouped by node, the entries of a node in their order in
-    # ``rows``; ``pos`` is the entry's position there.
+    # ``rows``; ``pos`` is the entry's position there. Nodes are numbered
+    # breadth first over all sites. Array methods and ufuncs stand in for
+    # their ``np`` wrappers throughout: a level of a small site is a few
+    # hundred calls on a few hundred entries, and the wrappers' Python
+    # frames would cost about a fifth of its time.
     size = np.diff(bounds)  # entries per node
     node = np.repeat(np.arange(size.size), size)
     pos = np.arange(rows.size)
     depth = np.asarray(depths, dtype=np.int64)
-    levels = []  # per level: feature, threshold, categories, counts, left, right
-    first_id = 0  # breadth-first id of the level's first node
-    while size.size:
-        m = size.size
-        counts = np.bincount(node * K + labels, weight, m * K).astype(np.int64, copy=False).reshape(m, K)
-        n = counts.sum(axis=1)  # rows per node
-        grow = (counts.max(axis=1) < n) & (n >= params.min_samples_split)
-        if max_depth is not None:
-            grow &= depth < max_depth
-        feature = np.full(m, -1, dtype=np.int64)
-        threshold = np.full(m, np.nan)
-        categories = np.full((m, width), -1, dtype=np.int64)
-        if grow.any():
-            gain, *found = _level_splits(
-                tables, grow, node, rows, labels, weight, counts[grow], n[grow], size[grow]
+    levels = []  # per level: class-major counts, feature, threshold, codes
+    first_id = 0  # id of the level's first node
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            m = size.size
+            counts = np.bincount(labels * m + node, weight, K * m).astype(np.int64, copy=False).reshape(K, m)
+            n = np.add.reduce(counts)  # rows per node
+            grow = (np.maximum.reduce(counts) < n) & (n >= params.min_samples_split)
+            if max_depth is not None:
+                grow &= depth < max_depth
+            entry_leaf[pos] = node + first_id
+            first_id += m
+            growing = np.count_nonzero(grow)
+            if not growing:
+                leaves = np.full(m, -1, dtype=np.int64), np.full(m, np.nan), np.full((m, width), -1, dtype=np.int64)
+                levels.append((counts, *leaves))
+                break
+            if growing < m:  # only the growing nodes' entries are searched
+                keep = grow[node]
+                node, rows, labels, pos = node[keep], rows[keep], labels[keep], pos[keep]
+                if weight is not None:
+                    weight = weight[keep]
+                size = np.where(grow, size, 0)
+            _gain, feature, threshold, codes = _level_splits(
+                tables, node, rows, labels, weight, counts, n, size, min_gain
             )
-            won = gain >= min_gain
-            split = np.flatnonzero(grow)[won]
-            feature[split], threshold[split], categories[split] = (a[won] for a in found)
-        internal = feature >= 0
-        rank = np.cumsum(internal) - 1
-        left = np.where(internal, first_id + m + 2 * rank, -1)
-        levels.append((feature, threshold, categories, counts, left, np.where(internal, left + 1, -1)))
-        first_id += m
-        at_leaf = ~internal[node]
-        leaf, own, done = node[at_leaf], labels[at_leaf], pos[at_leaf]
-        p_true[done] = counts[leaf, own] / n[leaf]
-        right[done] = counts.argmax(axis=1)[leaf] == own
-        # The next level: each split node's entries, stably divided into its
-        # left child (2 * rank) and right child (2 * rank + 1).
-        moving = ~at_leaf
-        parent, rows, labels, pos = node[moving], rows[moving], labels[moving], pos[moving]
-        values = chunk.X[rows, feature[parent]]
-        go = values <= threshold[parent]  # NaN thresholds: categorical tests
-        if width:
-            codes = np.where(categories >= 0, categories, np.nan)[parent]
-            go |= (codes == values[:, None]).any(axis=1)
-        child = 2 * rank[parent] + ~go
-        order = np.argsort(child, kind="stable")
-        node, rows, labels, pos = child[order], rows[order], labels[order], pos[order]
-        if weight is not None:
-            weight = weight[moving][order]
-        size = np.bincount(node, minlength=2 * int(internal.sum()))
-        depth = np.repeat(depth[internal] + 1, 2)
+            levels.append((counts, feature, threshold, codes))
+            internal = feature >= 0
+            splits = np.count_nonzero(internal)
+            if not splits:
+                break
+            # The next level: each split node's entries, stably divided into
+            # its left child (2 * rank) and right child (2 * rank + 1).
+            if splits < growing:  # a growing node found no split
+                keep = internal[node]
+                node, rows, labels, pos = node[keep], rows[keep], labels[keep], pos[keep]
+                if weight is not None:
+                    weight = weight[keep]
+            values = chunk.X[rows, feature[node]]
+            go = values <= threshold[node]  # NaN thresholds: categorical tests
+            if width:
+                go |= (np.where(codes >= 0, codes, np.nan)[node] == values[:, None]).any(axis=1)
+            child = (2 * internal.cumsum() - 1)[node] - go
+            order = child.argsort(kind="stable")
+            node, rows, labels, pos = child[order], rows[order], labels[order], pos[order]
+            if weight is not None:
+                weight = weight[order]
+            size = np.bincount(node, None, 2 * splits)
+            if max_depth is not None:
+                depth = np.repeat(depth[internal] + 1, 2)
+    counts = np.concatenate([lv[0] for lv in levels], axis=1)  # (classes, nodes)
+    p_true = counts[entry_label, entry_leaf] / np.add.reduce(counts)[entry_leaf]
+    right = counts.argmax(axis=0)[entry_leaf] == entry_label
     if spread is not None:
         p_true, right = p_true[spread], right[spread]
-    return _pre_order(levels, bounds.size - 1), p_true, right
+    feature, threshold, categories = (np.concatenate(a) for a in list(zip(*levels))[1:])
+    level_sizes = [lv[0].shape[1] for lv in levels]
+    return _pre_order(feature, threshold, categories, counts.T, level_sizes, bounds.size - 1), p_true, right
 
 
-def _level_splits(tables: _SearchTables, grow, node, rows, labels, weight, totals, n, size):
-    """Best split of every growing node of one level, from the level's
-    entries (``node``, ``rows``, ``labels``, ``weight``) and the growing
-    nodes' class counts, rows and entries (``totals``, ``n``, ``size``): its
-    gain, feature, threshold and padded go-left codes, with gain -inf where
-    no cut parts its rows."""
-    entry = grow[node]
-    node = (np.cumsum(grow) - 1)[node[entry]]  # numbered among growing nodes
-    rows, labels = rows[entry], labels[entry]
-    if weight is not None:
-        weight = weight[entry]
-    m = totals.shape[0]
+def _level_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, size, min_gain):
+    """Best split of every node of one level, from the entries of the nodes
+    that grow (``node``, ``rows``, ``labels``, ``weight``) and every node's
+    class counts, class-major, rows and searched entries (``totals``, ``n``,
+    ``size``): its gain, -inf where no cut parts its entries, and, where the
+    gain reaches ``min_gain``, its feature, threshold and padded go-left
+    codes; elsewhere -1, NaN and -1."""
+    m = totals.shape[1]
     everyone = np.arange(m)
-    parent_score = (totals * totals).sum(axis=1) / n
-    gain = np.full((tables.n_features, m), -np.inf)
-    threshold = np.full((tables.n_features, m), np.nan)
-    if tables.numeric:
-        start = np.cumsum(size) - size  # each node's first entry
-        gain[tables.numeric], threshold[tables.numeric] = _numeric_splits(
-            tables, node, rows, labels, weight, totals, n, start, parent_score
+    parent_score = np.add.reduce(totals * totals) / n
+    gain = np.empty((tables.n_features, m))
+    gain.fill(-np.inf)
+    threshold = np.empty((tables.n_features, m))
+    threshold.fill(np.nan)
+    if tables.numeric.size:
+        _numeric_splits(
+            tables, node, rows, labels, weight, totals, n, size.cumsum() - size, parent_score,
+            gain.reshape(-1), threshold.reshape(-1),
         )
-    codes = np.full((m, tables.width), -1, dtype=np.int64)
     if tables.categorical:
         subset_gain = _subset_gains(tables, node, rows, labels, weight, totals, n, parent_score)
         # Each feature's best gain; the first maximum picks its subset below.
         gain[tables.categorical] = np.maximum.reduceat(subset_gain, tables.first_subset, axis=1).T
     feature = gain.argmax(axis=0)  # the first maximum: the lowest feature
+    gain = gain[feature, everyone]
+    won = gain >= min_gain
+    threshold = np.where(won, threshold[feature, everyone], np.nan)
+    feature = np.where(won, feature, -1)
+    codes = np.empty((m, tables.width), dtype=np.int64)
+    codes.fill(-1)
     if tables.categorical:
         own = tables.owner == feature[:, None]  # (nodes, subsets): the chosen feature's
         pick = np.where(own, subset_gain, -np.inf).argmax(axis=1)  # enumeration order
         chosen = own.any(axis=1)
         codes[chosen] = tables.padded[pick[chosen]]
-    return gain[feature, everyone], feature, threshold[feature, everyone], codes
+    return gain, feature, threshold, codes
 
 
 def _subset_gains(tables: _SearchTables, node, rows, labels, weight, totals, n, parent_score):
-    """The gain of every (growing node, subset) pair, over the subsets of
-    all categorical features together, shape (nodes, subsets); -inf where
-    a subset does not part a node's rows. One count of (class, node, code)
+    """The gain of every (node, subset) pair, over the subsets of all
+    categorical features together, shape (nodes, subsets); -inf where a
+    subset does not part a node's entries. One count of (class, node, code)
     triples and one product with the block-diagonal subset matrix give
     every subset's class counts. Counts stay exact integers in floats."""
-    m, K = totals.shape
+    K, m = totals.shape
     n_codes = tables.member.shape[0]
     index = (((labels * m + node) * n_codes)[:, None] + tables.codes[rows]).ravel()
     if weight is not None:
         weight = np.repeat(weight, len(tables.categorical))
     cc = np.bincount(index, weight, K * m * n_codes)
     left = cc.reshape(K, m, n_codes) @ tables.member  # (classes, nodes, subsets)
-    right = totals.T[:, :, None] - left
-    nl = left.sum(axis=0)
+    right = totals[:, :, None] - left
+    nl = np.add.reduce(left)
     nr = n[:, None] - nl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sl, sr = (left * left).sum(axis=0), (right * right).sum(axis=0)
-        g = (sl / nl + sr / nr - parent_score[:, None]) / n[:, None]
+    sl, sr = np.add.reduce(left * left), np.add.reduce(right * right)
+    g = (sl / nl + sr / nr - parent_score[:, None]) / n[:, None]
     g[(nl == 0) | (nr == 0)] = -np.inf
     return g
 
 
-def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, start, parent_score):
-    """(gain, threshold) of the best cut of every (numeric feature, growing
-    node) pair, shape (numeric features, nodes); gain -inf where a node's
-    values of a feature are all equal. All features are swept together:
-    entry (f, i) belongs to segment ``f * m + node[i]``. Class counts are
-    kept one class at a time in 1-d arrays, which numpy indexes fastest,
-    and updated in place, so that few arrays of one entry per cut are
-    alive at once. With weights, every count left of a cut adds them."""
-    m, K = totals.shape
-    n_features, e = len(tables.numeric), node.size
-    order = np.argsort(node * tables.ranks.shape[1] + np.take(tables.ranks, rows, axis=1), axis=1)
-    values = np.take_along_axis(np.take(tables.values, rows, axis=1), order, axis=1).ravel()
-    labels = labels[order].ravel()  # (node, value, row) order: keys are distinct
+def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold):
+    """The best cut of every (numeric feature, node) pair whose entries hold
+    two distinct values: its gain and threshold, written to ``gain`` and
+    ``threshold`` (flat, feature-major: the pair (f, node) at ``f * m +
+    node``). All features are swept together: entry (f, i) belongs to
+    segment ``numeric[f] * m + node[i]``. Class counts are class-major, so
+    that sums over classes add whole rows. With weights, every count left
+    of a cut adds them."""
+    m, e = totals.shape[1], node.size
+    order = (node * tables.ranks.shape[1] + tables.ranks.take(rows, axis=1)).argsort(axis=1)
+    values = tables.flat.take(rows[order] + tables.offset).ravel()
+    # Class counts before each entry, one row per class, in (node, value,
+    # row) order: keys are distinct.
+    onehot = tables.classes == labels[order].ravel()
     if weight is not None:
-        weight = weight[order].ravel()
+        onehot = onehot * weight[order].reshape(-1)
     del order
-    segment = (node + m * np.arange(n_features)[:, None]).ravel()
+    segment = (node + m * tables.numeric[:, None]).ravel()
     # The last entry left of each cut: a value differs from the next one in
     # the same segment.
-    cut = np.flatnonzero((values[1:] != values[:-1]) & (segment[1:] == segment[:-1]))
-    gain = np.full(n_features * m, -np.inf)
-    threshold = np.full(n_features * m, np.nan)
+    cut = ((values[1:] != values[:-1]) & (segment[1:] == segment[:-1])).nonzero()[0]
     if not cut.size:
-        return gain.reshape(n_features, m), threshold.reshape(n_features, m)
+        return
     at = segment[cut]
     del segment
-    first = (start + e * np.arange(n_features)[:, None]).ravel()  # of each segment
-    before = np.zeros(labels.size + 1, dtype=np.int64)  # count before each entry
-    if weight is None:
-        nl = cut + 1 - first[at]
-    else:
-        np.cumsum(weight, out=before[1:])
-        nl = before[cut + 1] - before[first[at]]
-    nr = np.tile(n, n_features)[at] - nl
-    # Squared class counts summed left (sl) and right (sr) of each cut; the
-    # last class's counts (ml, mr) are what the others leave.
-    sl, sr = np.zeros(cut.size, dtype=np.int64), np.zeros(cut.size, dtype=np.int64)
-    ml, mr = nl.copy(), nr.copy()
-    for k in range(K - 1):
-        np.cumsum(labels == k if weight is None else (labels == k) * weight, out=before[1:])
-        left = before[cut + 1]
-        left -= before[first][at]
-        right = np.tile(totals[:, k], n_features)[at]
-        right -= left
-        ml -= left
-        mr -= right
-        left *= left
-        sl += left
-        right *= right
-        sr += right
+    owner = at % m
+    before = np.zeros((onehot.shape[0], onehot.shape[1] + 1), dtype=np.int64)
+    onehot.cumsum(axis=1, out=before[:, 1:])
+    del onehot
+    left = before.take(cut + 1, axis=1)
+    left -= before.take(cut - cut % e + start[owner], axis=1)  # less the counts before the segment
     del before
-    ml *= ml
-    sl += ml
-    mr *= mr
-    sr += mr
-    del ml, mr
-    score = sl / nl
-    score += sr / nr
-    del sl, sr, nl, nr
+    right = totals.take(owner, axis=1)
+    right -= left
+    nl = np.add.reduce(left)
+    left *= left
+    right *= right
+    score = np.add.reduce(left) / nl + np.add.reduce(right) / (n[owner] - nl)
+    del left, right, nl
     # The first maximum of each segment's scores, in sweep order.
     head = _heads(at)
-    group = np.cumsum(head) - 1
-    hit = np.flatnonzero(score == np.maximum.reduceat(score, np.flatnonzero(head))[group])
+    group = head.cumsum() - 1
+    hit = (score == np.maximum.reduceat(score, head.nonzero()[0])[group]).nonzero()[0]
     hit = hit[_heads(group[hit])]
-    at, cut = at[hit], cut[hit]
-    owner = at % m
+    at, cut, owner = at[hit], cut[hit], owner[hit]
     lo, hi = values[cut], values[cut + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mid = (lo + hi) / 2.0
-    threshold[at] = np.where((lo <= mid) & (mid < hi), mid, lo)  # see ``_threshold``
+    # The midpoint, unless rounding (adjacent doubles) or overflow puts it
+    # outside [lo, hi); then lo, so ``value <= threshold`` still parts them.
+    mid = (lo + hi) / 2.0
+    threshold[at] = np.where((lo <= mid) & (mid < hi), mid, lo)
     gain[at] = (score[hit] - parent_score[owner]) / n[owner]
-    return gain.reshape(n_features, m), threshold.reshape(n_features, m)
 
 
-def _pre_order(levels, n_sites: int) -> _Blocks:
-    """The breadth-first levels of ``grow_sites`` as one block per site:
-    nodes numbered in pre-order, left subtree first, from subtree sizes
-    summed bottom-up and ids handed out top-down."""
-    feature, threshold, categories, counts, left, right = (np.concatenate(c) for c in zip(*levels))
-    starts = np.cumsum([0] + [lv[0].size for lv in levels[:-1]])
-    inner = [a + np.flatnonzero(lv[0] >= 0) for a, lv in zip(starts, levels)]
+def _pre_order(feature, threshold, categories, counts, level_sizes, n_sites: int) -> _Blocks:
+    """The nodes of ``grow_sites``, numbered breadth first over all sites
+    (``level_sizes`` nodes a level), as one block per site, its nodes in
+    pre-order, left subtree first. The children of a level's split nodes
+    are the next level's nodes, in pairs, so subtree sizes are summed
+    bottom-up and pre-order ids handed out top-down, a level at a time on
+    slices."""
+    internal = feature >= 0
+    ends = np.cumsum([0] + level_sizes).tolist()
+    spans = list(zip(ends, ends[1:], ends[2:]))  # a level's ids, then its children's
     subtree = np.ones(feature.size, dtype=np.int64)
-    for i in reversed(inner):
-        subtree[i] += subtree[left[i]] + subtree[right[i]]
+    for a, b, c in reversed(spans):
+        subtree[a:b][internal[a:b]] += subtree[b:c:2] + subtree[b + 1 : c : 2]
     sizes = subtree[:n_sites]
     pre = np.empty(feature.size, dtype=np.int64)
-    pre[:n_sites] = np.cumsum(sizes) - sizes
-    for i in inner:
-        pre[left[i]] = pre[i] + 1
-        pre[right[i]] = pre[i] + 1 + subtree[left[i]]
+    pre[:n_sites] = sizes.cumsum() - sizes
+    for a, b, c in spans:
+        pre[b:c:2] = pre[a:b][internal[a:b]] + 1
+        pre[b + 1 : c : 2] = pre[b:c:2] + subtree[b:c:2]
     root = np.repeat(pre[:n_sites], sizes)  # at each new id, its block's first id
 
     def placed(a):
-        out = np.empty_like(a)
+        out = np.empty(a.shape, dtype=a.dtype)
         out[pre] = a
         return out
 
-    def kids(a):
-        out = placed(np.where(a >= 0, pre[a], -1))
-        return np.where(out >= 0, out - root, -1)
-
-    return _Blocks(
-        placed(feature), placed(threshold), placed(categories), kids(left), kids(right), placed(counts), sizes
-    )
+    feature, subtree = placed(feature), placed(subtree)
+    internal = feature >= 0
+    left = np.where(internal, np.arange(feature.size) - root + 1, -1)
+    right = np.where(internal, left + np.append(subtree[1:], 0), -1)  # past the left subtree
+    return _Blocks(feature, placed(threshold), placed(categories), left, right, placed(counts), sizes)
 
 
 class _Forest:

@@ -86,8 +86,9 @@ def _grow(leaves: np.ndarray, depth: np.ndarray, chunk: Chunk, params: StoppingP
 def grow_step(sources, chunk: Chunk, params: StoppingParams) -> tuple[Tree, np.ndarray, list[AdaptedTree]]:
     """The growth of one DTEL step: the new tree trained on ``chunk``, its
     correctness bits on it, and every tree of ``sources`` adapted to it
-    through one forest pass, all grown together by ``_grow``. The new tree
-    equals ``cart.train_cart(chunk, params)``; the sources stay untouched."""
+    through one forest pass, all grown together by ``_grow``. One grower
+    builds every tree, so the new tree is the one ``cart.train_cart(chunk,
+    params)`` grows on its own; the sources stay untouched."""
     sources = list(sources)
     _check_schema(sources, chunk.schema)
     leaves = depth = np.empty(0, dtype=np.int64)

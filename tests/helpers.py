@@ -1,10 +1,12 @@
 """Shared fixtures-in-code for the test suite: tiny chunk builders, random
 consistent datasets, tree walkers, a straight-line router, and the replaced
-implementations kept as differential oracles: the object-graph trees with
-their list grower, fused transfer walk and per-tree router, a numpy
-reference grower, the unfused transfer walk, the per-site regrowth loop
-beside a new tree trained on its own, the per-row soft vote, the rational Q
-loops, the accuracy removal loop and the sea swap loop."""
+implementations kept as differential oracles: the list grower (one tree
+node by node on Python lists), which ``cart`` no longer holds since one
+batched grower builds every tree; the object-graph trees with their
+recursive grower, fused transfer walk and per-tree router; a numpy
+reference grower; the unfused transfer walk; the per-site regrowth loop
+beside a new tree trained by the list grower; the per-row soft vote, the
+rational Q loops, the accuracy removal loop and the sea swap loop."""
 
 from __future__ import annotations
 
@@ -24,13 +26,8 @@ from driftel.cart import (
     StoppingParams,
     Tree,
     _Blocks,
-    _grow_rows,
-    _Nodes,
-    _split_rows,
-    _threshold,
     categorical_split_subsets,
     category_width,
-    train_cart,
 )
 from driftel.core import (
     CATEGORICAL,
@@ -137,6 +134,194 @@ def assert_structure_above_leaves_preserved(src: Tree, adp: Tree):
         assert adp.depth[a] == src.depth[s]
         stack.append((int(src.left[s]), int(adp.left[a])))
         stack.append((int(src.right[s]), int(adp.right[a])))
+
+
+# ---------------------------------------------------------------------------
+# The list grower that ``cart`` replaced by its batched search: one tree node
+# by node on Python lists with an explicit stack, the split search an
+# integer sweep per numeric feature and a subset loop per categorical one.
+# It backs the object-graph grower and the per-site regrowth loop below.
+
+
+def _threshold(lo: float, hi: float) -> float:
+    """Numeric threshold between consecutive distinct sorted values ``lo < hi``.
+
+    The midpoint, unless rounding (adjacent doubles) or overflow puts it
+    outside ``[lo, hi)``; then ``lo``, so ``value <= threshold`` still sends
+    ``lo`` left and ``hi`` right.
+    """
+    mid = (lo + hi) / 2.0
+    return mid if lo <= mid < hi else lo
+
+
+def _numeric_candidate(col, labels: list[int], totals: list[int], total_sq: int):
+    """Integer-arithmetic sweep over sorted values; returns (score, threshold)
+    of the best cut or None. Exact: all intermediate sums are ints."""
+    n = len(col)
+    left = [0] * len(totals)
+    right = list(totals)
+    sum_left_sq = 0
+    sum_right_sq = total_sq
+    best_score = None
+    order = sorted(range(n), key=col.__getitem__)
+    prev = col[order[0]]
+    nl = 0  # instances below the value being visited
+    for i in order:
+        v = col[i]
+        if v != prev:
+            score = sum_left_sq / nl + sum_right_sq / (n - nl)
+            if best_score is None or score > best_score:
+                best_score = score
+                lo, hi = prev, v
+            prev = v
+        c = labels[i]
+        sum_left_sq += 2 * left[c] + 1
+        left[c] += 1
+        sum_right_sq -= 2 * right[c] - 1
+        right[c] -= 1
+        nl += 1
+    if best_score is None:
+        return None
+    return best_score, _threshold(lo, hi)
+
+
+def _split_rows(rows: list[list[float]], labels: list[int], totals: list[int], schema: Schema):
+    """Best split of a node held as Python lists of feature rows, labels and
+    class totals. Python lists beat numpy here: most nodes hold a handful of
+    instances, where numpy's per-call overhead dominates."""
+    n = len(labels)
+    K = schema.num_classes
+    total_sq = sum(c * c for c in totals)
+    parent_score = total_sq / n
+    best: SplitCandidate | None = None
+    for (f, fd), col in zip(enumerate(schema.features), zip(*rows)):
+        if not fd.is_categorical:
+            found = _numeric_candidate(col, labels, totals, total_sq)
+            if found is None:
+                continue
+            score, threshold = found
+            gain = (score - parent_score) / n
+            if best is None or gain > best.gain:
+                best = SplitCandidate(f, gain, float(threshold), None)
+            continue
+        cat_class = [[0] * K for _ in fd.domain]
+        for v, c in zip(col, labels):
+            cat_class[int(v)][c] += 1
+        for cats in categorical_split_subsets(len(fd.domain)):
+            left = [0] * K
+            for c in cats:
+                row = cat_class[c]
+                for j in range(K):
+                    left[j] += row[j]
+            nl = sum(left)
+            if nl == 0 or nl == n:
+                continue
+            nr = n - nl
+            sl = sr = 0
+            for j in range(K):
+                sl += left[j] * left[j]
+                r = totals[j] - left[j]
+                sr += r * r
+            gain = (sl / nl + sr / nr - parent_score) / n
+            if best is None or gain > best.gain:
+                best = SplitCandidate(f, gain, None, cats)
+    return best
+
+
+class _Nodes:
+    """A tree or subtree under construction: one entry per node in each list,
+    in pre-order (a node's left child follows it), child ids local."""
+
+    __slots__ = ("feature", "threshold", "categories", "left", "right", "counts", "no_codes")
+
+    def __init__(self, width: int):
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.categories: list[tuple[int, ...]] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.counts: list[list[int]] = []
+        self.no_codes = (-1,) * width
+
+    def to_tree(self, schema: Schema, origin_chunk_index: int) -> Tree:
+        n = len(self.feature)
+        return Tree(
+            np.array(self.feature, dtype=np.int64),
+            np.array(self.threshold, dtype=np.float64),
+            np.array(self.categories, dtype=np.int64).reshape(n, len(self.no_codes)),
+            np.array(self.left, dtype=np.int64),
+            np.array(self.right, dtype=np.int64),
+            np.array(self.counts, dtype=np.int64).reshape(n, schema.num_classes),
+            schema,
+            origin_chunk_index,
+        )
+
+
+def _grow_rows(
+    nodes: _Nodes,
+    rows: list[list[float]],
+    labels: list[int],
+    depth: int,
+    schema: Schema,
+    params: StoppingParams,
+) -> None:
+    """Append the (sub)tree grown on ``rows`` and ``labels``, its root at
+    ``depth``, to ``nodes`` in pre-order, with an explicit stack."""
+    K = schema.num_classes
+    max_depth = params.max_depth
+    feature, threshold, categories = nodes.feature, nodes.threshold, nodes.categories
+    left, right, node_counts, no_codes = nodes.left, nodes.right, nodes.counts, nodes.no_codes
+    # Entries: (rows, labels, depth, id of the parent whose right child this
+    # is, or -1). The left child is pushed last, so it is placed next.
+    stack = [(rows, labels, depth, -1)]
+    while stack:
+        rows, labels, depth, parent = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        n = len(labels)
+        counts = [labels.count(c) for c in range(K)]
+        node_counts.append(counts)
+        split = None
+        if not (
+            max(counts) == n
+            or n < params.min_samples_split
+            or (max_depth is not None and depth >= max_depth)
+            or rows.count(rows[0]) == n  # identical feature rows admit no split
+        ):
+            split = _split_rows(rows, labels, counts, schema)
+            if split is not None and split.gain < params.min_impurity_decrease:
+                split = None
+        if split is None:
+            feature.append(-1)
+            threshold.append(np.nan)
+            categories.append(no_codes)
+            left.append(-1)
+            right.append(-1)
+            continue
+        f = split.feature_index
+        feature.append(f)
+        if split.threshold is not None:
+            threshold.append(split.threshold)
+            categories.append(no_codes)
+            go = [r[f] <= split.threshold for r in rows]
+        else:
+            cats = split.categories
+            threshold.append(np.nan)
+            categories.append(cats + no_codes[len(cats):])
+            go = [int(r[f]) in cats for r in rows]
+        left.append(node + 1)
+        right.append(-1)  # set when the right child is placed
+        back = [not g for g in go]
+        for side, link in ((back, node), (go, -1)):
+            stack.append((list(compress(rows, side)), list(compress(labels, side)), depth + 1, link))
+
+
+def list_train_cart(chunk: Chunk, params: StoppingParams) -> Tree:
+    """A CART tree trained on one chunk by the list grower."""
+    nodes = _Nodes(category_width(chunk.schema))
+    _grow_rows(nodes, chunk.X.tolist(), chunk.y.tolist(), 0, chunk.schema, params)
+    return nodes.to_tree(chunk.schema, chunk.index)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +641,7 @@ def _block_posterior(nodes: _Nodes, row, label: int) -> float:
 
 def reference_regrow(leaves, node_depth, chunk: Chunk, params):
     """The regrowth loop that transfer ran before its sites were grown
-    together: one list-grower call (``cart._grow_rows``) per (tree, leaf)
+    together: one list-grower call (``_grow_rows``) per (tree, leaf)
     row group of the forest pass ``leaves``, shared through a memo keyed by
     (rows, depth); ``node_depth`` holds every forest node's depth. Returns
     the reached leaves, their subtrees as blocks and the regrown trees'
@@ -505,10 +690,10 @@ def reference_regrow(leaves, node_depth, chunk: Chunk, params):
 
 def reference_grow(leaves, node_depth, chunk: Chunk, params):
     """What ``transfer._grow`` returns, from the code it replaced: the new
-    tree from ``train_cart`` (the list grower), its bits from
+    tree from ``list_train_cart`` (the list grower), its bits from
     ``diversity.correctness`` (a forest pass), and the regrowth from
     ``reference_regrow``."""
-    new_tree = train_cart(chunk, params)
+    new_tree = list_train_cart(chunk, params)
     return (new_tree, correctness(new_tree, chunk).bits, *reference_regrow(leaves, node_depth, chunk, params))
 
 

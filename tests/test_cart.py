@@ -286,7 +286,7 @@ def test_predict_equals_argmax_posterior(data):
     assert np.array_equal(predict_chunk(tree, chunk), np.argmax(post, axis=1))
 
 
-@pytest.mark.parametrize("copies", [1, 33])  # small-node sweep; vectorised sweep (66 rows)
+@pytest.mark.parametrize("copies", [1, 33])  # one row per value; runs of 33 equal values
 @pytest.mark.parametrize(
     "lo, hi",
     [
@@ -338,16 +338,17 @@ def test_chunk_routing_matches_straight_line_route(data):
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(st.data())
 def test_growth_matches_reference_grower(data):
-    # cart searches and grows on Python lists; helpers keeps the numpy array
-    # implementation it replaced. New trees, transferred trees (regrown by
-    # the reference in helpers.reference_transfer) and root splits must be
-    # identical. Labels are drawn freely, so identical rows with
-    # different labels occur.
+    # helpers keeps a numpy array grower, recursive, one split search per
+    # node. New trees, transferred trees (regrown by the reference in
+    # helpers.reference_transfer) and root splits must be identical. Labels
+    # are drawn freely, so identical rows with different labels occur. The
+    # third chunk copies a few rows many times, under conflicting labels:
+    # train_cart grows it on weighted (row, label) entries.
     seen = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)))
     chunks = []
-    for index in range(2):
-        n = data.draw(st.integers(1, 150))
-        X = walk_rows(data, n, seen, grid=1.0)
+    for index in range(3):
+        n = data.draw(st.integers(1, 150 if index < 2 else 60))
+        X = walk_rows(data, n, seen, grid=1.0) if index < 2 else duplicate_rows(data, n)
         y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
         chunks.append(Chunk(index, WALK_SCHEMA, X, y))
     params = StoppingParams(
@@ -355,18 +356,19 @@ def test_growth_matches_reference_grower(data):
         min_samples_split=data.draw(st.integers(2, 5)),
         min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
     )
-    first = chunks[0]
-    tree = train_cart(first, params)
-    reference = GraphTree(
-        reference_grow_subtree(first.X, first.y, np.arange(len(first)), 0, WALK_SCHEMA, params),
-        WALK_SCHEMA,
-        params,
-        0,
-    )
-    assert tree_to_text(tree) == graph_to_text(reference)
-    assert best_split(first) == reference_best_split(
-        first.X, first.y, np.arange(len(first)), WALK_SCHEMA
-    )
+
+    def grown(chunk):
+        rows = np.arange(len(chunk))
+        tree = train_cart(chunk, params)
+        reference = GraphTree(
+            reference_grow_subtree(chunk.X, chunk.y, rows, 0, WALK_SCHEMA, params), WALK_SCHEMA, params, chunk.index
+        )
+        assert tree_to_text(tree) == graph_to_text(reference)
+        assert best_split(chunk) == reference_best_split(chunk.X, chunk.y, rows, WALK_SCHEMA)
+        return tree, reference
+
+    grown(chunks[2])
+    tree, reference = grown(chunks[0])
     adapted = transfer_tree(tree, chunks[1], params).tree
     reference_adapted = reference_transfer(reference, chunks[1], params, reference_grow_subtree)
     assert tree_to_text(adapted) == graph_to_text(reference_adapted)

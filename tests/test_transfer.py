@@ -23,6 +23,7 @@ from helpers import (
     graph_to_text,
     graph_train,
     graph_transfer,
+    list_train_cart,
     numeric_chunk,
     random_consistent_chunk,
     random_schema,
@@ -261,7 +262,7 @@ def test_regrowth_breaks_ties_like_the_list_grower():
     adapted = transfer_trees([stump, split], target, UNBOUNDED)
     regrown = adapted[0].tree
     assert (regrown.feature[0], regrown.threshold[0]) == (0, 1.5)
-    assert tree_to_text(regrown) == tree_to_text(train_cart(target, UNBOUNDED))
+    assert tree_to_text(regrown) == tree_to_text(list_train_cart(target, UNBOUNDED))
     host = adapted[1].tree.left[0]  # every target row reaches the left leaf
     assert (adapted[1].tree.feature[host], adapted[1].tree.threshold[host]) == (0, 1.5)
 
@@ -392,6 +393,6 @@ def test_step_growth_when_the_only_categorical_feature_has_one_category():
     source = train_cart(Chunk(0, schema, [[1, 0], [9, 0]], [0, 1]), UNBOUNDED)
     target = Chunk(1, schema, [[1, 0], [1, 0], [2, 0], [3, 0], [8, 0], [9, 0]], [0, 1, 0, 1, 1, 0])
     new_tree, new_bits, (adapted,) = grow_step([source], target, UNBOUNDED)
-    _assert_same_tree(new_tree, train_cart(target, UNBOUNDED))
+    _assert_same_tree(new_tree, list_train_cart(target, UNBOUNDED))
     assert np.array_equal(new_bits, correctness(new_tree, target).bits)
     _assert_same_tree(adapted.tree, reference_transfer_trees([source], target, UNBOUNDED)[0].tree)
