@@ -150,6 +150,18 @@ MUTANTS = [
      "return acc if inverse is None else acc[inverse]",
      "return acc if inverse is None else acc[np.sort(inverse)]",
      ["test_dtel.py"]),
+    ("vote-weights-shifted", CART,
+     "p *= np.repeat(weights, [t.n_nodes for t in self.trees])[:, None]",
+     "p *= np.repeat(np.roll(weights, 1), [t.n_nodes for t in self.trees])[:, None]",
+     ["test_dtel.py"]),
+    ("vote-last-tree-offset-off-by-one", CART,
+     "shift = np.repeat(self.starts, sizes)",
+     "shift = np.repeat(self.starts + (np.arange(len(sizes)) == len(sizes) - 1), sizes)",
+     ["test_dtel.py"]),
+    ("vote-total-without-new-member", DTEL,
+     'object.__setattr__(self, "total", np.add.accumulate(weights)[-1])',
+     'object.__setattr__(self, "total", np.add.accumulate(weights[:-1])[-1])',
+     ["test_dtel.py"]),
     ("capacity-one-skips-accuracy-rule", DTEL,
      "if diverse and archive.capacity == 1:",
      "if archive.capacity == 1:",

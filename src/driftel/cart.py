@@ -29,12 +29,14 @@ Every traversal goes through one forest pass, :func:`route_forest`, which
 moves all (tree, row) pairs of a list of trees down one level per numpy
 round; the per-tree views (``posterior_chunk``, ``predict_chunk``,
 ``route_to_leaf``) route a forest of one tree. Transfer splices the grown
-subtrees into its trees through the forest too (``_Forest.splice``), so this
-module alone knows the node layout.
+subtrees into its trees through the forest too (``_Forest.splice``), and the
+ensemble's vote keeps a forest of its members with each node's weighted
+posterior (``_Forest.weighted_posteriors``, see ``dtel``), so this module
+alone knows the node layout.
 
 A forest pass over a chunk routes each distinct feature row once
 (``Chunk.distinct``) and spreads the leaves to the rows: transfer's pass,
-the vote (:func:`posterior_distinct`, which also leaves the sum to the
+the vote (``dtel.ensemble_posteriors``, which also leaves the sum to the
 distinct rows), and every ``route_forest`` caller (correctness bits, member
 scoring, ``dtel-no-transfer`` and ``sea``). Merging is exact: every node
 test is ``<=`` against a threshold or ``==`` against a code, and neither
@@ -631,6 +633,15 @@ class _Forest:
             for source, a, b in zip(self.trees, starts[:-1], starts[1:])
         ]
 
+    def weighted_posteriors(self, weights: np.ndarray) -> np.ndarray:
+        """Every node's posterior times its tree's weight, shape (nodes,
+        classes): ``weights[t] * trees[t].probabilities``, the same division
+        and the same product, so the same to the bit."""
+        counts = np.concatenate([t.counts for t in self.trees])
+        p = counts / counts.sum(axis=1, keepdims=True)
+        p *= np.repeat(weights, [t.n_nodes for t in self.trees])[:, None]
+        return p
+
     def route(self, columns: np.ndarray) -> np.ndarray:
         """Global leaf id of every (tree, row) pair, tree-major, given the
         features column-major (``Chunk.columns``, shape (d, n)).
@@ -695,20 +706,6 @@ def route_forest(trees, chunk: Chunk) -> np.ndarray:
         return np.empty((0, len(chunk)), dtype=np.int64)
     forest = _Forest(trees)
     return _route_rows(forest, chunk) - forest.starts[:, None]
-
-
-def posterior_distinct(trees, chunk: Chunk) -> tuple[np.ndarray, np.ndarray | None]:
-    """The posterior of every (tree, distinct row) pair, shape (len(trees),
-    distinct rows, classes), from one forest pass, and each row's index into
-    the distinct rows, or None when every row is distinct. Each posterior is
-    its leaf's row of ``Tree.probabilities``, to the bit: the reached
-    leaves' counts over their totals, one division each. Needs one tree or
-    more."""
-    trees = list(trees)
-    _check_schema(trees, chunk.schema)
-    leaves, inverse = _route_distinct(_Forest(trees), chunk)
-    counts = np.concatenate([t.counts for t in trees])[leaves]
-    return counts / counts.sum(axis=2, keepdims=True), inverse
 
 
 def predict_forest(trees, chunk: Chunk) -> np.ndarray:

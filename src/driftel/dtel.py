@@ -12,9 +12,14 @@ forest pass, and the new tree and every adapted tree's regrown leaves grow
 together in one growth call (see ``transfer.grow_step``). The pass yields
 each archived tree's correctness bits, which the archive update uses; the
 growth yields the new tree's bits and each adapted tree's true-class
-posteriors, from which its squared error is taken. Prediction routes the
-test chunk through all members in one forest pass as well, and votes once
-per distinct feature row (``Chunk.distinct``).
+posteriors, from which its squared error is taken.
+
+The weights are fixed once a step's update returns, so the ensemble builds
+its vote's tables when it is made, during the update: the members' trees as
+one forest, each forest node's posterior times its tree's weight, and the
+weight total. A prediction then only routes the test chunk through that
+forest in one pass and sums the reached rows, once per distinct feature row
+(``Chunk.distinct``).
 
 The ablations run the same step with one of its two design choices switched
 off: ``process_chunk(..., adapt=False)`` votes with the archived trees as
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, posterior_chunk, posterior_distinct, route_forest
+from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_distinct, posterior_chunk, route_forest
 from .core import Chunk, ClassDistribution, Instance, class_prior
 from .diversity import NEW_MODEL, CorrectnessVector, select_least_accurate, select_removal
 from .transfer import grow_step
@@ -83,8 +88,18 @@ class EnsembleMember:
 
 @dataclass(frozen=True, eq=False)
 class WeightedEnsemble:
+    """The members that vote on a chunk, in voting order, with their
+    weights, and the vote's tables, built once with the ensemble: the
+    members' trees as one forest (``forest``), each forest node's posterior
+    times its tree's weight (``weighted``, see
+    ``cart._Forest.weighted_posteriors``) and the weights' total, added in
+    member order (``total``)."""
+
     members: tuple[EnsembleMember, ...]
     chunk_index: int
+    forest: _Forest = field(init=False, repr=False)
+    weighted: np.ndarray = field(init=False, repr=False)
+    total: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -92,6 +107,11 @@ class WeightedEnsemble:
             raise ValueError("ensemble needs exactly one new member")
         if any(not np.isfinite(m.weight) or m.weight <= 0 for m in self.members):
             raise ValueError("weights must be finite and positive")
+        weights = np.array([m.weight for m in self.members])
+        forest = _Forest([m.tree for m in self.members])
+        object.__setattr__(self, "forest", forest)
+        object.__setattr__(self, "weighted", forest.weighted_posteriors(weights))
+        object.__setattr__(self, "total", np.add.accumulate(weights)[-1])
 
 
 def _mse(p_true: np.ndarray) -> float:
@@ -120,15 +140,18 @@ def weight_new(mse_r: float, epsilon: float) -> float:
 def ensemble_posteriors(ens: WeightedEnsemble, chunk: Chunk) -> np.ndarray:
     """Weighted mean of member posteriors, rows normalized to sum to 1.
 
-    All members route the chunk's distinct rows in one forest pass; their
-    weighted posteriors are added in member order over the distinct rows,
-    then spread to every row. An accumulation adds one member at a time, so
-    each row sees the same float operations as when every row is voted on
-    member by member, and the result is the same to the bit."""
-    posteriors, inverse = posterior_distinct([m.tree for m in ens.members], chunk)
-    weights = np.array([m.weight for m in ens.members])
-    acc = np.add.accumulate(weights[:, None, None] * posteriors)[-1]
-    acc /= np.add.accumulate(weights)[-1]
+    The weighted posteriors and the weight total are built with the
+    ensemble, so a call only routes and sums: the members' forest routes the
+    chunk's distinct rows in one pass, their leaves' weighted posteriors are
+    added in member order over the distinct rows, divided by the total and
+    spread to every row. Each weighted posterior is the product a
+    per-member vote forms, and an accumulation adds one member at a time,
+    so each row sees the same float operations as when every row is voted
+    on member by member, and the result is the same to the bit."""
+    _check_schema(ens.forest.trees, chunk.schema)
+    leaves, inverse = _route_distinct(ens.forest, chunk)
+    acc = np.add.accumulate(ens.weighted[leaves])[-1]
+    acc /= ens.total
     return acc if inverse is None else acc[inverse]
 
 

@@ -203,6 +203,66 @@ def test_vote_on_distinct_rows_matches_per_row_vote(data):
     assert np.array_equal(predict_ensemble_chunk(ens, test), np.argmax(expected, axis=1))
 
 
+TREE_ARRAYS = ("feature", "threshold", "categories", "left", "right", "counts")
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_vote_tables_match_per_row_vote_under_every_setting(data):
+    # Every ensemble builds its vote's tables once, when it is made: the
+    # members' forest, each node's weighted posterior and the weight total.
+    # The ensembles process_chunk returns, and one built by hand with its
+    # members reordered and reweighted, must vote like helpers' row by row
+    # vote, to the bit, on chunks and on single instances, under every
+    # adapt/diverse setting and archive size; training chunks repeat rows,
+    # so transfer and growth run on weighted entries.
+    adapt, diverse = data.draw(st.booleans()), data.draw(st.booleans())
+    max_depth = data.draw(st.one_of(st.none(), st.integers(0, 4)))
+    cfg = DtelConfig(m=data.draw(st.integers(1, 4)), stopping=StoppingParams(max_depth=max_depth))
+    archive = Archive.empty(cfg.m)
+    for index in range(data.draw(st.integers(1, 6))):
+        n = data.draw(st.integers(1, 30))
+        X = duplicate_rows(data, n)
+        y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        ens, archive = process_chunk(archive, Chunk(index, WALK_SCHEMA, X, y), cfg, adapt, diverse)
+        assert all(t is m.tree for t, m in zip(ens.forest.trees, ens.members))
+        assert len(ens.forest.trees) == len(ens.members)
+        # The new tree, which the archive may keep, owns its arrays, so the
+        # archive never keeps a step's vote tables alive.
+        forest = ens.forest
+        tables = [getattr(forest, name) for name in TREE_ARRAYS[:-1]] + [forest.kids, forest.codes, ens.weighted]
+        new_tree = ens.members[-1].tree
+        assert not any(np.shares_memory(getattr(new_tree, name), t) for name in TREE_ARRAYS for t in tables)
+    order = data.draw(st.permutations(range(len(ens.members))))
+    weights = data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(order), max_size=len(order)))
+    by_hand = WeightedEnsemble(
+        tuple(EnsembleMember(ens.members[i].tree, w, ens.members[i].kind) for i, w in zip(order, weights)), 0
+    )
+    if data.draw(st.booleans()):
+        rows = duplicate_rows(data, data.draw(st.integers(1, 40)))
+    else:
+        rows = walk_rows(data, data.draw(st.integers(1, 40)), (4, 8), grid=0.5)
+    test = Chunk(9, WALK_SCHEMA, rows, np.zeros(len(rows), dtype=np.int64))
+    for e in (ens, by_hand):
+        expected = reference_ensemble_posteriors(e, test)
+        assert ensemble_posteriors(e, test).tobytes() == expected.tobytes()
+        assert np.array_equal(predict_ensemble_chunk(e, test), np.argmax(expected, axis=1))
+        for row, want in zip(rows[:5], expected):
+            label, dist = predict_ensemble(e, Instance(WALK_SCHEMA.decode_features(row), 0))
+            assert dist.probabilities.tobytes() == want.tobytes()
+            assert label == np.argmax(want)
+
+
+def test_vote_tables_hold_each_members_weighted_posteriors():
+    m1 = _member([1, 2, 8, 9], [0, 0, 1, 1], 2.0)
+    m2 = _member([1, 2, 3, 9], [0, 1, 1, 1], 1.0, kind="new")
+    ens = WeightedEnsemble((m1, m2), 0)
+    assert ens.forest.trees == [m1.tree, m2.tree]
+    assert ens.total == 3.0
+    expected = np.concatenate([2.0 * m1.tree.probabilities, 1.0 * m2.tree.probabilities])
+    assert ens.weighted.tobytes() == expected.tobytes()
+
+
 def test_ensemble_distribution_sums_to_one():
     rng = make_rng(43)
     schema = random_schema(rng, max_features=2, num_classes=3)
