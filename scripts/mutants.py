@@ -61,12 +61,20 @@ MUTANTS = [
      "NEAR_TIE = 0",
      ["test_diversity.py"]),
     ("regrowth-depth-ignored", TRANSFER,
-     "depths = np.concatenate([[0], depth[reached]])",
-     "depths = np.concatenate([[0], 0 * depth[reached]])",
+     "depth = np.concatenate([t.depth for t in trees])",
+     "depth = 0 * np.concatenate([t.depth for t in trees])",
      ["test_transfer.py"]),
     ("new-tree-rooted-at-depth-one", TRANSFER,
-     "depths = np.concatenate([[0], depth[reached]])",
-     "depths = np.concatenate([[1], depth[reached]])",
+     "depth = np.concatenate([t.depth for t in trees])",
+     "depth = np.concatenate([t.depth for t in trees[:-1]] + [[1]])",
+     ["test_transfer.py"]),
+    ("no-transfer-regrows-sources", TRANSFER,
+     "sites = leaves if adapt else leaves[-1:]",
+     "sites = leaves",
+     ["test_dtel.py"]),
+    ("new-tree-from-first-slot", TRANSFER,
+     "members.trees[-1] = members.tree(-1, chunk.schema, chunk.index)",
+     "members.trees[-1] = members.tree(0, chunk.schema, chunk.index)",
      ["test_transfer.py"]),
     ("single-category-searched", CART,
      "self.categorical = [f for f, s in subsets.items() if s]",
@@ -97,12 +105,16 @@ MUTANTS = [
      "grow &= depth <= max_depth",
      ["test_transfer.py"]),
     ("kids-swapped", CART,
-     "self.kids[0::2] = self.right\n        self.kids[1::2] = self.left",
-     "self.kids[0::2] = self.left\n        self.kids[1::2] = self.right",
+     "self.kids[0::2] = right + shift\n        self.kids[1::2] = left + shift",
+     "self.kids[0::2] = left + shift\n        self.kids[1::2] = right + shift",
      ["test_cart.py"]),
     ("splice-off-by-one", CART,
-     "child[grown] = np.where(local >= 0, local + base, -1)",
-     "child[grown] = np.where(local >= 0, local + base + 1, -1)",
+     "child[placed] = np.where(local >= 0, local + base, -1)",
+     "child[placed] = np.where(local >= 0, local + base + 1, -1)",
+     ["test_transfer.py"]),
+    ("splice-rebuilds-untouched-trees", CART,
+     "if t in touched else source",
+     "if True else source",
      ["test_transfer.py"]),
     ("pre-order-right-subtree-first", CART,
      "pre[b:c:2] = pre[a:b][internal[a:b]] + 1\n"
@@ -118,9 +130,13 @@ MUTANTS = [
      "key = candidates[i].bits.tobytes()",
      "key = int(candidates[i].bits.sum())",
      ["test_diversity.py"]),
-    ("no-transfer-bits-inverted", DTEL,
-     "bits = [t.labels[leaf] == chunk.y for t, leaf in zip(member_trees, leaves)]",
-     "bits = [t.labels[leaf] != chunk.y for t, leaf in zip(member_trees, leaves)]",
+    ("source-bits-inverted", TRANSFER,
+     "bits = forest.counts.argmax(axis=1)[leaves] == chunk.y",
+     "bits = forest.counts.argmax(axis=1)[leaves] != chunk.y",
+     ["test_dtel.py"]),
+    ("no-transfer-posterior-of-class-zero", TRANSFER,
+     "p_sources = forest.counts[leaves[:-1], chunk.y] / forest.counts.sum(axis=1)[leaves[:-1]]",
+     "p_sources = forest.counts[leaves[:-1], 0] / forest.counts.sum(axis=1)[leaves[:-1]]",
      ["test_dtel.py"]),
     ("least-accurate-max", DIVERSITY,
      "return min(ordered, key=lambda c: np.count_nonzero(c.bits)).model_id",
@@ -143,16 +159,20 @@ MUTANTS = [
      "for col in ranked[1:1]:",
      ["test_core.py"]),
     ("route-spread-out-of-order", CART,
-     "return leaves if inverse is None else leaves[:, inverse]",
-     "return leaves if inverse is None else leaves[:, np.sort(inverse)]",
+     "return leaves if inverse is None else leaves.take(inverse, axis=1)",
+     "return leaves if inverse is None else leaves.take(np.sort(inverse), axis=1)",
      ["test_cart.py"]),
+    ("route-spread-f-order", CART,
+     "return leaves if inverse is None else leaves.take(inverse, axis=1)",
+     "return leaves if inverse is None else leaves[:, inverse]",
+     ["test_dtel.py"]),
     ("vote-spread-out-of-order", DTEL,
      "return acc if inverse is None else acc[inverse]",
      "return acc if inverse is None else acc[np.sort(inverse)]",
      ["test_dtel.py"]),
     ("vote-weights-shifted", CART,
-     "p *= np.repeat(weights, [t.n_nodes for t in self.trees])[:, None]",
-     "p *= np.repeat(np.roll(weights, 1), [t.n_nodes for t in self.trees])[:, None]",
+     "p *= np.repeat(weights, self.sizes)[:, None]",
+     "p *= np.repeat(np.roll(weights, 1), self.sizes)[:, None]",
      ["test_dtel.py"]),
     ("vote-last-tree-offset-off-by-one", CART,
      "shift = np.repeat(self.starts, sizes)",

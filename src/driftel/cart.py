@@ -14,24 +14,29 @@ lowest threshold (for categorical features, earliest subset in the documented
 enumeration order). A leaf's label is the argmax of its class counts, lowest
 class index on ties.
 
-A tree is a set of flat per-node arrays (see :class:`Tree`). One grower
-builds every tree: :func:`grow_sites` grows many subtrees together, breadth
-first, one set of numpy rounds per level over every open node of every
-subtree. Each DTEL step (``transfer.grow_step``) calls it once: the step's
-new tree is one site, and the ~600 small row groups per step that transfer
-regrows on SEA200A are the others. :func:`train_cart` calls it with one
-site, the whole chunk, and :func:`best_split` is its search on that site's
-root. The node-by-node grower on Python lists that ``sea`` used before
-lives on in the tests as an oracle; over the 120 training chunks of
-SEA200A, one tree per chunk now grows in about 0.8x its time.
+A tree is a set of flat per-node arrays (see :class:`Tree`); several trees
+are one :class:`_Forest`, their arrays concatenated, the only such
+container. One grower builds every tree: :func:`grow_sites` grows many
+subtrees together, breadth first, one set of numpy rounds per level over
+every open node of every subtree, and returns them as a forest. Each DTEL
+step (``transfer.grow_step``) calls it once, on the leaves its forest pass
+reaches: the ~600 small row groups per step that the archived trees regrow
+on SEA200A, and the leaf of a tree that has learned nothing
+(:func:`one_leaf`), which every row reaches and which regrows from depth 0
+into the step's new tree. :func:`train_cart` calls it with one site, the
+whole chunk, and :func:`best_split` is its search on that site's root. The
+node-by-node grower on Python lists that ``sea`` used before lives on in
+the tests as an oracle; over the 120 training chunks of SEA200A, one tree
+per chunk now grows in about 0.8x its time.
 
 Every traversal goes through one forest pass, :func:`route_forest`, which
 moves all (tree, row) pairs of a list of trees down one level per numpy
 round; the per-tree views (``posterior_chunk``, ``predict_chunk``,
-``route_to_leaf``) route a forest of one tree. Transfer splices the grown
-subtrees into its trees through the forest too (``_Forest.splice``), and the
-ensemble's vote keeps a forest of its members with each node's weighted
-posterior (``_Forest.weighted_posteriors``, see ``dtel``), so this module
+``route_to_leaf``) route a forest of one tree. One forest runs from growth
+to vote: ``_Forest.splice`` puts the grown subtrees in place of the leaves
+they grew from, and the forest it returns, the adapted trees and then the
+new tree, is the one the ensemble votes with, each node's posterior
+weighted (``_Forest.weighted_posteriors``, see ``dtel``). So this module
 alone knows the node layout.
 
 A forest pass over a chunk routes each distinct feature row once
@@ -134,6 +139,9 @@ class Tree:
         return depth
 
 
+_NODE_ARRAYS = ("feature", "threshold", "categories", "left", "right", "counts")  # Tree's, in order
+
+
 def category_width(schema: Schema) -> int:
     """Most codes in any go-left subset that ``categorical_split_subsets``
     yields for the schema's features: the width of ``Tree.categories``."""
@@ -200,29 +208,16 @@ def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = Non
     if schema is not None and schema != chunk.schema:
         raise ValueError("schema does not match the chunk's schema")
     n = len(chunk)
-    blocks = grow_sites(chunk, np.arange(n), np.array([0, n]), np.zeros(1, dtype=np.int64), params)[0]
-    return blocks.split_first(chunk.schema, chunk.index)[0]
+    grown = grow_sites(chunk, np.arange(n), np.array([0, n]), np.zeros(1, dtype=np.int64), params)[0]
+    return grown.tree(0, chunk.schema, chunk.index)
 
 
-class _Blocks:
-    """Subtrees for :meth:`_Forest.splice`, concatenated: the per-node arrays
-    of ``Tree``, each block in pre-order with child ids local to the block
-    (its root is 0), and each block's node count. A plain class: a frozen
-    dataclass would add ~1 ms to every import of the package."""
-
-    __slots__ = ("feature", "threshold", "categories", "left", "right", "counts", "sizes")
-
-    def __init__(self, feature, threshold, categories, left, right, counts, sizes):
-        self.feature, self.threshold, self.categories = feature, threshold, categories
-        self.left, self.right, self.counts, self.sizes = left, right, counts, sizes
-
-    def split_first(self, schema: Schema, origin_chunk_index: int) -> tuple[Tree, "_Blocks"]:
-        """The first block as a tree and the other blocks. The tree owns
-        copies of its nodes, so keeping it keeps none of the other blocks."""
-        k = int(self.sizes[0])
-        arrays = (self.feature, self.threshold, self.categories, self.left, self.right, self.counts)
-        tree = Tree(*(a[:k].copy() for a in arrays), schema, origin_chunk_index)
-        return tree, _Blocks(*(a[k:] for a in arrays), self.sizes[1:])
+def one_leaf(schema: Schema, origin_chunk_index: int) -> Tree:
+    """A tree that has learned nothing: one leaf with no counts. Adapted to
+    a chunk, it is the tree :func:`train_cart` grows there."""
+    none, codes = np.full(1, -1), np.full((1, category_width(schema)), -1)
+    counts = np.zeros((1, schema.num_classes), dtype=np.int64)
+    return Tree(none, np.full(1, np.nan), codes, none, none, counts, schema, origin_chunk_index)
 
 
 class _SearchTables:
@@ -302,15 +297,16 @@ def _collapse(chunk: Chunk, rows, labels, bounds):
 
 def grow_sites(
     chunk: Chunk, rows: np.ndarray, bounds: np.ndarray, depths: np.ndarray, params: StoppingParams
-) -> tuple[_Blocks, np.ndarray, np.ndarray]:
+) -> tuple[_Forest, np.ndarray, np.ndarray]:
     """Grow one subtree per site, all sites together, breadth first: each
     round of numpy calls grows every open node of every site by one level.
 
     Site ``s`` holds the chunk rows ``rows[bounds[s]:bounds[s + 1]]`` and
-    its root sits at depth ``depths[s]``. Returns the subtrees as blocks in
-    site order and, aligned with ``rows``, each row's posterior of its own
-    label at its leaf, ``counts[label] / n``, and whether the leaf's label,
-    the argmax of its counts (lowest class on ties), is the row's.
+    its root sits at depth ``depths[s]``. Returns the subtrees as a forest,
+    one tree per site in site order, and, aligned with ``rows``, each row's
+    posterior of its own label at its leaf, ``counts[label] / n``, and
+    whether the leaf's label, the argmax of its counts (lowest class on
+    ties), is the row's.
 
     A node stops when it is pure, has fewer than ``min_samples_split`` rows,
     sits at ``max_depth``, or its best split gains less than
@@ -528,11 +524,11 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n
     gain[at] = (score[hit] - parent_score[owner]) / n[owner]
 
 
-def _pre_order(feature, threshold, categories, counts, level_sizes, n_sites: int) -> _Blocks:
+def _pre_order(feature, threshold, categories, counts, level_sizes, n_sites: int) -> _Forest:
     """The nodes of ``grow_sites``, numbered breadth first over all sites
-    (``level_sizes`` nodes a level), as one block per site, its nodes in
-    pre-order, left subtree first. The children of a level's split nodes
-    are the next level's nodes, in pairs, so subtree sizes are summed
+    (``level_sizes`` nodes a level), as a forest of one tree per site, its
+    nodes in pre-order, left subtree first. The children of a level's split
+    nodes are the next level's nodes, in pairs, so subtree sizes are summed
     bottom-up and pre-order ids handed out top-down, a level at a time on
     slices."""
     internal = feature >= 0
@@ -547,7 +543,7 @@ def _pre_order(feature, threshold, categories, counts, level_sizes, n_sites: int
     for a, b, c in spans:
         pre[b:c:2] = pre[a:b][internal[a:b]] + 1
         pre[b + 1 : c : 2] = pre[b:c:2] + subtree[b:c:2]
-    root = np.repeat(pre[:n_sites], sizes)  # at each new id, its block's first id
+    root = np.repeat(pre[:n_sites], sizes)  # at each new id, its tree's first id
 
     def placed(a):
         out = np.empty(a.shape, dtype=a.dtype)
@@ -558,88 +554,102 @@ def _pre_order(feature, threshold, categories, counts, level_sizes, n_sites: int
     internal = feature >= 0
     left = np.where(internal, np.arange(feature.size) - root + 1, -1)
     right = np.where(internal, left + np.append(subtree[1:], 0), -1)  # past the left subtree
-    return _Blocks(feature, placed(threshold), placed(categories), left, right, placed(counts), sizes)
+    return _Forest(feature, placed(threshold), placed(categories), left, right, placed(counts), sizes)
 
 
 class _Forest:
-    """The node arrays of several trees, concatenated, with global node ids.
+    """Several trees' per-node arrays of ``Tree``, concatenated, child ids
+    local to each tree; each tree's node count (``sizes``) and first global
+    id (``starts``); and the trees as ``Tree`` objects (``trees``), or None
+    for the subtrees ``grow_sites`` grows. A plain class: a frozen dataclass
+    would add ~1 ms to every import of the package.
 
-    ``kids`` holds each node's right and left child at ``2*node`` and
-    ``2*node + 1``, so a go-left bit picks the child by offset. ``codes``
-    holds the go-left codes column by column as floats, NaN where a node has
-    no such code, so a code test is an equality that NaN never meets.
+    The routing tables are built with the forest. ``kids`` holds each node's
+    right and left child, as global ids, at ``2*node`` and ``2*node + 1``,
+    so a go-left bit picks the child by offset. ``codes`` holds the go-left
+    codes column by column as floats, NaN where a node has no such code, so
+    a code test is an equality that NaN never meets.
     """
 
-    def __init__(self, trees):
-        self.trees = trees = list(trees)
-        sizes = [t.n_nodes for t in trees]
-        self.starts = np.cumsum([0] + sizes[:-1])
-        self.size = sum(sizes)
+    def __init__(self, feature, threshold, categories, left, right, counts, sizes, trees=None):
+        self.feature, self.threshold, self.categories = feature, threshold, categories
+        self.left, self.right, self.counts = left, right, counts
+        self.sizes, self.trees = sizes, trees
+        self.starts = np.cumsum(sizes) - sizes
+        self.size = feature.size
         shift = np.repeat(self.starts, sizes)
-        self.feature = np.concatenate([t.feature for t in trees])
-        self.threshold = np.concatenate([t.threshold for t in trees])
-        self.categories = np.concatenate([t.categories for t in trees])
-        self.left = np.concatenate([t.left for t in trees]) + shift
-        self.right = np.concatenate([t.right for t in trees]) + shift
         self.kids = np.empty(2 * self.size, dtype=np.int64)
-        self.kids[0::2] = self.right
-        self.kids[1::2] = self.left
-        cats = np.ascontiguousarray(self.categories.T)
+        self.kids[0::2] = right + shift
+        self.kids[1::2] = left + shift
+        cats = np.ascontiguousarray(categories.T)
         used = cats >= 0
         self.codes = np.where(used, cats, np.nan)[used.any(axis=1)]
 
-    def splice(self, reached: np.ndarray, blocks: _Blocks) -> list[Tree]:
-        """The forest's trees with each leaf of ``reached`` (global ids,
-        ascending) replaced by its block of ``blocks`` (from
-        :func:`grow_sites`), every other node copied, all in one set of array
-        ops. Each tree keeps its source's schema and origin chunk."""
-        sizes = blocks.sizes
+    @classmethod
+    def of(cls, trees) -> "_Forest":
+        """The forest of ``trees``: their node arrays, concatenated."""
+        trees = list(trees)
+        columns = (np.concatenate([getattr(t, name) for t in trees]) for name in _NODE_ARRAYS)
+        return cls(*columns, np.array([t.n_nodes for t in trees]), trees)
+
+    def tree(self, t: int, schema: Schema, origin_chunk_index: int) -> Tree:
+        """Tree ``t`` as a ``Tree`` that owns copies of its nodes, so keeping
+        it keeps none of the forest."""
+        a, b = self.starts[t], self.starts[t] + self.sizes[t]
+        return Tree(*(getattr(self, name)[a:b].copy() for name in _NODE_ARRAYS), schema, origin_chunk_index)
+
+    def splice(self, reached: np.ndarray, grown: "_Forest") -> "_Forest":
+        """The forest with each leaf of ``reached`` (global ids, ascending)
+        replaced by its tree of ``grown`` (from :func:`grow_sites`), every
+        other node copied, all in one set of array ops. A tree with no reached
+        leaf stays the same ``Tree``; every other becomes one that views the
+        new arrays, with its source's schema and origin chunk."""
+        sizes = grown.sizes
         extra = np.zeros(self.size, dtype=np.int64)
         extra[reached] = sizes - 1
         # A node's new id: its old id plus the growth of the reached leaves
-        # before it. A reached leaf's new id is the first node of its block.
+        # before it. A reached leaf's new id is the first node of its tree.
         new_id = np.arange(self.size) + np.cumsum(extra) - extra
         total = self.size + int(extra.sum())
         kept = np.ones(self.size, dtype=bool)
         kept[reached] = False
         dest = new_id[kept]
-        grown = np.ones(total, dtype=bool)
-        grown[dest] = False  # block nodes fill the remaining ids, in block order
+        placed = np.ones(total, dtype=bool)
+        placed[dest] = False  # grown nodes fill the remaining ids, in order
 
-        def column(src, block_values):
+        def column(src, grown_values):
             out = np.empty((total, *src.shape[1:]), dtype=src.dtype)
             out[dest] = src[kept]
-            out[grown] = block_values
+            out[placed] = grown_values
             return out
 
-        counts_all = np.concatenate([t.counts for t in self.trees])
-        columns = [
-            column(self.feature, blocks.feature),
-            column(self.threshold, blocks.threshold),
-            column(self.categories, blocks.categories),
-        ]
+        names = ("feature", "threshold", "categories", "counts")
+        feature, threshold, categories, counts = (column(getattr(self, a), getattr(grown, a)) for a in names)
         internal = self.feature[kept] >= 0
         base = np.repeat(new_id[reached], sizes)
-        starts = np.append(new_id[self.starts], total)
-        rebase = np.repeat(starts[:-1], np.diff(starts))
-        for src, local in ((self.left, blocks.left), (self.right, blocks.right)):
+        starts = new_id[self.starts]
+        tree_sizes = np.diff(np.append(starts, total))
+        rebase = np.repeat(starts, tree_sizes)
+        children = []  # child ids go global, move with the growth and go local again
+        for src, local in ((self.kids[1::2], grown.left), (self.kids[0::2], grown.right)):
             child = np.empty(total, dtype=np.int64)
             child[dest] = np.where(internal, new_id[src[kept]], -1)
-            child[grown] = np.where(local >= 0, local + base, -1)
-            columns.append(np.where(child >= 0, child - rebase, -1))
-        columns.append(column(counts_all, blocks.counts))
-        return [
-            Tree(*(c[a:b] for c in columns), source.schema, source.origin_chunk_index)
-            for source, a, b in zip(self.trees, starts[:-1], starts[1:])
+            child[placed] = np.where(local >= 0, local + base, -1)
+            children.append(np.where(child >= 0, child - rebase, -1))
+        columns = (feature, threshold, categories, *children, counts)
+        touched = set((np.searchsorted(self.starts, reached, side="right") - 1).tolist())
+        trees = [
+            Tree(*(c[a:a + k] for c in columns), source.schema, source.origin_chunk_index) if t in touched else source
+            for t, (source, a, k) in enumerate(zip(self.trees, starts.tolist(), tree_sizes.tolist()))
         ]
+        return _Forest(*columns, tree_sizes, trees)
 
     def weighted_posteriors(self, weights: np.ndarray) -> np.ndarray:
         """Every node's posterior times its tree's weight, shape (nodes,
         classes): ``weights[t] * trees[t].probabilities``, the same division
         and the same product, so the same to the bit."""
-        counts = np.concatenate([t.counts for t in self.trees])
-        p = counts / counts.sum(axis=1, keepdims=True)
-        p *= np.repeat(weights, [t.n_nodes for t in self.trees])[:, None]
+        p = self.counts / self.counts.sum(axis=1, keepdims=True)
+        p *= np.repeat(weights, self.sizes)[:, None]
         return p
 
     def route(self, columns: np.ndarray) -> np.ndarray:
@@ -655,7 +665,7 @@ class _Forest:
         offset = self.feature * n  # a node's feature row in ``values``; < 0 at leaves
         out = np.repeat(self.starts, n)
         pair = np.arange(out.size)
-        row = np.tile(np.arange(n), len(self.trees))
+        row = np.tile(np.arange(n), self.sizes.size)
         node = out
         f = offset[node]
         while True:
@@ -686,14 +696,16 @@ def _route_distinct(forest: _Forest, chunk: Chunk) -> tuple[np.ndarray, np.ndarr
     None when every row is distinct and the pass took the rows themselves."""
     distinct = chunk.distinct
     columns, inverse = (chunk.columns, None) if distinct is None else distinct
-    return forest.route(columns).reshape(len(forest.trees), -1), inverse
+    return forest.route(columns).reshape(forest.sizes.size, -1), inverse
 
 
 def _route_rows(forest: _Forest, chunk: Chunk) -> np.ndarray:
     """The global leaf id of every (tree, row) pair, shape (trees, rows):
-    the leaves of the distinct rows' forest pass, spread to every row."""
+    the leaves of the distinct rows' forest pass, spread to every row, in C
+    order (``leaves[:, inverse]`` would be F-ordered, and a float reduction
+    over the rows of an array gathered through it adds in another order)."""
     leaves, inverse = _route_distinct(forest, chunk)
-    return leaves if inverse is None else leaves[:, inverse]
+    return leaves if inverse is None else leaves.take(inverse, axis=1)
 
 
 def route_forest(trees, chunk: Chunk) -> np.ndarray:
@@ -704,7 +716,7 @@ def route_forest(trees, chunk: Chunk) -> np.ndarray:
     _check_schema(trees, chunk.schema)
     if not trees:
         return np.empty((0, len(chunk)), dtype=np.int64)
-    forest = _Forest(trees)
+    forest = _Forest.of(trees)
     return _route_rows(forest, chunk) - forest.starts[:, None]
 
 
@@ -721,7 +733,7 @@ def predict_forest(trees, chunk: Chunk) -> np.ndarray:
 def route_to_leaf(tree: Tree, instance: Instance) -> int:
     """Deterministically route one instance to its leaf; returns the leaf id."""
     x = tree.schema.encode_features(instance.features)
-    return int(_Forest([tree]).route(x[:, None])[0])
+    return int(_Forest.of([tree]).route(x[:, None])[0])
 
 
 def predict(tree: Tree, instance: Instance) -> int:

@@ -7,24 +7,22 @@ random classifier, and predicts by weighted soft voting over member
 posteriors. The archive of original (never adapted) trees is kept at
 capacity by dropping the model whose removal leaves the most diverse set.
 
-The training chunk is routed through all archived trees at once, in one
-forest pass, and the new tree and every adapted tree's regrown leaves grow
-together in one growth call (see ``transfer.grow_step``). The pass yields
-each archived tree's correctness bits, which the archive update uses; the
-growth yields the new tree's bits and each adapted tree's true-class
-posteriors, from which its squared error is taken.
-
-The weights are fixed once a step's update returns, so the ensemble builds
-its vote's tables when it is made, during the update: the members' trees as
-one forest, each forest node's posterior times its tree's weight, and the
-weight total. A prediction then only routes the test chunk through that
-forest in one pass and sums the reached rows, once per distinct feature row
-(``Chunk.distinct``).
+The training chunk is routed through all archived trees and a one-leaf
+tree that has learned nothing in one forest pass, and every reached leaf
+regrows in one growth call; the regrown one-leaf tree is the new tree (see
+``transfer.grow_step``). The pass yields the archived trees' correctness
+bits, for the archive update; the growth yields the new tree's bits, the
+adapted trees' true-class posteriors, for their squared errors, and the
+forest of the adapted trees and the new tree, which the ensemble votes with.
+The ensemble builds its vote's tables when the update makes it: each forest
+node's posterior times its tree's weight, and the weight total. A
+prediction then only routes the test chunk through the forest in one pass
+and sums the reached rows, once per distinct row (``Chunk.distinct``).
 
 The ablations run the same step with one of its two design choices switched
-off: ``process_chunk(..., adapt=False)`` votes with the archived trees as
-they are, and ``process_chunk(..., diverse=False)`` keeps the archive by
-accuracy instead of diversity.
+off: ``process_chunk(..., adapt=False)`` regrows only the one-leaf tree and
+votes with the archived trees as they are, and ``process_chunk(...,
+diverse=False)`` keeps the archive by accuracy instead of diversity.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_distinct, posterior_chunk, route_forest
+from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_distinct, posterior_chunk
 from .core import Chunk, ClassDistribution, Instance, class_prior
 from .diversity import NEW_MODEL, CorrectnessVector, select_least_accurate, select_removal
 from .transfer import grow_step
@@ -89,15 +87,16 @@ class EnsembleMember:
 @dataclass(frozen=True, eq=False)
 class WeightedEnsemble:
     """The members that vote on a chunk, in voting order, with their
-    weights, and the vote's tables, built once with the ensemble: the
-    members' trees as one forest (``forest``), each forest node's posterior
-    times its tree's weight (``weighted``, see
+    weights, their trees' forest in member order (``forest``, from
+    ``transfer.grow_step`` or ``cart._Forest.of``), and the vote's tables,
+    built once with the ensemble: each forest node's posterior times its
+    tree's weight (``weighted``, see
     ``cart._Forest.weighted_posteriors``) and the weights' total, added in
     member order (``total``)."""
 
     members: tuple[EnsembleMember, ...]
     chunk_index: int
-    forest: _Forest = field(init=False, repr=False)
+    forest: _Forest = field(repr=False)
     weighted: np.ndarray = field(init=False, repr=False)
     total: float = field(init=False, repr=False)
 
@@ -107,10 +106,10 @@ class WeightedEnsemble:
             raise ValueError("ensemble needs exactly one new member")
         if any(not np.isfinite(m.weight) or m.weight <= 0 for m in self.members):
             raise ValueError("weights must be finite and positive")
+        if list(map(id, self.forest.trees)) != [id(m.tree) for m in self.members]:
+            raise ValueError("the forest must hold the members' trees, in member order")
         weights = np.array([m.weight for m in self.members])
-        forest = _Forest([m.tree for m in self.members])
-        object.__setattr__(self, "forest", forest)
-        object.__setattr__(self, "weighted", forest.weighted_posteriors(weights))
+        object.__setattr__(self, "weighted", self.forest.weighted_posteriors(weights))
         object.__setattr__(self, "total", np.add.accumulate(weights)[-1])
 
 
@@ -196,42 +195,32 @@ def process_chunk(
     """One full learning step.
 
     Grow the new tree and adapt every archived tree to the chunk together
-    (``transfer.grow_step``): one forest pass routes the chunk through the
-    archived trees and yields the original models' correctness bits, and
-    one growth call grows the new tree and every adapted tree's regrown
-    leaves, yielding the new tree's correctness bits and the adapted trees'
-    true-class posteriors. Update the archive (once at capacity, drop the
-    model whose removal leaves the most diverse set, judged on the
-    correctness bits), then weight the adapted trees, by the squared error
-    of those posteriors, plus the new tree. The ensemble holds all models
-    archived at the start of the step; the archive update only affects
+    (``transfer.grow_step``), with the archived models' and the new tree's
+    correctness bits and the adapted trees' true-class posteriors. Update
+    the archive (once at capacity, drop the model whose removal leaves the
+    most diverse set, judged on the correctness bits), then weight the
+    adapted trees, by the squared error of those posteriors, plus the new
+    tree. The ensemble holds all models archived at the start of the step
+    and votes with the growth's forest; the archive update only affects
     future steps, and adapted trees are never archived.
 
     Each flag switches off one of DTEL's two design choices, for the
-    ablations. ``adapt=False`` skips transfer: the new tree grows alone, the
-    original archived trees are weighted and vote as they are, and one
-    forest pass gives their posteriors and correctness bits.
-    ``diverse=False`` drops the model least accurate on the chunk instead
-    (``select_least_accurate``), also when the archive holds one model.
+    ablations. ``adapt=False`` skips transfer: the step regrows only the
+    new tree's one leaf, and the archived trees are weighted by their own
+    posteriors and vote as they are. ``diverse=False`` drops the model least
+    accurate on the chunk instead (``select_least_accurate``), also when the
+    archive holds one model.
     """
-    new_tree, new_bits, adapted = grow_step(archive.models if adapt else (), chunk, cfg.stopping)
-    if adapt:
-        member_trees = [a.tree for a in adapted]
-        p_true = [a.p_true for a in adapted]
-        bits = [a.source_correct for a in adapted]
-    else:
-        member_trees = list(archive.models)
-        leaves = route_forest(member_trees, chunk)
-        p_true = [t.probabilities[leaf, chunk.y] for t, leaf in zip(member_trees, leaves)]
-        bits = [t.labels[leaf] == chunk.y for t, leaf in zip(member_trees, leaves)]
-    updated = _update_archive(archive, new_tree, new_bits, diverse, bits)
+    forest, bits, p_true = grow_step(archive.models, chunk, cfg.stopping, adapt)
+    new_tree = forest.trees[-1]
+    updated = _update_archive(archive, new_tree, bits[-1], diverse, bits[:-1])
     mse_r = mse_random(chunk)
-    mse = np.mean((1.0 - np.reshape(p_true, (len(member_trees), len(chunk)))) ** 2, axis=1)
+    mse = np.mean((1.0 - p_true[:-1]) ** 2, axis=1)
     members = tuple(
         EnsembleMember(t, weight_adapted(mse_r, e, cfg.epsilon), ADAPTED)
-        for t, e in zip(member_trees, mse.tolist())
+        for t, e in zip(forest.trees, mse.tolist())
     ) + (EnsembleMember(new_tree, weight_new(mse_r, cfg.epsilon), NEW),)
-    return WeightedEnsemble(members, chunk.index), updated
+    return WeightedEnsemble(members, chunk.index, forest), updated
 
 
 class DtelLearner:

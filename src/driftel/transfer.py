@@ -11,29 +11,24 @@ its posterior is defined everywhere. The source tree is never modified.
 
 All trees transferred to one chunk are routed together in one forest pass
 over the chunk's distinct rows, whose leaves are spread to every row (see
-``cart``). The pass groups the chunk's rows by (tree, leaf);
-each group is regrown in row order, and each adapted tree is assembled from
-its source's node arrays with the regrown subtrees spliced in at their
-leaves. The same pass scores both trees of every transfer, since the adapted
-tree keeps the source's splits above its leaves:
+``cart``). Each reached leaf's rows, in row order, are one site of a single
+``cart.grow_sites`` call, one set of numpy rounds per tree level, and the
+regrown subtrees are spliced in at their leaves. The pass yields the source
+trees' correctness bits (each leaf's label for the rows it receives) and the
+growth the adapted trees' true-class posteriors (what ``dtel.mse_model``
+reads), so no regrown subtree is routed again.
 
-- the source tree's correctness bits: each source leaf's label for the
-  instances it receives (what ``diversity.correctness`` computes);
-- the adapted tree's posterior of each instance's true class: each leaf that
-  the regrowth creates writes it for its own instances (what
-  ``dtel.mse_model`` reads), so the regrown subtrees are never routed again.
-
-A DTEL step grows everything in one ``cart.grow_sites`` call
-(``grow_step``): the step's new tree is one site, every chunk row from
-depth 0, and each row group of all transfers is one more: one set of numpy
-rounds per tree level rather than one Python growth per group or tree. The
-same call gives the new tree's correctness bits, so it is never routed
-either. On chunks that repeat rows, as STAGGER's do, each site grows on its
-distinct (row, label) pairs, weighted by their rows (see ``cart``). Groups
-that repeat another's rows and depth are grown again rather than looked up:
-on SEA200A they are 2-3% of a step's groups, too few to pay for finding
-them. ``cart`` owns the node layout: it grows the subtrees and splices them
-into the adapted trees.
+A DTEL step (``grow_step``) adapts one more tree: the paper trains "each
+preserved historical model as an initial model" on the new chunk, and the
+new model starts from a one-leaf tree that has learned nothing
+(``cart.one_leaf``). Every row reaches its leaf, which regrows from depth 0
+into the tree ``cart.train_cart`` grows on the chunk, with its correctness
+bits; the splice puts it last in the forest the ensemble votes with. The
+``dtel-no-transfer`` ablation regrows only that leaf. On chunks that repeat
+rows, as STAGGER's do, each site grows on its distinct (row, label) pairs,
+weighted by their rows. Sites that repeat another's entries and depth grow
+again: 2-3% of a step's sites on SEA200A but about 70% on STA200A; growing
+each once is ROADMAP item 15.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_rows, grow_sites, predict_chunk
+from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_rows, grow_sites, one_leaf, predict_chunk
 from .core import Chunk
 
 
@@ -57,63 +52,66 @@ class AdaptedTree:
     p_true: np.ndarray  # per chunk instance: the adapted tree's true-class posterior
 
 
-def _grow(leaves: np.ndarray, depth: np.ndarray, chunk: Chunk, params: StoppingParams):
-    """The growth of one step, in one ``cart.grow_sites`` call. Site 0 is
-    the new tree: every chunk row, its root at depth 0. Then each (tree,
-    leaf) row group of the forest pass ``leaves`` is one site, its root at
-    its leaf's depth (``depth`` holds every forest node's depth); both are
-    empty when no tree is transferred.
+def _regrow(leaves: np.ndarray, depth: np.ndarray, chunk: Chunk, params: StoppingParams):
+    """Regrow every leaf that the (tree, row) pairs ``leaves`` (global ids,
+    tree-major) reach, in one ``cart.grow_sites`` call: each leaf's rows, in
+    row order, are one site, its root at the leaf's depth (``depth`` holds
+    every forest node's depth).
 
-    Returns the new tree, its correctness bits, the reached leaves (global
-    ids, ascending), their regrown subtrees, and the regrown trees'
-    true-class posterior of every (tree, row) pair, tree-major.
+    Returns the reached leaves (ascending), their regrown subtrees, and,
+    aligned with ``leaves``, each pair's true-class posterior at its regrown
+    leaf and whether that leaf's label is the row's.
     """
-    n = len(chunk)
     order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
     ranked = leaves[order]
     first = np.flatnonzero(np.diff(ranked, prepend=-1))
     reached = ranked[first]
-    rows = np.concatenate([np.arange(n), order % n])
-    bounds = np.concatenate([[0], first + n, [rows.size]])
-    depths = np.concatenate([[0], depth[reached]])
-    blocks, p_sorted, right = grow_sites(chunk, rows, bounds, depths, params)
-    new_tree, blocks = blocks.split_first(chunk.schema, chunk.index)
+    bounds = np.append(first, leaves.size)
+    grown, p_sorted, right_sorted = grow_sites(chunk, order % len(chunk), bounds, depth[reached], params)
     p_true = np.empty(leaves.size, dtype=np.float64)
-    p_true[order] = p_sorted[n:]
-    return new_tree, right[:n], reached, blocks, p_true
+    p_true[order] = p_sorted
+    right = np.empty(leaves.size, dtype=bool)
+    right[order] = right_sorted
+    return reached, grown, p_true, right
 
 
-def grow_step(sources, chunk: Chunk, params: StoppingParams) -> tuple[Tree, np.ndarray, list[AdaptedTree]]:
-    """The growth of one DTEL step: the new tree trained on ``chunk``, its
-    correctness bits on it, and every tree of ``sources`` adapted to it
-    through one forest pass, all grown together by ``_grow``. One grower
-    builds every tree, so the new tree is the one ``cart.train_cart(chunk,
-    params)`` grows on its own; the sources stay untouched."""
+def grow_step(
+    sources, chunk: Chunk, params: StoppingParams, adapt: bool = True
+) -> tuple[_Forest, np.ndarray, np.ndarray]:
+    """One DTEL step's growth: ``sources`` and a one-leaf tree
+    (``cart.one_leaf``) routed in one forest pass, and every reached leaf,
+    or with ``adapt=False`` only the one-leaf tree's, regrown (``_regrow``).
+
+    Returns the members' forest (each source adapted, or as it is, then the
+    new tree, which owns its nodes so that the archive can keep it alone)
+    and, shape (trees, rows), each source's correctness bits as archived and
+    the new tree's, and each member's true-class posteriors."""
     sources = list(sources)
     _check_schema(sources, chunk.schema)
-    leaves = depth = np.empty(0, dtype=np.int64)
-    if sources:
-        forest = _Forest(sources)
-        leaves = _route_rows(forest, chunk).ravel()
-        depth = np.concatenate([t.depth for t in sources])
-    new_tree, new_correct, reached, blocks, p_true = _grow(leaves, depth, chunk, params)
-    if not sources:
-        return new_tree, new_correct, []
-    n = len(chunk)
-    labels = np.concatenate([t.labels for t in sources])
-    correct = (labels[leaves] == np.tile(chunk.y, len(sources))).reshape(len(sources), n)
-    p_true = p_true.reshape(len(sources), n)
-    trees = forest.splice(reached, blocks)
-    return new_tree, new_correct, [
-        AdaptedTree(tree, source, chunk.index, correct[t], p_true[t])
-        for t, (tree, source) in enumerate(zip(trees, sources))
-    ]
+    trees = sources + [one_leaf(chunk.schema, chunk.index)]
+    forest = _Forest.of(trees)
+    leaves = _route_rows(forest, chunk)  # (trees, rows)
+    depth = np.concatenate([t.depth for t in trees])
+    sites = leaves if adapt else leaves[-1:]
+    reached, grown, p_grown, right = _regrow(sites.ravel(), depth, chunk, params)
+    members = forest.splice(reached, grown)
+    members.trees[-1] = members.tree(-1, chunk.schema, chunk.index)
+    bits = forest.counts.argmax(axis=1)[leaves] == chunk.y
+    bits[-1] = right[-len(chunk):]  # the new tree as grown: its source learned nothing
+    p_true = p_grown.reshape(len(sites), -1)
+    if not adapt:  # each source's posterior at the leaf its rows reach
+        p_sources = forest.counts[leaves[:-1], chunk.y] / forest.counts.sum(axis=1)[leaves[:-1]]
+        p_true = np.concatenate([p_sources, p_true])
+    return members, bits, p_true
 
 
 def transfer_trees(sources, chunk: Chunk, params: StoppingParams) -> list[AdaptedTree]:
     """Adapt every tree of ``sources`` to ``chunk``: ``grow_step`` without
     its new tree."""
-    return grow_step(sources, chunk, params)[2]
+    sources = list(sources)
+    members, bits, p_true = grow_step(sources, chunk, params)
+    scored = zip(members.trees, sources, bits, p_true)
+    return [AdaptedTree(tree, source, chunk.index, b, p) for tree, source, b, p in scored]
 
 
 def transfer_tree(source: Tree, chunk: Chunk, params: StoppingParams) -> AdaptedTree:

@@ -4,9 +4,10 @@ implementations kept as differential oracles: the list grower (one tree
 node by node on Python lists), which ``cart`` no longer holds since one
 batched grower builds every tree; the object-graph trees with their
 recursive grower, fused transfer walk and per-tree router; a numpy
-reference grower; the unfused transfer walk; the per-site regrowth loop
-beside a new tree trained by the list grower; the per-row soft vote, the
-rational Q loops, the accuracy removal loop and the sea swap loop."""
+reference grower; the unfused transfer walk; the per-site regrowth loop;
+the ``dtel-no-transfer`` step that grew its new tree alone and scored the
+archived trees from their own arrays; the per-row soft vote, the rational Q
+loops, the accuracy removal loop and the sea swap loop."""
 
 from __future__ import annotations
 
@@ -20,14 +21,15 @@ import numpy as np
 from hypothesis import Phase
 from hypothesis import strategies as st
 
-from driftel import transfer
+from driftel import dtel, transfer
 from driftel.cart import (
     SplitCandidate,
     StoppingParams,
     Tree,
-    _Blocks,
+    _Forest,
     categorical_split_subsets,
     category_width,
+    route_forest,
 )
 from driftel.core import (
     CATEGORICAL,
@@ -37,6 +39,7 @@ from driftel.core import (
     Schema,
 )
 from driftel.diversity import NEW_MODEL, correctness
+from driftel.dtel import ADAPTED, NEW, EnsembleMember, WeightedEnsemble, mse_random, weight_adapted, weight_new
 
 
 # Hypothesis settings for growth tests: a failing example is reported as
@@ -627,16 +630,17 @@ def reference_transfer(source: GraphTree, chunk: Chunk, params, grow=graph_grow_
     return GraphTree(root, source.schema, params, source.origin_chunk_index)
 
 
-def _block_posterior(nodes: _Nodes, row, label: int) -> float:
+def _block_score(nodes: _Nodes, row, label: int) -> tuple[float, bool]:
     """The posterior of ``label`` at the leaf of ``nodes`` that ``row``
-    reaches, ``counts[label] / n``, walked straight-line."""
+    reaches, ``counts[label] / n``, walked straight-line, and whether the
+    leaf's label (its first most frequent class) is ``label``."""
     node = 0
     while nodes.feature[node] >= 0:
         f, t = nodes.feature[node], nodes.threshold[node]
         go = row[f] <= t if t == t else int(row[f]) in nodes.categories[node]
         node = nodes.left[node] if go else nodes.right[node]
     counts = nodes.counts[node]
-    return counts[label] / sum(counts)
+    return counts[label] / sum(counts), counts.index(max(counts)) == label
 
 
 def reference_regrow(leaves, node_depth, chunk: Chunk, params):
@@ -644,8 +648,9 @@ def reference_regrow(leaves, node_depth, chunk: Chunk, params):
     together: one list-grower call (``_grow_rows``) per (tree, leaf)
     row group of the forest pass ``leaves``, shared through a memo keyed by
     (rows, depth); ``node_depth`` holds every forest node's depth. Returns
-    the reached leaves, their subtrees as blocks and the regrown trees'
-    true-class posteriors, as ``transfer._grow`` does."""
+    the reached leaves, their subtrees as a forest, and the regrown trees'
+    true-class posterior and correctness bit of every (tree, row) pair, as
+    ``transfer._regrow`` does."""
     order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
     ranked = leaves[order]
     first = np.flatnonzero(np.diff(ranked, prepend=-1))
@@ -655,7 +660,7 @@ def reference_regrow(leaves, node_depth, chunk: Chunk, params):
     bounds = first.tolist() + [len(rows)]
     X, y = chunk.X.tolist(), chunk.y.tolist()
     memo = {}
-    blocks, p_sorted = [], []
+    blocks, scored = [], []
     for a, b, depth in zip(bounds, bounds[1:], depths):
         ids = tuple(rows[a:b])
         key = (ids, depth)
@@ -664,12 +669,13 @@ def reference_regrow(leaves, node_depth, chunk: Chunk, params):
             nodes = _Nodes(category_width(chunk.schema))
             sub_rows, sub_labels = [X[i] for i in ids], [y[i] for i in ids]
             _grow_rows(nodes, sub_rows, sub_labels, depth, chunk.schema, params)
-            scores = [_block_posterior(nodes, r, c) for r, c in zip(sub_rows, sub_labels)]
+            scores = [_block_score(nodes, r, c) for r, c in zip(sub_rows, sub_labels)]
             grown = memo[key] = (nodes, scores)
         blocks.append(grown[0])
-        p_sorted.extend(grown[1])
+        scored.extend(grown[1])
     p_true = np.empty(leaves.size, dtype=np.float64)
-    p_true[order] = p_sorted
+    right = np.empty(leaves.size, dtype=bool)
+    p_true[order], right[order] = zip(*scored)
     width, K = category_width(chunk.schema), chunk.schema.num_classes
 
     def joined(name, dtype, *shape):
@@ -677,7 +683,7 @@ def reference_regrow(leaves, node_depth, chunk: Chunk, params):
         return np.array(values, dtype=dtype).reshape(len(values), *shape)
 
     sizes = np.array([len(b.feature) for b in blocks], dtype=np.int64)
-    return reached, _Blocks(
+    return reached, _Forest(
         joined("feature", np.int64),
         joined("threshold", np.float64),
         joined("categories", np.int64, width),
@@ -685,28 +691,49 @@ def reference_regrow(leaves, node_depth, chunk: Chunk, params):
         joined("right", np.int64),
         joined("counts", np.int64, K),
         sizes,
-    ), p_true
+    ), p_true, right
 
 
-def reference_grow(leaves, node_depth, chunk: Chunk, params):
-    """What ``transfer._grow`` returns, from the code it replaced: the new
-    tree from ``list_train_cart`` (the list grower), its bits from
-    ``diversity.correctness`` (a forest pass), and the regrowth from
-    ``reference_regrow``."""
-    new_tree = list_train_cart(chunk, params)
-    return (new_tree, correctness(new_tree, chunk).bits, *reference_regrow(leaves, node_depth, chunk, params))
-
-
-def reference_grow_step(sources, chunk: Chunk, params):
-    """``transfer.grow_step`` with its growth done by ``reference_grow``."""
-    with mock.patch.object(transfer, "_grow", reference_grow):
-        return transfer.grow_step(sources, chunk, params)
+def reference_grow_step(sources, chunk: Chunk, params, adapt: bool = True):
+    """``transfer.grow_step`` with its regrowth, the new tree's included,
+    done by ``reference_regrow``."""
+    with mock.patch.object(transfer, "_regrow", reference_regrow):
+        return transfer.grow_step(sources, chunk, params, adapt)
 
 
 def reference_transfer_trees(sources, chunk: Chunk, params):
     """``transfer.transfer_trees`` with its regrowth done by
     ``reference_regrow``."""
-    return reference_grow_step(sources, chunk, params)[2]
+    with mock.patch.object(transfer, "_regrow", reference_regrow):
+        return transfer.transfer_trees(sources, chunk, params)
+
+
+def hand_ensemble(members, chunk_index: int = 0) -> WeightedEnsemble:
+    """An ensemble of ``members`` built by hand: their trees' forest is
+    ``_Forest.of`` them."""
+    members = tuple(members)
+    return WeightedEnsemble(members, chunk_index, _Forest.of(m.tree for m in members))
+
+
+def reference_no_transfer_step(archive, chunk: Chunk, cfg, diverse: bool = True):
+    """``dtel.process_chunk(..., adapt=False)`` as it ran beside the
+    transfer step: the new tree grown alone (``list_train_cart``) with its
+    bits from ``diversity.correctness``, and the archived trees scored from
+    one ``route_forest`` pass, each row's true-class posterior
+    ``t.probabilities[leaf, y]`` and bit ``t.labels[leaf] == y``. Returns
+    the hand-built ensemble and the updated archive."""
+    new_tree = list_train_cart(chunk, cfg.stopping)
+    trees = list(archive.models)
+    leaves = route_forest(trees, chunk)
+    p_true = [t.probabilities[leaf, chunk.y] for t, leaf in zip(trees, leaves)]
+    bits = [t.labels[leaf] == chunk.y for t, leaf in zip(trees, leaves)]
+    updated = dtel._update_archive(archive, new_tree, correctness(new_tree, chunk).bits, diverse, bits)
+    mse_r = mse_random(chunk)
+    mse = np.mean((1.0 - np.reshape(p_true, (len(trees), len(chunk)))) ** 2, axis=1)
+    members = tuple(
+        EnsembleMember(t, weight_adapted(mse_r, e, cfg.epsilon), ADAPTED) for t, e in zip(trees, mse.tolist())
+    ) + (EnsembleMember(new_tree, weight_new(mse_r, cfg.epsilon), NEW),)
+    return hand_ensemble(members, chunk.index), updated
 
 
 WALK_SCHEMA = Schema(

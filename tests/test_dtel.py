@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftel import dtel
-from driftel.cart import StoppingParams, train_cart
+from driftel.cart import StoppingParams, _Forest, train_cart, tree_to_text
 from driftel.core import Chunk, Instance, make_rng
 from driftel.diversity import correctness
 from driftel.dtel import (
@@ -26,11 +26,13 @@ from helpers import (
     NO_SHRINK,
     WALK_SCHEMA,
     duplicate_rows,
+    hand_ensemble,
     numeric_chunk,
     random_chunk,
     random_consistent_chunk,
     random_schema,
     reference_ensemble_posteriors,
+    reference_no_transfer_step,
     walk_rows,
 )
 
@@ -73,7 +75,7 @@ def _member(points, labels, weight, kind="adapted", params=UNBOUNDED):
 
 def test_predict_ensemble_single_member_identity():
     tree = train_cart(numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1]), UNBOUNDED)
-    ens = WeightedEnsemble((EnsembleMember(tree, 3.0, "new"),), 0)
+    ens = hand_ensemble((EnsembleMember(tree, 3.0, "new"),))
     label, dist = predict_ensemble(ens, Instance((1.0,), 0))
     assert label == 0
     assert np.allclose(dist.probabilities, [1.0, 0.0])
@@ -83,7 +85,7 @@ def test_predict_ensemble_weighted_mean():
     # two members with opposite pure posteriors, weights 2 and 1
     m1 = _member([1, 2], [0, 0], 2.0)
     m2 = _member([1, 2], [1, 1], 1.0, kind="new")
-    ens = WeightedEnsemble((m1, m2), 0)
+    ens = hand_ensemble((m1, m2))
     label, dist = predict_ensemble(ens, Instance((1.5,), 0))
     assert np.allclose(dist.probabilities, [2 / 3, 1 / 3], atol=1e-12)
     assert label == 0
@@ -95,7 +97,7 @@ def test_predict_ensemble_weighted_mean():
 def test_predict_ensemble_agreement_is_weight_free():
     m1 = _member([1, 2], [1, 1], 0.1)
     m2 = _member([3, 4], [1, 1], 7.0, kind="new")
-    ens = WeightedEnsemble((m1, m2), 0)
+    ens = hand_ensemble((m1, m2))
     label, dist = predict_ensemble(ens, Instance((2.0,), 0))
     assert label == 1
     assert np.allclose(dist.probabilities, [0.0, 1.0])
@@ -104,10 +106,14 @@ def test_predict_ensemble_agreement_is_weight_free():
 def test_weighted_ensemble_invariants():
     m1 = _member([1, 2], [0, 1], 1.0)
     with pytest.raises(ValueError):
-        WeightedEnsemble((m1,), 0)  # no new member
+        hand_ensemble((m1,))  # no new member
     m2 = _member([1, 2], [0, 1], -1.0, kind="new")
     with pytest.raises(ValueError):
-        WeightedEnsemble((m1, m2), 0)
+        hand_ensemble((m1, m2))
+    m2 = _member([1, 2], [0, 1], 1.0, kind="new")
+    for trees in ([m1.tree], [m2.tree, m1.tree], [m1.tree, _member([1, 2], [0, 1], 1.0).tree]):
+        with pytest.raises(ValueError):  # the forest must hold the members' own trees, in order
+            WeightedEnsemble((m1, m2), 0, _Forest.of(trees))
 
 
 def test_first_chunk_warm_up():
@@ -235,8 +241,8 @@ def test_vote_tables_match_per_row_vote_under_every_setting(data):
         assert not any(np.shares_memory(getattr(new_tree, name), t) for name in TREE_ARRAYS for t in tables)
     order = data.draw(st.permutations(range(len(ens.members))))
     weights = data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(order), max_size=len(order)))
-    by_hand = WeightedEnsemble(
-        tuple(EnsembleMember(ens.members[i].tree, w, ens.members[i].kind) for i, w in zip(order, weights)), 0
+    by_hand = hand_ensemble(
+        EnsembleMember(ens.members[i].tree, w, ens.members[i].kind) for i, w in zip(order, weights)
     )
     if data.draw(st.booleans()):
         rows = duplicate_rows(data, data.draw(st.integers(1, 40)))
@@ -253,10 +259,45 @@ def test_vote_tables_match_per_row_vote_under_every_setting(data):
             assert label == np.argmax(want)
 
 
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_no_transfer_step_matches_the_step_it_replaced(data):
+    # process_chunk(adapt=False) takes the transfer step's one path and
+    # regrows only the one-leaf tree's leaf. helpers keeps the step it
+    # replaced: the new tree grown alone and the archived trees scored from
+    # their own arrays after a route_forest pass. Step by step, the members,
+    # their weights, the archive and the vote must match to the bit, on
+    # duplicate-heavy chunks under random stopping limits and archive sizes.
+    stopping = StoppingParams(
+        max_depth=data.draw(st.one_of(st.none(), st.integers(0, 4))),
+        min_samples_split=data.draw(st.integers(2, 6)),
+        min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
+    )
+    cfg = DtelConfig(m=data.draw(st.integers(1, 4)), stopping=stopping)
+    diverse = data.draw(st.booleans())
+    archive = expected_archive = Archive.empty(cfg.m)
+    for index in range(data.draw(st.integers(1, 7))):
+        n = data.draw(st.integers(1, 30))
+        y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        chunk = Chunk(index, WALK_SCHEMA, duplicate_rows(data, n), y)
+        ens, archive = process_chunk(archive, chunk, cfg, adapt=False, diverse=diverse)
+        expected, expected_archive = reference_no_transfer_step(expected_archive, chunk, cfg, diverse)
+        assert [tree_to_text(m.tree) for m in ens.members] == [tree_to_text(m.tree) for m in expected.members]
+        assert [m.weight.hex() for m in ens.members] == [m.weight.hex() for m in expected.members]
+        assert [m.kind for m in ens.members] == [m.kind for m in expected.members]
+        assert [t.origin_chunk_index for t in archive.models] == [
+            t.origin_chunk_index for t in expected_archive.models
+        ]
+        assert [tree_to_text(t) for t in archive.models] == [tree_to_text(t) for t in expected_archive.models]
+        rows = duplicate_rows(data, data.draw(st.integers(1, 20)))
+        test = Chunk(index, WALK_SCHEMA, rows, np.zeros(len(rows), dtype=np.int64))
+        assert ensemble_posteriors(ens, test).tobytes() == reference_ensemble_posteriors(expected, test).tobytes()
+
+
 def test_vote_tables_hold_each_members_weighted_posteriors():
     m1 = _member([1, 2, 8, 9], [0, 0, 1, 1], 2.0)
     m2 = _member([1, 2, 3, 9], [0, 1, 1, 1], 1.0, kind="new")
-    ens = WeightedEnsemble((m1, m2), 0)
+    ens = hand_ensemble((m1, m2))
     assert ens.forest.trees == [m1.tree, m2.tree]
     assert ens.total == 3.0
     expected = np.concatenate([2.0 * m1.tree.probabilities, 1.0 * m2.tree.probabilities])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from driftel.cart import (
     StoppingParams,
+    _Forest,
     route_forest,
     train_cart,
     tree_to_text,
@@ -348,14 +349,16 @@ def _assert_same_tree(tree, expected):
 @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(st.data())
 def test_step_growth_matches_train_cart_and_per_site_loop(data):
-    # grow_step grows the new tree and every regrowth site in one call, each
-    # site on its distinct (row, label) pairs weighted by their numbers of
-    # rows. The oracle trains the new tree with the list grower, takes its
-    # bits from a forest pass (correctness) and regrows one site at a time.
-    # Chunks copy rows from a pool of at most 5 under free labels, so equal
-    # rows carry conflicting labels and limited trees have tied leaves;
+    # grow_step regrows every reached leaf of the sources and of a one-leaf
+    # tree in one call, each site on its distinct (row, label) pairs
+    # weighted by their numbers of rows; the regrown one-leaf tree is the new
+    # tree. The oracles: the list grower trains the new tree, its bits come
+    # from a forest pass (correctness), and the regrowth runs one site at a
+    # time. Chunks copy rows from a pool of at most 5 under free labels, so
+    # equal rows carry conflicting labels and limited trees have tied leaves;
     # min_samples_split is drawn up to the chunk size, so the weighted node
-    # sizes decide where growth stops.
+    # sizes decide where growth stops. With adapt=False only the one-leaf
+    # tree regrows and the sources stay the same objects.
     def chunk(index):
         n = data.draw(st.integers(1, 60))
         X = np.hstack([duplicate_rows(data, n), np.zeros((n, 1))])
@@ -373,18 +376,30 @@ def test_step_growth_matches_train_cart_and_per_site_loop(data):
     sources = [train_cart(c, stopping(len(c))) for c in trained]
     target = chunk(len(sources))
     params = stopping(len(target))
-    new_tree, new_bits, adapted = grow_step(sources, target, params)
-    reference_tree, reference_bits, expected = reference_grow_step(sources, target, params)
+    adapt = data.draw(st.booleans())
+    forest, bits, p_true = grow_step(sources, target, params, adapt)
+    expected, expected_bits, expected_p = reference_grow_step(sources, target, params, adapt)
+    new_tree = forest.trees[-1]
+    reference_tree = list_train_cart(target, params)
     _assert_same_tree(new_tree, reference_tree)
     assert (new_tree.schema, new_tree.origin_chunk_index) == (STEP_SCHEMA, target.index)
     assert all(getattr(new_tree, name).base is None for name in TREE_ARRAYS)  # owns its nodes
-    assert np.array_equal(new_bits, reference_bits)
-    assert np.array_equal(new_bits, correctness(new_tree, target).bits)
-    assert len(adapted) == len(expected) == len(sources)
-    for fused, reference in zip(adapted, expected):
-        _assert_same_tree(fused.tree, reference.tree)
-        assert fused.p_true.tobytes() == reference.p_true.tobytes()
-        assert np.array_equal(fused.source_correct, reference.source_correct)
+    assert np.array_equal(bits[-1], correctness(reference_tree, target).bits)
+    assert np.array_equal(bits[-1], correctness(new_tree, target).bits)
+    assert len(forest.trees) == len(expected.trees) == len(sources) + 1
+    for tree, reference in zip(forest.trees, expected.trees):
+        _assert_same_tree(tree, reference)
+    assert p_true.tobytes() == expected_p.tobytes()
+    assert np.array_equal(bits, expected_bits)
+    for source, tree, correct in zip(sources, forest.trees, bits):
+        assert np.array_equal(correct, correctness(source, target).bits)
+        if not adapt:
+            assert tree is source
+    # The forest's columns hold every member's nodes, in member order.
+    for t, tree in enumerate(forest.trees):
+        a, b = forest.starts[t], forest.starts[t] + forest.sizes[t]
+        for name in TREE_ARRAYS:
+            assert getattr(forest, name)[a:b].tobytes() == getattr(tree, name).tobytes()
 
 
 def test_step_growth_when_the_only_categorical_feature_has_one_category():
@@ -392,7 +407,25 @@ def test_step_growth_when_the_only_categorical_feature_has_one_category():
     schema = Schema((FeatureDescriptor(NUMERIC), FeatureDescriptor(CATEGORICAL, ("a",))), 2)
     source = train_cart(Chunk(0, schema, [[1, 0], [9, 0]], [0, 1]), UNBOUNDED)
     target = Chunk(1, schema, [[1, 0], [1, 0], [2, 0], [3, 0], [8, 0], [9, 0]], [0, 1, 0, 1, 1, 0])
-    new_tree, new_bits, (adapted,) = grow_step([source], target, UNBOUNDED)
+    forest, bits, _p_true = grow_step([source], target, UNBOUNDED)
+    adapted, new_tree = forest.trees
     _assert_same_tree(new_tree, list_train_cart(target, UNBOUNDED))
-    assert np.array_equal(new_bits, correctness(new_tree, target).bits)
-    _assert_same_tree(adapted.tree, reference_transfer_trees([source], target, UNBOUNDED)[0].tree)
+    assert np.array_equal(bits[-1], correctness(new_tree, target).bits)
+    _assert_same_tree(adapted, reference_transfer_trees([source], target, UNBOUNDED)[0].tree)
+
+
+def test_forest_of_trees_round_trips_and_an_empty_splice_keeps_the_trees():
+    rng = make_rng(5)
+    schema = random_schema(rng, max_features=3, num_classes=3)
+    trees = [train_cart(random_consistent_chunk(rng, schema, n, index=n), UNBOUNDED) for n in (1, 8, 30)]
+    forest = _Forest.of(trees)
+    assert forest.trees == trees and forest.sizes.tolist() == [t.n_nodes for t in trees]
+    for t, tree in enumerate(trees):
+        copy = forest.tree(t, tree.schema, tree.origin_chunk_index)
+        _assert_same_tree(copy, tree)
+        assert not any(np.shares_memory(getattr(copy, name), getattr(forest, name)) for name in TREE_ARRAYS)
+    nothing = _Forest(*(getattr(forest, name)[:0] for name in TREE_ARRAYS), np.zeros(0, dtype=np.int64))
+    spliced = forest.splice(np.zeros(0, dtype=np.int64), nothing)
+    assert all(a is b for a, b in zip(spliced.trees, trees)) and len(spliced.trees) == len(trees)
+    for name in (*TREE_ARRAYS, "sizes", "starts", "kids", "codes"):
+        assert np.array_equal(getattr(spliced, name), getattr(forest, name), equal_nan=True)
