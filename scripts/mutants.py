@@ -108,19 +108,29 @@ MUTANTS = [
      "self.kids[0::2] = right + shift\n        self.kids[1::2] = left + shift",
      "self.kids[0::2] = left + shift\n        self.kids[1::2] = right + shift",
      ["test_cart.py"]),
-    ("splice-off-by-one", CART,
-     "child[placed] = np.where(local >= 0, local + base, -1)",
-     "child[placed] = np.where(local >= 0, local + base + 1, -1)",
+    ("splice-appended-off-by-one", CART,
+     "appended[order] = (self.starts + self.sizes)[tree[order]] + np.arange(tree.size)",
+     "appended[order] = (self.starts + self.sizes)[tree[order]] + np.arange(tree.size) - 1",
      ["test_transfer.py"]),
+    ("splice-appended-ranked-across-trees", CART,
+     "appended[order] = (self.starts + self.sizes)[tree[order]] + np.arange(tree.size)",
+     "appended[order] = (starts + self.sizes)[tree[order]] + np.arange(tree.size)",
+     ["test_transfer.py"]),
+    ("splice-child-rule-off-by-one", CART,
+     "left[feature >= 0], right[feature >= 0] = local[n_sites:].reshape(-1, 2).T",
+     "left[feature >= 0], right[feature >= 0] = local[n_sites - 1 : -1].reshape(-1, 2).T",
+     ["test_cart.py"]),
+    ("splice-root-keeps-its-leaf", CART,
+     "out[at] = new  # a reached leaf's row takes its site's root",
+     "out[at[n_sites:]] = new[n_sites:]",
+     ["test_cart.py"]),
     ("splice-rebuilds-untouched-trees", CART,
      "if t in touched else source",
      "if True else source",
      ["test_transfer.py"]),
-    ("pre-order-right-subtree-first", CART,
-     "pre[b:c:2] = pre[a:b][internal[a:b]] + 1\n"
-     "        pre[b + 1 : c : 2] = pre[b:c:2] + subtree[b:c:2]",
-     "pre[b + 1 : c : 2] = pre[a:b][internal[a:b]] + 1\n"
-     "        pre[b:c:2] = pre[b + 1 : c : 2] + subtree[b + 1 : c : 2]",
+    ("growth-right-child-first", CART,
+     "child = (2 * internal.cumsum() - 1)[node] - go",
+     "child = (2 * internal.cumsum() - 2)[node] + go",
      ["test_cart.py"]),
     ("code-test-and", CART,
      "go |= codes[node] == v",

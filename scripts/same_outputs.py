@@ -10,9 +10,12 @@ presets SEA200A, STA200A and CIR200A and seeds 1 and 7, once per setting:
 - ``limited``: ``--max-depth 4 --min-samples-split 5 --m 3``;
 - ``m1`` and ``m2``: ``--m 1`` and ``--m 2``.
 
-For the three dtel variants it also runs every cell of the matrix step by
-step and writes the sha256 of each step's ``ensemble_posteriors`` bytes on
-the step's test chunk, one line a step. Both sides run at the same time, each
+It also runs every cell of the matrix step by step and writes, one line a
+step, the sha256 of the ``tree_to_text`` of every archived tree and, for the
+three dtel variants, of every ensemble member, and of the
+``ensemble_posteriors`` bytes on the step's test chunk. ``tree_to_text``
+walks the structure, so a change of node order passes and a change of
+structure does not. Both sides run at the same time, each
 its own commands one after the other. Then ``diff -r`` compares the two
 output trees (under ``--out``, by default a temporary directory that is
 removed; give it an empty or new directory). The exit status is 0 when
@@ -32,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ALGORITHMS = ("dtel", "dtel-no-transfer", "dtel-acc-archive", "sea")
-DTEL_VARIANTS = ALGORITHMS[:3]
 STREAMS = ("SEA200A", "STA200A", "CIR200A")
 SEEDS = (1, 7)
 SETTINGS = {
@@ -43,28 +45,39 @@ SETTINGS = {
 }
 
 # Run with the checkout's src/ on the path: argv[1] is the setting as JSON,
-# argv[2] the output file.
+# argv[2] and argv[3] the output files of the posterior and tree hashes.
 HASH_STEPS = """
 import hashlib, json, sys
 from driftel.baselines import make_learner
-from driftel.cart import StoppingParams
+from driftel.cart import StoppingParams, tree_to_text
 from driftel.dtel import DtelConfig, ensemble_posteriors
 from driftel.streams import make_stream, preset_config
+
+
+def trees_digest(trees):
+    return hashlib.sha256("".join(tree_to_text(t) + "\\n" for t in trees).encode()).hexdigest()
+
 
 setting = json.loads(sys.argv[1])
 stopping = StoppingParams(
     max_depth=setting.get("max_depth"), min_samples_split=setting.get("min_samples_split", 2)
 )
 cfg = DtelConfig(m=setting.get("m", 25), stopping=stopping)
-with open(sys.argv[2], "w") as out:
+with open(sys.argv[2], "w") as posteriors, open(sys.argv[3], "w") as trees:
     for algorithm in setting["algorithms"]:
         for stream in setting["streams"]:
             for seed in setting["seeds"]:
                 learner = make_learner(algorithm, cfg)
                 for step, pair in enumerate(make_stream(preset_config(stream, seed=seed))):
                     learner.update(pair.train)
+                    cell = f"{algorithm} {stream} {seed} {step}"
+                    if algorithm == "sea":
+                        trees.write(f"{cell} {trees_digest(learner.state.models)}\\n")
+                        continue
+                    members = trees_digest(m.tree for m in learner.ensemble.members)
+                    trees.write(f"{cell} {trees_digest(learner.archive.models)} {members}\\n")
                     digest = hashlib.sha256(ensemble_posteriors(learner.ensemble, pair.test).tobytes())
-                    out.write(f"{algorithm} {stream} {seed} {step} {digest.hexdigest()}\\n")
+                    posteriors.write(f"{cell} {digest.hexdigest()}\\n")
 """
 
 
@@ -85,8 +98,9 @@ def run_side(checkout: Path, out: Path) -> list[str]:
         for flag, values in (("--algorithms", ALGORITHMS), ("--streams", STREAMS), ("--seeds", SEEDS)):
             for value in values:
                 cli += [flag, str(value)]
-        spec = dict(setting, algorithms=DTEL_VARIANTS, streams=STREAMS, seeds=SEEDS)
-        hashes = [sys.executable, "-c", HASH_STEPS, json.dumps(spec), str(out / f"{name}.posteriors.sha256")]
+        spec = dict(setting, algorithms=ALGORITHMS, streams=STREAMS, seeds=SEEDS)
+        hashes = [sys.executable, "-c", HASH_STEPS, json.dumps(spec),
+                  str(out / f"{name}.posteriors.sha256"), str(out / f"{name}.trees.sha256")]
         for command in (cli + run_flags(setting), hashes):
             done = subprocess.run(command, env=env, capture_output=True, text=True)
             if done.returncode:
@@ -111,9 +125,11 @@ def main(argv=None) -> int:
             return 2
         files = sorted(p.relative_to(sides["parent"]) for p in sides["parent"].rglob("*") if p.is_file())
         diff = subprocess.run(["diff", "-r", str(sides["parent"]), str(sides["change"])], capture_output=True, text=True)
-        posteriors = [f for f in files if f.name.endswith(".sha256")]
-        steps = sum(len((sides["parent"] / f).read_text().splitlines()) for f in posteriors)
-        print(f"{len(files) - len(posteriors)} result files and {steps} posterior hashes "
+        hashed = {kind: [f for f in files if f.name.endswith(f".{kind}.sha256")] for kind in ("posteriors", "trees")}
+        lines = {kind: sum(len((sides["parent"] / f).read_text().splitlines()) for f in fs)
+                 for kind, fs in hashed.items()}
+        print(f"{len(files) - len(hashed['posteriors']) - len(hashed['trees'])} result files, "
+              f"{lines['posteriors']} posterior hashes and {lines['trees']} tree hash lines "
               f"({len(SETTINGS)} settings) compared")
         if diff.returncode:
             print(diff.stdout[-4000:] or diff.stderr)

@@ -18,24 +18,25 @@ A tree is a set of flat per-node arrays (see :class:`Tree`); several trees
 are one :class:`_Forest`, their arrays concatenated, the only such
 container. One grower builds every tree: :func:`grow_sites` grows many
 subtrees together, breadth first, one set of numpy rounds per level over
-every open node of every subtree, and returns them as a forest. Each DTEL
-step (``transfer.grow_step``) calls it once, on the leaves its forest pass
-reaches: the ~600 small row groups per step that the archived trees regrow
-on SEA200A, and the leaf of a tree that has learned nothing
+every open node of every subtree, and hands its nodes over in the order it
+grows them; ``_Forest.splice`` grows them in place of their leaves, so an
+adapted tree is its source's arrays, extended. Each DTEL step
+(``transfer.grow_step``) calls the grower once, on the leaves its forest
+pass reaches: the ~600 small row groups per step that the archived trees
+regrow on SEA200A, and the leaf of a tree that has learned nothing
 (:func:`one_leaf`), which every row reaches and which regrows from depth 0
-into the step's new tree. :func:`train_cart` calls it with one site, the
-whole chunk, and :func:`best_split` is its search on that site's root. The
-node-by-node grower on Python lists that ``sea`` used before lives on in
-the tests as an oracle; over the 120 training chunks of SEA200A, one tree
-per chunk now grows in about 0.8x its time.
+into the step's new tree. :func:`train_cart` grows one site, the whole
+chunk, in place of such a leaf, and :func:`best_split` is the search on
+that site's root. The node-by-node grower on Python lists that ``sea`` used
+before lives on in the tests as an oracle; over the 120 training chunks of
+SEA200A, one tree per chunk now grows in about 0.8x its time.
 
 Every traversal goes through one forest pass, :func:`route_forest`, which
 moves all (tree, row) pairs of a list of trees down one level per numpy
 round; the per-tree views (``posterior_chunk``, ``predict_chunk``,
 ``route_to_leaf``) route a forest of one tree. One forest runs from growth
-to vote: ``_Forest.splice`` puts the grown subtrees in place of the leaves
-they grew from, and the forest it returns, the adapted trees and then the
-new tree, is the one the ensemble votes with, each node's posterior
+to vote: the forest ``_Forest.splice`` returns, the adapted trees and then
+the new tree, is the one the ensemble votes with, each node's posterior
 weighted (``_Forest.weighted_posteriors``, see ``dtel``). So this module
 alone knows the node layout.
 
@@ -83,6 +84,8 @@ class StoppingParams:
 @dataclass(frozen=True, eq=False)
 class Tree:
     """A trained tree as flat, read-only per-node arrays; node 0 is the root.
+    A tree grown from a leaf is laid out breadth first; an adapted tree keeps
+    its source's node ids and appends what it grows (``_Forest.splice``).
 
     ``feature`` is the tested feature index, -1 at leaves. A numeric test
     sends a value left iff ``value <= threshold``; a categorical test has a
@@ -204,12 +207,13 @@ def best_split(chunk: Chunk) -> SplitCandidate | None:
 
 def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = None) -> Tree:
     """Train a CART tree on one chunk: :func:`grow_sites` with one site,
-    every row at depth 0."""
+    every row at depth 0, spliced in place of a one-leaf tree's leaf, as a
+    DTEL step places its new tree."""
     if schema is not None and schema != chunk.schema:
         raise ValueError("schema does not match the chunk's schema")
-    n = len(chunk)
-    grown = grow_sites(chunk, np.arange(n), np.array([0, n]), np.zeros(1, dtype=np.int64), params)[0]
-    return grown.tree(0, chunk.schema, chunk.index)
+    n, root = len(chunk), np.zeros(1, dtype=np.int64)
+    grown = grow_sites(chunk, np.arange(n), np.array([0, n]), root, params)[0]
+    return _Forest.of([one_leaf(chunk.schema, chunk.index)]).splice(root, grown).trees[0]
 
 
 def one_leaf(schema: Schema, origin_chunk_index: int) -> Tree:
@@ -297,16 +301,20 @@ def _collapse(chunk: Chunk, rows, labels, bounds):
 
 def grow_sites(
     chunk: Chunk, rows: np.ndarray, bounds: np.ndarray, depths: np.ndarray, params: StoppingParams
-) -> tuple[_Forest, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Grow one subtree per site, all sites together, breadth first: each
     round of numpy calls grows every open node of every site by one level.
 
     Site ``s`` holds the chunk rows ``rows[bounds[s]:bounds[s + 1]]`` and
-    its root sits at depth ``depths[s]``. Returns the subtrees as a forest,
-    one tree per site in site order, and, aligned with ``rows``, each row's
-    posterior of its own label at its leaf, ``counts[label] / n``, and
-    whether the leaf's label, the argmax of its counts (lowest class on
-    ties), is the row's.
+    its root sits at depth ``depths[s]``. Returns the grown nodes in growth
+    order, the sites' roots first, as ``(feature, threshold, categories,
+    counts, site)``: ``Tree``'s node arrays but the child ids, and each
+    node's site. Each level's nodes are its split nodes' children in pairs,
+    so the children of the k-th split node of all are nodes ``n_sites + 2k``
+    (left) and ``n_sites + 2k + 1`` (right); ``_Forest.splice`` puts them in
+    place. Also returns, aligned with ``rows``, each row's posterior of its
+    own label at its leaf, ``counts[label] / n``, and whether the leaf's
+    label, the argmax of its counts (lowest class on ties), is the row's.
 
     A node stops when it is pure, has fewer than ``min_samples_split`` rows,
     sits at ``max_depth``, or its best split gains less than
@@ -351,7 +359,8 @@ def grow_sites(
     node = np.repeat(np.arange(size.size), size)
     pos = np.arange(rows.size)
     depth = np.asarray(depths, dtype=np.int64)
-    levels = []  # per level: class-major counts, feature, threshold, codes
+    site = np.arange(size.size)  # each node's site
+    levels = []  # per level: class-major counts, feature, threshold, codes, site
     first_id = 0  # id of the level's first node
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
@@ -366,7 +375,7 @@ def grow_sites(
             growing = np.count_nonzero(grow)
             if not growing:
                 leaves = np.full(m, -1, dtype=np.int64), np.full(m, np.nan), np.full((m, width), -1, dtype=np.int64)
-                levels.append((counts, *leaves))
+                levels.append((counts, *leaves, site))
                 break
             if growing < m:  # only the growing nodes' entries are searched
                 keep = grow[node]
@@ -377,7 +386,7 @@ def grow_sites(
             _gain, feature, threshold, codes = _level_splits(
                 tables, node, rows, labels, weight, counts, n, size, min_gain
             )
-            levels.append((counts, feature, threshold, codes))
+            levels.append((counts, feature, threshold, codes, site))
             internal = feature >= 0
             splits = np.count_nonzero(internal)
             if not splits:
@@ -399,6 +408,7 @@ def grow_sites(
             if weight is not None:
                 weight = weight[order]
             size = np.bincount(node, None, 2 * splits)
+            site = site[internal].repeat(2)
             if max_depth is not None:
                 depth = np.repeat(depth[internal] + 1, 2)
     counts = np.concatenate([lv[0] for lv in levels], axis=1)  # (classes, nodes)
@@ -406,9 +416,8 @@ def grow_sites(
     right = counts.argmax(axis=0)[entry_leaf] == entry_label
     if spread is not None:
         p_true, right = p_true[spread], right[spread]
-    feature, threshold, categories = (np.concatenate(a) for a in list(zip(*levels))[1:])
-    level_sizes = [lv[0].shape[1] for lv in levels]
-    return _pre_order(feature, threshold, categories, counts.T, level_sizes, bounds.size - 1), p_true, right
+    feature, threshold, categories, site = (np.concatenate(a) for a in list(zip(*levels))[1:])
+    return (feature, threshold, categories, counts.T, site), p_true, right
 
 
 def _level_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, size, min_gain):
@@ -524,45 +533,12 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n
     gain[at] = (score[hit] - parent_score[owner]) / n[owner]
 
 
-def _pre_order(feature, threshold, categories, counts, level_sizes, n_sites: int) -> _Forest:
-    """The nodes of ``grow_sites``, numbered breadth first over all sites
-    (``level_sizes`` nodes a level), as a forest of one tree per site, its
-    nodes in pre-order, left subtree first. The children of a level's split
-    nodes are the next level's nodes, in pairs, so subtree sizes are summed
-    bottom-up and pre-order ids handed out top-down, a level at a time on
-    slices."""
-    internal = feature >= 0
-    ends = np.cumsum([0] + level_sizes).tolist()
-    spans = list(zip(ends, ends[1:], ends[2:]))  # a level's ids, then its children's
-    subtree = np.ones(feature.size, dtype=np.int64)
-    for a, b, c in reversed(spans):
-        subtree[a:b][internal[a:b]] += subtree[b:c:2] + subtree[b + 1 : c : 2]
-    sizes = subtree[:n_sites]
-    pre = np.empty(feature.size, dtype=np.int64)
-    pre[:n_sites] = sizes.cumsum() - sizes
-    for a, b, c in spans:
-        pre[b:c:2] = pre[a:b][internal[a:b]] + 1
-        pre[b + 1 : c : 2] = pre[b:c:2] + subtree[b:c:2]
-    root = np.repeat(pre[:n_sites], sizes)  # at each new id, its tree's first id
-
-    def placed(a):
-        out = np.empty(a.shape, dtype=a.dtype)
-        out[pre] = a
-        return out
-
-    feature, subtree = placed(feature), placed(subtree)
-    internal = feature >= 0
-    left = np.where(internal, np.arange(feature.size) - root + 1, -1)
-    right = np.where(internal, left + np.append(subtree[1:], 0), -1)  # past the left subtree
-    return _Forest(feature, placed(threshold), placed(categories), left, right, placed(counts), sizes)
-
-
 class _Forest:
     """Several trees' per-node arrays of ``Tree``, concatenated, child ids
     local to each tree; each tree's node count (``sizes``) and first global
-    id (``starts``); and the trees as ``Tree`` objects (``trees``), or None
-    for the subtrees ``grow_sites`` grows. A plain class: a frozen dataclass
-    would add ~1 ms to every import of the package.
+    id (``starts``); and the trees as ``Tree`` objects (``trees``). A plain
+    class: a frozen dataclass would add ~1 ms to every import of the
+    package.
 
     The routing tables are built with the forest. ``kids`` holds each node's
     right and left child, as global ids, at ``2*node`` and ``2*node + 1``,
@@ -571,7 +547,7 @@ class _Forest:
     a code test is an equality that NaN never meets.
     """
 
-    def __init__(self, feature, threshold, categories, left, right, counts, sizes, trees=None):
+    def __init__(self, feature, threshold, categories, left, right, counts, sizes, trees):
         self.feature, self.threshold, self.categories = feature, threshold, categories
         self.left, self.right, self.counts = left, right, counts
         self.sizes, self.trees = sizes, trees
@@ -598,51 +574,50 @@ class _Forest:
         a, b = self.starts[t], self.starts[t] + self.sizes[t]
         return Tree(*(getattr(self, name)[a:b].copy() for name in _NODE_ARRAYS), schema, origin_chunk_index)
 
-    def splice(self, reached: np.ndarray, grown: "_Forest") -> "_Forest":
-        """The forest with each leaf of ``reached`` (global ids, ascending)
-        replaced by its tree of ``grown`` (from :func:`grow_sites`), every
-        other node copied, all in one set of array ops. A tree with no reached
-        leaf stays the same ``Tree``; every other becomes one that views the
-        new arrays, with its source's schema and origin chunk."""
-        sizes = grown.sizes
-        extra = np.zeros(self.size, dtype=np.int64)
-        extra[reached] = sizes - 1
-        # A node's new id: its old id plus the growth of the reached leaves
-        # before it. A reached leaf's new id is the first node of its tree.
-        new_id = np.arange(self.size) + np.cumsum(extra) - extra
-        total = self.size + int(extra.sum())
-        kept = np.ones(self.size, dtype=bool)
-        kept[reached] = False
-        dest = new_id[kept]
-        placed = np.ones(total, dtype=bool)
-        placed[dest] = False  # grown nodes fill the remaining ids, in order
+    def splice(self, reached: np.ndarray, grown) -> "_Forest":
+        """The forest with each leaf of ``reached`` (global ids, ascending,
+        one per site) grown in place from its site of ``grown`` (the nodes of
+        :func:`grow_sites`): the leaf's row takes its site's root, and the
+        site's other nodes follow the nodes of the leaf's tree, in growth
+        order. No node of a tree changes its id within the tree, so the
+        trees' child ids are kept and only their starts move. A tree with no
+        reached leaf stays the same ``Tree``; every other becomes one that
+        views the new arrays, with its source's schema and origin chunk."""
+        feature, threshold, categories, counts, site = grown
+        n_sites = reached.size
+        owner = np.searchsorted(self.starts, reached, side="right") - 1  # each site's tree
+        tree = owner[site[n_sites:]]  # each appended node's tree
+        sizes = self.sizes + np.bincount(tree, minlength=self.sizes.size)
+        starts = np.cumsum(sizes) - sizes
+        shift = starts - self.starts
+        # Appended nodes, ranked by tree and then growth order, follow their
+        # tree's own nodes: the p-th of all lands p past its tree's old end,
+        # that is its rank in the tree plus the growth of the trees before.
+        order = tree.argsort(kind="stable")
+        appended = np.empty(tree.size, dtype=np.int64)
+        appended[order] = (self.starts + self.sizes)[tree[order]] + np.arange(tree.size)
+        at = np.concatenate([reached + shift[owner], appended])  # every grown node's new id
+        local = at - starts[np.concatenate([owner, tree])]
+        # The children of the k-th split node are grown nodes n_sites + 2k and n_sites + 2k + 1.
+        left, right = np.full((2, feature.size), -1)
+        left[feature >= 0], right[feature >= 0] = local[n_sites:].reshape(-1, 2).T
+        total = self.size + tree.size
+        kept = np.arange(self.size) + np.repeat(shift, self.sizes)
 
-        def column(src, grown_values):
-            out = np.empty((total, *src.shape[1:]), dtype=src.dtype)
-            out[dest] = src[kept]
-            out[placed] = grown_values
+        def column(own, new):
+            out = np.empty((total, *own.shape[1:]), dtype=own.dtype)
+            out[kept] = own
+            out[at] = new  # a reached leaf's row takes its site's root
             return out
 
-        names = ("feature", "threshold", "categories", "counts")
-        feature, threshold, categories, counts = (column(getattr(self, a), getattr(grown, a)) for a in names)
-        internal = self.feature[kept] >= 0
-        base = np.repeat(new_id[reached], sizes)
-        starts = new_id[self.starts]
-        tree_sizes = np.diff(np.append(starts, total))
-        rebase = np.repeat(starts, tree_sizes)
-        children = []  # child ids go global, move with the growth and go local again
-        for src, local in ((self.kids[1::2], grown.left), (self.kids[0::2], grown.right)):
-            child = np.empty(total, dtype=np.int64)
-            child[dest] = np.where(internal, new_id[src[kept]], -1)
-            child[placed] = np.where(local >= 0, local + base, -1)
-            children.append(np.where(child >= 0, child - rebase, -1))
-        columns = (feature, threshold, categories, *children, counts)
-        touched = set((np.searchsorted(self.starts, reached, side="right") - 1).tolist())
+        new = (feature, threshold, categories, left, right, counts)
+        columns = [column(getattr(self, name), g) for name, g in zip(_NODE_ARRAYS, new)]
+        touched = set(owner.tolist())
         trees = [
             Tree(*(c[a:a + k] for c in columns), source.schema, source.origin_chunk_index) if t in touched else source
-            for t, (source, a, k) in enumerate(zip(self.trees, starts.tolist(), tree_sizes.tolist()))
+            for t, (source, a, k) in enumerate(zip(self.trees, starts.tolist(), sizes.tolist()))
         ]
-        return _Forest(*columns, tree_sizes, trees)
+        return _Forest(*columns, sizes, trees)
 
     def weighted_posteriors(self, weights: np.ndarray) -> np.ndarray:
         """Every node's posterior times its tree's weight, shape (nodes,

@@ -62,6 +62,22 @@ from .evaluation import (
 from .streams import PRESETS, ChunkPair, make_stream, preset_config
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# What each spec key's annotation admits in JSON, and how to say it.
+_SPEC_TYPES = {
+    "list[str]": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of strings"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 @dataclass
 class RunSpec:
     algorithms: list[str] = field(default_factory=lambda: ["dtel"])
@@ -82,10 +98,16 @@ class RunSpec:
     def from_json(cls, path) -> "RunSpec":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a spec must be a JSON object")
+        known = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(known)
         if unknown:
             raise ValueError(f"unknown spec keys: {', '.join(sorted(unknown))}")
+        for key, value in data.items():
+            admits, kind = _SPEC_TYPES[known[key]]
+            if not admits(value):
+                raise ValueError(f"spec key {key!r} must be {kind}, not {json.dumps(value)}")
         return cls(**data)
 
     def validate(self) -> None:
@@ -113,12 +135,18 @@ class RunSpec:
         )
 
 
-def _atomic_write(path: Path, write_fn) -> None:
+def _atomic_write(path: Path, write_fn):
+    """``write_fn(tmp)`` into a temporary file, moved to ``path`` when it
+    returns; its parent directories are made. Returns what it returns."""
+    if path.is_dir():
+        raise ValueError(f"{path} is a directory")
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     os.close(fd)
     try:
-        write_fn(tmp)
+        written = write_fn(tmp)
         os.replace(tmp, path)
+        return written
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -196,15 +224,7 @@ def _cmd_generate(args) -> int:
     )
     stream = make_stream(cfg)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    rows = None
-
-    def write(tmp):
-        nonlocal rows
-        rows = write_stream_csv(stream, tmp)
-
-    _atomic_write(out, write)
+    rows = _atomic_write(out, lambda tmp: write_stream_csv(stream, tmp))
     print(f"wrote {rows} rows ({cfg.n_steps} steps x 2 chunks x {cfg.chunk_size}) to {out}")
     return 0
 
@@ -265,8 +285,8 @@ def _cmd_sweep(args) -> int:
         rows.append((m, float(np.mean(accs))))
 
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    if out.is_dir():  # before the sweep runs
+        raise ValueError(f"{out} is a directory")
 
     def write(tmp):
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
@@ -283,9 +303,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    results_path = Path(args.results) / "results.csv"
-    if not results_path.exists():
-        results_path = Path(args.results)
+    results_path = Path(args.results)
+    if results_path.is_dir():
+        results_path /= "results.csv"
+        if not results_path.exists():
+            raise ValueError(f"no results.csv in {args.results}")
     results = read_results_csv(results_path)
     if not results:
         raise ValueError(f"no results found in {args.results}")
@@ -301,44 +323,21 @@ def _cmd_report(args) -> int:
     width = max(len(a) for a in algorithms) + 18
     print("stream".ljust(12) + "".join(a.ljust(width) for a in algorithms))
     for stream in streams:
-        cells = []
-        means = {}
-        for alg in algorithms:
-            accs = pooled.get((alg, stream))
-            if accs is None:
-                cells.append("-".ljust(width))
-                continue
-            s = summarize(np.asarray(accs))
-            means[alg] = s.mean
-            cells.append((alg, f"{100 * s.mean:.2f} +/- {100 * s.std:.2f}"))
-        best = max(means, key=means.get) if means else None
+        stats = {a: summarize(np.asarray(pooled[a, stream])) for a in algorithms if (a, stream) in pooled}
+        best = max(stats, key=lambda a: stats[a].mean)
         line = stream.ljust(12)
-        for cell in cells:
-            if isinstance(cell, str):
-                line += cell
-            else:
-                alg, text = cell
-                line += (text + (" *" if alg == best else "")).ljust(width)
+        for alg in algorithms:
+            s = stats.get(alg)
+            cell = "-" if s is None else f"{100 * s.mean:.2f} +/- {100 * s.std:.2f}" + " *" * (alg == best)
+            line += cell.ljust(width)
         print(line)
 
-    if reference in {a for a, _ in pooled}:
-        for alg in algorithms:
-            if alg == reference:
-                continue
-            win = tie = loss = 0
-            for stream in streams:
-                a = pooled.get((reference, stream))
-                b = pooled.get((alg, stream))
-                if a is None or b is None:
-                    continue
-                verdict = rank_sum_test(a, b).direction
-                if verdict == "a_better":
-                    win += 1
-                elif verdict == "b_better":
-                    loss += 1
-                else:
-                    tie += 1
-            print(f"{reference} vs {alg}: win-tie-loss {win}-{tie}-{loss}")
+    if reference in algorithms:
+        for alg in algorithms[1:]:
+            shared = [s for s in streams if (reference, s) in pooled and (alg, s) in pooled]
+            verdicts = [rank_sum_test(pooled[reference, s], pooled[alg, s]).direction for s in shared]
+            win, loss = verdicts.count("a_better"), verdicts.count("b_better")
+            print(f"{reference} vs {alg}: win-tie-loss {win}-{len(verdicts) - win - loss}-{loss}")
     return 0
 
 
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError, FileExistsError, NotADirectoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

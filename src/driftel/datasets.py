@@ -135,7 +135,10 @@ def read_stream_csv(path) -> list[ChunkPair] | list[Chunk]:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
-            steps.append(int(row[0]))
+            try:
+                steps.append(int(row[0]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: step must be an integer, not {row[0]!r}") from None
             if row[1] not in (TRAIN, TEST):
                 raise ValueError(f"{path}:{lineno}: role must be train or test")
             roles.append(row[1])

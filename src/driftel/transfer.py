@@ -12,23 +12,24 @@ its posterior is defined everywhere. The source tree is never modified.
 All trees transferred to one chunk are routed together in one forest pass
 over the chunk's distinct rows, whose leaves are spread to every row (see
 ``cart``). Each reached leaf's rows, in row order, are one site of a single
-``cart.grow_sites`` call, one set of numpy rounds per tree level, and the
-regrown subtrees are spliced in at their leaves. The pass yields the source
-trees' correctness bits (each leaf's label for the rows it receives) and the
-growth the adapted trees' true-class posteriors (what ``dtel.mse_model``
-reads), so no regrown subtree is routed again.
+``cart.grow_sites`` call, one set of numpy rounds per tree level, and each
+leaf grows in place (``cart._Forest.splice``): no source node changes its
+id, and a tree that no row reaches stays the same object. The pass yields
+the source trees' correctness bits (each leaf's label for the rows it
+receives) and the growth the adapted trees' true-class posteriors (what
+``dtel.mse_model`` reads), so no regrown subtree is routed again.
 
 A DTEL step (``grow_step``) adapts one more tree: the paper trains "each
 preserved historical model as an initial model" on the new chunk, and the
 new model starts from a one-leaf tree that has learned nothing
 (``cart.one_leaf``). Every row reaches its leaf, which regrows from depth 0
-into the tree ``cart.train_cart`` grows on the chunk, with its correctness
-bits; the splice puts it last in the forest the ensemble votes with. The
-``dtel-no-transfer`` ablation regrows only that leaf. On chunks that repeat
-rows, as STAGGER's do, each site grows on its distinct (row, label) pairs,
-weighted by their rows. Sites that repeat another's entries and depth grow
-again: 2-3% of a step's sites on SEA200A but about 70% on STA200A; growing
-each once is ROADMAP item 15.
+into the tree ``cart.train_cart`` grows on the chunk, breadth first, with
+its correctness bits; the splice puts it last in the forest the ensemble
+votes with. The ``dtel-no-transfer`` ablation regrows only that leaf. On
+chunks that repeat rows, as STAGGER's do, each site grows on its distinct
+(row, label) pairs, weighted by their rows. Sites that repeat another's
+entries and depth grow again: 2-3% of a step's sites on SEA200A but about
+70% on STA200A; growing each once is ROADMAP item 15.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def _regrow(leaves: np.ndarray, depth: np.ndarray, chunk: Chunk, params: Stoppin
     row order, are one site, its root at the leaf's depth (``depth`` holds
     every forest node's depth).
 
-    Returns the reached leaves (ascending), their regrown subtrees, and,
-    aligned with ``leaves``, each pair's true-class posterior at its regrown
-    leaf and whether that leaf's label is the row's.
+    Returns the reached leaves (ascending), the grown nodes in growth order
+    with their sites (what ``cart._Forest.splice`` takes), and, aligned with
+    ``leaves``, each pair's true-class posterior at its regrown leaf and
+    whether that leaf's label is the row's.
     """
     order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
     ranked = leaves[order]
@@ -68,10 +70,8 @@ def _regrow(leaves: np.ndarray, depth: np.ndarray, chunk: Chunk, params: Stoppin
     reached = ranked[first]
     bounds = np.append(first, leaves.size)
     grown, p_sorted, right_sorted = grow_sites(chunk, order % len(chunk), bounds, depth[reached], params)
-    p_true = np.empty(leaves.size, dtype=np.float64)
-    p_true[order] = p_sorted
-    right = np.empty(leaves.size, dtype=bool)
-    right[order] = right_sorted
+    p_true, right = np.empty(leaves.size, dtype=np.float64), np.empty(leaves.size, dtype=bool)
+    p_true[order], right[order] = p_sorted, right_sorted
     return reached, grown, p_true, right
 
 

@@ -5,9 +5,12 @@ node by node on Python lists), which ``cart`` no longer holds since one
 batched grower builds every tree; the object-graph trees with their
 recursive grower, fused transfer walk and per-tree router; a numpy
 reference grower; the unfused transfer walk; the per-site regrowth loop;
-the ``dtel-no-transfer`` step that grew its new tree alone and scored the
-archived trees from their own arrays; the per-row soft vote, the rational Q
-loops, the accuracy removal loop and the sea swap loop."""
+the splice that re-laid grown subtrees in pre-order and renumbered the
+trees around them; the ``dtel-no-transfer`` step that grew its new tree
+alone and scored the archived trees from their own arrays; the per-row soft
+vote, the rational Q loops, the accuracy removal loop and the sea swap
+loop. ``pre_order`` gives any tree a canonical node order for byte
+comparisons."""
 
 from __future__ import annotations
 
@@ -648,9 +651,10 @@ def reference_regrow(leaves, node_depth, chunk: Chunk, params):
     together: one list-grower call (``_grow_rows``) per (tree, leaf)
     row group of the forest pass ``leaves``, shared through a memo keyed by
     (rows, depth); ``node_depth`` holds every forest node's depth. Returns
-    the reached leaves, their subtrees as a forest, and the regrown trees'
-    true-class posterior and correctness bit of every (tree, row) pair, as
-    ``transfer._regrow`` does."""
+    the reached leaves, their subtrees' nodes in growth order
+    (``growth_order``), and the regrown trees' true-class posterior and
+    correctness bit of every (tree, row) pair, as ``transfer._regrow``
+    does."""
     order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
     ranked = leaves[order]
     first = np.flatnonzero(np.diff(ranked, prepend=-1))
@@ -676,28 +680,176 @@ def reference_regrow(leaves, node_depth, chunk: Chunk, params):
     p_true = np.empty(leaves.size, dtype=np.float64)
     right = np.empty(leaves.size, dtype=bool)
     p_true[order], right[order] = zip(*scored)
-    width, K = category_width(chunk.schema), chunk.schema.num_classes
+    return reached, growth_order(blocks, chunk.schema), p_true, right
 
-    def joined(name, dtype, *shape):
-        values = [v for b in blocks for v in getattr(b, name)]
-        return np.array(values, dtype=dtype).reshape(len(values), *shape)
 
-    sizes = np.array([len(b.feature) for b in blocks], dtype=np.int64)
-    return reached, _Forest(
-        joined("feature", np.int64),
-        joined("threshold", np.float64),
-        joined("categories", np.int64, width),
-        joined("left", np.int64),
-        joined("right", np.int64),
-        joined("counts", np.int64, K),
-        sizes,
-    ), p_true, right
+def growth_order(blocks, schema: Schema):
+    """The nodes of the subtrees ``blocks`` (``_Nodes``, one per site) as
+    ``cart.grow_sites`` hands them over: breadth first over all sites, the
+    roots first and then each level's split nodes' children in pairs, left
+    first, as ``(feature, threshold, categories, counts, site)``."""
+    nodes = []
+    level = [(s, 0) for s in range(len(blocks))]
+    while level:
+        nodes += level
+        level = [
+            (s, child)
+            for s, node in level
+            if blocks[s].feature[node] >= 0
+            for child in (blocks[s].left[node], blocks[s].right[node])
+        ]
+    n, width, K = len(nodes), category_width(schema), schema.num_classes
+
+    def column(name, dtype, *shape):
+        return np.array([getattr(blocks[s], name)[node] for s, node in nodes], dtype=dtype).reshape(n, *shape)
+
+    return (
+        column("feature", np.int64),
+        column("threshold", np.float64),
+        column("categories", np.int64, width),
+        column("counts", np.int64, K),
+        np.array([s for s, _node in nodes], dtype=np.int64),
+    )
 
 
 def reference_grow_step(sources, chunk: Chunk, params, adapt: bool = True):
     """``transfer.grow_step`` with its regrowth, the new tree's included,
     done by ``reference_regrow``."""
     with mock.patch.object(transfer, "_regrow", reference_regrow):
+        return transfer.grow_step(sources, chunk, params, adapt)
+
+
+def pre_order(tree: Tree) -> Tree:
+    """``tree`` with its nodes relabelled in pre-order, left subtree first:
+    a canonical form, in which two trees of the same structure have the
+    same arrays whatever order their nodes were laid out in."""
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if tree.feature[node] >= 0:
+            stack += [int(tree.right[node]), int(tree.left[node])]
+    order = np.array(order, dtype=np.int64)
+    new_id = np.full(tree.n_nodes, -1, dtype=np.int64)
+    new_id[order] = np.arange(order.size)
+
+    def child(ids):
+        return np.where(ids >= 0, new_id[ids], -1)
+
+    return Tree(
+        tree.feature[order],
+        tree.threshold[order],
+        tree.categories[order],
+        child(tree.left[order]),
+        child(tree.right[order]),
+        tree.counts[order],
+        tree.schema,
+        tree.origin_chunk_index,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The placement that ``_Forest.splice`` replaced: growth's nodes re-laid as
+# one pre-order subtree per site (``_pre_order``), then spliced in by moving
+# every node after a reached leaf up by its subtree's size.
+
+
+def _pre_order(feature, threshold, categories, counts, level_sizes, n_sites: int) -> _Forest:
+    """The nodes of ``grow_sites``, numbered breadth first over all sites
+    (``level_sizes`` nodes a level), as a forest of one tree per site, its
+    nodes in pre-order, left subtree first. The children of a level's split
+    nodes are the next level's nodes, in pairs, so subtree sizes are summed
+    bottom-up and pre-order ids handed out top-down, a level at a time on
+    slices."""
+    internal = feature >= 0
+    ends = np.cumsum([0] + level_sizes).tolist()
+    spans = list(zip(ends, ends[1:], ends[2:]))  # a level's ids, then its children's
+    subtree = np.ones(feature.size, dtype=np.int64)
+    for a, b, c in reversed(spans):
+        subtree[a:b][internal[a:b]] += subtree[b:c:2] + subtree[b + 1 : c : 2]
+    sizes = subtree[:n_sites]
+    pre = np.empty(feature.size, dtype=np.int64)
+    pre[:n_sites] = sizes.cumsum() - sizes
+    for a, b, c in spans:
+        pre[b:c:2] = pre[a:b][internal[a:b]] + 1
+        pre[b + 1 : c : 2] = pre[b:c:2] + subtree[b:c:2]
+    root = np.repeat(pre[:n_sites], sizes)  # at each new id, its tree's first id
+
+    def placed(a):
+        out = np.empty(a.shape, dtype=a.dtype)
+        out[pre] = a
+        return out
+
+    feature, subtree = placed(feature), placed(subtree)
+    internal = feature >= 0
+    left = np.where(internal, np.arange(feature.size) - root + 1, -1)
+    right = np.where(internal, left + np.append(subtree[1:], 0), -1)  # past the left subtree
+    return _Forest(feature, placed(threshold), placed(categories), left, right, placed(counts), sizes, None)
+
+
+def _renumbering_splice(self: _Forest, reached: np.ndarray, grown: _Forest) -> _Forest:
+    """The forest with each leaf of ``reached`` (global ids, ascending)
+    replaced by its tree of ``grown`` (from ``_pre_order``), every
+    other node copied, all in one set of array ops. A tree with no reached
+    leaf stays the same ``Tree``; every other becomes one that views the
+    new arrays, with its source's schema and origin chunk."""
+    sizes = grown.sizes
+    extra = np.zeros(self.size, dtype=np.int64)
+    extra[reached] = sizes - 1
+    # A node's new id: its old id plus the growth of the reached leaves
+    # before it. A reached leaf's new id is the first node of its tree.
+    new_id = np.arange(self.size) + np.cumsum(extra) - extra
+    total = self.size + int(extra.sum())
+    kept = np.ones(self.size, dtype=bool)
+    kept[reached] = False
+    dest = new_id[kept]
+    placed = np.ones(total, dtype=bool)
+    placed[dest] = False  # grown nodes fill the remaining ids, in order
+
+    def column(src, grown_values):
+        out = np.empty((total, *src.shape[1:]), dtype=src.dtype)
+        out[dest] = src[kept]
+        out[placed] = grown_values
+        return out
+
+    names = ("feature", "threshold", "categories", "counts")
+    feature, threshold, categories, counts = (column(getattr(self, a), getattr(grown, a)) for a in names)
+    internal = self.feature[kept] >= 0
+    base = np.repeat(new_id[reached], sizes)
+    starts = new_id[self.starts]
+    tree_sizes = np.diff(np.append(starts, total))
+    rebase = np.repeat(starts, tree_sizes)
+    children = []  # child ids go global, move with the growth and go local again
+    for src, local in ((self.kids[1::2], grown.left), (self.kids[0::2], grown.right)):
+        child = np.empty(total, dtype=np.int64)
+        child[dest] = np.where(internal, new_id[src[kept]], -1)
+        child[placed] = np.where(local >= 0, local + base, -1)
+        children.append(np.where(child >= 0, child - rebase, -1))
+    columns = (feature, threshold, categories, *children, counts)
+    touched = set((np.searchsorted(self.starts, reached, side="right") - 1).tolist())
+    trees = [
+        Tree(*(c[a:a + k] for c in columns), source.schema, source.origin_chunk_index) if t in touched else source
+        for t, (source, a, k) in enumerate(zip(self.trees, starts.tolist(), tree_sizes.tolist()))
+    ]
+    return _Forest(*columns, tree_sizes, trees)
+
+
+def reference_splice(self: _Forest, reached: np.ndarray, grown) -> _Forest:
+    """``_Forest.splice`` as it was: growth's nodes (``grow_sites``' growth
+    order) re-laid in pre-order by ``_pre_order``, its level sizes read off
+    the split nodes, then spliced in by ``_renumbering_splice``."""
+    feature, threshold, categories, counts, _site = grown
+    level_sizes, first, m = [], 0, reached.size
+    while m:
+        level_sizes.append(m)
+        first, m = first + m, 2 * int(np.count_nonzero(feature[first:first + m] >= 0))
+    subtrees = _pre_order(feature, threshold, categories, counts, level_sizes, reached.size)
+    return _renumbering_splice(self, reached, subtrees)
+
+
+def reference_splice_step(sources, chunk: Chunk, params, adapt: bool = True):
+    """``transfer.grow_step`` with its splice done by ``reference_splice``."""
+    with mock.patch.object(_Forest, "splice", reference_splice):
         return transfer.grow_step(sources, chunk, params, adapt)
 
 

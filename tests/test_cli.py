@@ -122,6 +122,45 @@ def test_run_rejects_bad_inputs(tmp_path):
     assert main(["run", "--spec", str(bad_spec)]) == 1
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"m": "25"}, "spec key 'm' must be an integer"),
+        ({"streams": "SEA200A"}, "spec key 'streams' must be a list of strings"),
+        ({"seeds": [1, "2"]}, "spec key 'seeds' must be a list of integers"),
+        ({"max_depth": 2.5}, "spec key 'max_depth' must be an integer or null"),
+        ({"epsilon": "small"}, "spec key 'epsilon' must be a number"),
+        ({"record_wall_time": 0}, "spec key 'record_wall_time' must be true or false"),
+        (["SEA200A"], "a spec must be a JSON object"),
+    ],
+)
+def test_malformed_spec_files_are_input_errors(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(spec_path), "--out-dir", str(tmp_path / "res")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+def test_paths_of_the_wrong_kind_are_input_errors(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    assert main(["report", "--results", str(tmp_path / "empty")]) == 1
+    assert f"no results.csv in {tmp_path / 'empty'}" in capsys.readouterr().err
+    sweep = ["sweep", "--preset", "SEA200A", "--m-values", "2", "--steps", "2", "--out", str(tmp_path)]
+    assert main(sweep) == 1
+    assert f"{tmp_path} is a directory" in capsys.readouterr().err
+    assert main(["generate", "--preset", "SEA200A", "--steps", "2", "--out", str(tmp_path)]) == 1
+    assert f"{tmp_path} is a directory" in capsys.readouterr().err
+    data = tmp_path / "data.csv"
+    data.write_text("")
+    for out_dir in (data, data / "res"):  # a file where a directory goes
+        assert main(["run", "--streams", "SEA200A", "--steps", "1", "--out-dir", str(out_dir)]) == 1
+        assert "runtime failure" not in capsys.readouterr().err
+    data.write_text("step,role,f0,label\n0,train,1.0,0\nfirst,train,2.0,1\n")
+    assert main(["run", "--streams", str(data), "--out-dir", str(tmp_path / "res")]) == 1
+    assert f"{data}:3: step must be an integer, not 'first'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("transfer_workers", 4), ("workers", 2)])
 def test_removed_concurrency_spec_keys_are_unknown(tmp_path, capsys, key, value):
     spec_path = tmp_path / "spec.json"

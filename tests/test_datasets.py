@@ -98,6 +98,10 @@ def test_malformed_files_rejected(tmp_path):
     )
     with pytest.raises(ValueError):
         read_stream_csv(missing_test)
+    bad_step = tmp_path / "step.csv"
+    bad_step.write_text("step,role,f0,label\n0,train,1.0,0\n1.5,train,2.0,1\n")
+    with pytest.raises(ValueError, match=f"{bad_step}:3: step must be an integer"):
+        read_stream_csv(bad_step)
 
 
 def test_float_text_roundtrips_exactly(tmp_path):

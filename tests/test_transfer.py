@@ -26,9 +26,12 @@ from helpers import (
     graph_transfer,
     list_train_cart,
     numeric_chunk,
+    pre_order,
+    random_chunk,
     random_consistent_chunk,
     random_schema,
     reference_grow_step,
+    reference_splice_step,
     reference_transfer,
     reference_transfer_trees,
     straight_line_route,
@@ -329,21 +332,48 @@ def test_batched_regrowth_matches_per_site_loop(data):
     adapted = transfer_trees(sources, target, params)
     expected = reference_transfer_trees(sources, target, params)
     for fused, reference in zip(adapted, expected):
-        assert tree_to_text(fused.tree) == tree_to_text(reference.tree)
+        _assert_same_tree(fused.tree, reference.tree)
         assert fused.p_true.tobytes() == reference.p_true.tobytes()
         assert np.array_equal(fused.source_correct, reference.source_correct)
-        assert fused.tree.threshold.tobytes() == reference.tree.threshold.tobytes()
 
 
 TREE_ARRAYS = ("feature", "threshold", "categories", "left", "right", "counts")
+GROWN_ARRAYS = ("feature", "threshold", "categories", "counts")  # grow_sites' nodes, with their sites
 # WALK_SCHEMA and a feature of one category: no subsets, so it never splits.
 STEP_SCHEMA = Schema(WALK_SCHEMA.features + (FeatureDescriptor(CATEGORICAL, ("a",)),), 3)
 
 
+def _draw_step(data, min_sources: int):
+    """A drawn DTEL step: ``min_sources`` to 4 sources trained on chunks of
+    copied rows (``duplicate_rows``) under free labels, each with its own
+    random stopping limits; the target chunk, its limits, and ``adapt``."""
+
+    def chunk(index):
+        n = data.draw(st.integers(1, 60))
+        X = np.hstack([duplicate_rows(data, n), np.zeros((n, 1))])
+        y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return Chunk(index, STEP_SCHEMA, X, np.asarray(y, dtype=np.int64))
+
+    def stopping(n):
+        return StoppingParams(
+            max_depth=data.draw(st.one_of(st.none(), st.integers(0, 4))),
+            min_samples_split=data.draw(st.integers(2, max(2, n))),
+            min_impurity_decrease=data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1))),
+        )
+
+    trained = [chunk(i) for i in range(data.draw(st.integers(min_sources, 4)))]
+    sources = [train_cart(c, stopping(len(c))) for c in trained]
+    target = chunk(len(sources))
+    return sources, target, stopping(len(target)), data.draw(st.booleans())
+
+
 def _assert_same_tree(tree, expected):
+    # Node order is a layout choice (growth order, pre-order): the trees'
+    # canonical forms must agree in all six arrays, byte for byte.
     assert tree_to_text(tree) == tree_to_text(expected)
+    canonical, expected = pre_order(tree), pre_order(expected)
     for name in TREE_ARRAYS:
-        assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes()
+        assert getattr(canonical, name).tobytes() == getattr(expected, name).tobytes()
 
 
 @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
@@ -359,24 +389,7 @@ def test_step_growth_matches_train_cart_and_per_site_loop(data):
     # min_samples_split is drawn up to the chunk size, so the weighted node
     # sizes decide where growth stops. With adapt=False only the one-leaf
     # tree regrows and the sources stay the same objects.
-    def chunk(index):
-        n = data.draw(st.integers(1, 60))
-        X = np.hstack([duplicate_rows(data, n), np.zeros((n, 1))])
-        y = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        return Chunk(index, STEP_SCHEMA, X, np.asarray(y, dtype=np.int64))
-
-    def stopping(n):
-        return StoppingParams(
-            max_depth=data.draw(st.one_of(st.none(), st.integers(0, 4))),
-            min_samples_split=data.draw(st.integers(2, max(2, n))),
-            min_impurity_decrease=data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1))),
-        )
-
-    trained = [chunk(i) for i in range(data.draw(st.integers(0, 4)))]
-    sources = [train_cart(c, stopping(len(c))) for c in trained]
-    target = chunk(len(sources))
-    params = stopping(len(target))
-    adapt = data.draw(st.booleans())
+    sources, target, params, adapt = _draw_step(data, min_sources=0)
     forest, bits, p_true = grow_step(sources, target, params, adapt)
     expected, expected_bits, expected_p = reference_grow_step(sources, target, params, adapt)
     new_tree = forest.trees[-1]
@@ -422,10 +435,72 @@ def test_forest_of_trees_round_trips_and_an_empty_splice_keeps_the_trees():
     assert forest.trees == trees and forest.sizes.tolist() == [t.n_nodes for t in trees]
     for t, tree in enumerate(trees):
         copy = forest.tree(t, tree.schema, tree.origin_chunk_index)
-        _assert_same_tree(copy, tree)
+        for name in TREE_ARRAYS:  # the same layout, not only the same structure
+            assert getattr(copy, name).tobytes() == getattr(tree, name).tobytes()
         assert not any(np.shares_memory(getattr(copy, name), getattr(forest, name)) for name in TREE_ARRAYS)
-    nothing = _Forest(*(getattr(forest, name)[:0] for name in TREE_ARRAYS), np.zeros(0, dtype=np.int64))
+    nothing = tuple(getattr(forest, name)[:0] for name in GROWN_ARRAYS) + (np.zeros(0, dtype=np.int64),)
     spliced = forest.splice(np.zeros(0, dtype=np.int64), nothing)
     assert all(a is b for a, b in zip(spliced.trees, trees)) and len(spliced.trees) == len(trees)
     for name in (*TREE_ARRAYS, "sizes", "starts", "kids", "codes"):
         assert np.array_equal(getattr(spliced, name), getattr(forest, name), equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_step_splice_matches_the_renumbering_splice(data):
+    # grow_step grows each reached leaf in place: the leaf's row takes its
+    # site's root and the site's other nodes follow the tree's own. The
+    # oracle is the splice it replaced, which re-laid growth's nodes in
+    # pre-order and moved every node after a reached leaf. Node ids differ
+    # between the two, so the trees are compared in canonical form; the
+    # bits and posteriors come from growth and must not change at all.
+    sources, target, params, adapt = _draw_step(data, min_sources=1)
+    forest, bits, p_true = grow_step(sources, target, params, adapt)
+    expected, expected_bits, expected_p = reference_splice_step(sources, target, params, adapt)
+    assert len(forest.trees) == len(expected.trees) == len(sources) + 1
+    for t, (tree, reference) in enumerate(zip(forest.trees, expected.trees)):
+        _assert_same_tree(tree, reference)
+        assert (tree.schema, tree.origin_chunk_index) == (reference.schema, reference.origin_chunk_index)
+        if t < len(sources):
+            assert (tree is sources[t]) == (reference is sources[t])
+        a, b = forest.starts[t], forest.starts[t] + forest.sizes[t]
+        for name in TREE_ARRAYS:
+            assert getattr(forest, name)[a:b].tobytes() == getattr(tree, name).tobytes()
+    assert forest.sizes.tolist() == expected.sizes.tolist()
+    assert np.array_equal(bits, expected_bits)
+    assert p_true.tobytes() == expected_p.tobytes()
+
+
+def test_adapted_trees_keep_every_unreached_source_node_in_place():
+    # An adapted tree is its source's arrays, extended: every node but the
+    # reached leaves keeps its id and its row, and a reached leaf keeps its
+    # id. Here only the left leaf of [1, 2 | 8, 9] is reached, and it
+    # regrows; the right leaf, after it in the source, must not move.
+    source = train_cart(numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1]), UNBOUNDED)
+    target = numeric_chunk([1, 2, 3, 4], [0, 1, 0, 1], index=1)
+    adapted = transfer_tree(source, target, UNBOUNDED).tree
+    assert adapted.n_nodes > source.n_nodes
+    for name in TREE_ARRAYS:
+        assert getattr(adapted, name)[2].tobytes() == getattr(source, name)[2].tobytes()
+    rng = make_rng(41)
+    grew = 0
+    for trial in range(25):
+        schema = random_schema(rng)
+        sources = [
+            train_cart(random_consistent_chunk(rng, schema, int(rng.integers(2, 30)), index=i), UNBOUNDED)
+            for i in range(3)
+        ]
+        target = random_chunk(rng, schema, int(rng.integers(1, 40)), index=3)
+        adapted = transfer_trees(sources, target, StoppingParams(max_depth=int(rng.integers(1, 8))))
+        for source, leaves, fused in zip(sources, route_forest(sources, target), adapted):
+            tree = fused.tree
+            assert tree.n_nodes >= source.n_nodes
+            grew += tree.n_nodes > source.n_nodes
+            unreached = np.setdiff1d(np.arange(source.n_nodes), leaves)
+            for name in TREE_ARRAYS:
+                assert getattr(tree, name)[unreached].tobytes() == getattr(source, name)[unreached].tobytes()
+            # Each row passes its source leaf's id: it stops there, or goes
+            # on into that leaf's appended nodes.
+            reached = route_forest([tree], target)[0]
+            assert np.where(tree.feature[leaves] < 0, reached == leaves, reached >= source.n_nodes).all()
+    assert grew  # some source grew, so its later nodes would have moved
