@@ -31,6 +31,7 @@ CART = "src/driftel/cart.py"
 CORE = "src/driftel/core.py"
 DIVERSITY = "src/driftel/diversity.py"
 DTEL = "src/driftel/dtel.py"
+STREAMS = "src/driftel/streams.py"
 TRANSFER = "src/driftel/transfer.py"
 TIMEOUT_S = 60  # the unmutated unit files take 1-11 s each
 PROFILE = """
@@ -200,6 +201,20 @@ MUTANTS = [
      "removed = select_removal(candidates) if diverse else select_least_accurate(candidates)",
      "removed = select_removal(candidates)",
      ["test_dtel.py"]),
+    ("stream-noise-before-test-rows", STREAMS,
+     "    train = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"
+     "    test = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"
+     "    return ChunkPair(add_noise(train, cfg.noise_rate, rng), test)",
+     "    train = add_noise(Chunk(step, schema, *draw(rng, cfg.chunk_size, concept)), cfg.noise_rate, rng)\n"
+     "    test = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"
+     "    return ChunkPair(train, test)",
+     ["test_streams.py"]),
+    ("stream-test-rows-first", STREAMS,
+     "    train = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"
+     "    test = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n",
+     "    test = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"
+     "    train = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n",
+     ["test_streams.py"]),
 ]
 
 

@@ -15,8 +15,10 @@ step, the sha256 of the ``tree_to_text`` of every archived tree and, for the
 three dtel variants, of every ensemble member, and of the
 ``ensemble_posteriors`` bytes on the step's test chunk. ``tree_to_text``
 walks the structure, so a change of node order passes and a change of
-structure does not. Both sides run at the same time, each
-its own commands one after the other. Then ``diff -r`` compares the two
+structure does not. It also writes the sha256 of every chunk (features,
+labels, their dtypes and the step index of the train and the test chunk) of
+all 15 stream presets, for seeds 1 and 7 and all 120 steps. Both sides run
+at the same time, each its own commands one after the other. Then ``diff -r`` compares the two
 output trees (under ``--out``, by default a temporary directory that is
 removed; give it an empty or new directory). The exit status is 0 when
 every file is byte-identical, 1 on any difference and 2 when a run fails.
@@ -81,6 +83,25 @@ with open(sys.argv[2], "w") as posteriors, open(sys.argv[3], "w") as trees:
 """
 
 
+# Run with the checkout's src/ on the path: argv[1] is the seeds as JSON,
+# argv[2] the output file of the chunk hashes.
+HASH_STREAMS = """
+import hashlib, json, sys
+from driftel.streams import PRESETS, make_stream, preset_config
+
+with open(sys.argv[2], "w") as out:
+    for preset in sorted(PRESETS):
+        for seed in json.loads(sys.argv[1]):
+            for step, pair in enumerate(make_stream(preset_config(preset, seed=seed))):
+                digest = hashlib.sha256()
+                for chunk in (pair.train, pair.test):
+                    for array in (chunk.X, chunk.y):
+                        digest.update(str(array.dtype).encode() + array.tobytes())
+                    digest.update(str(chunk.index).encode())
+                out.write(f"{preset} {seed} {step} {digest.hexdigest()}\\n")
+"""
+
+
 def run_flags(setting: dict) -> list[str]:
     """``driftel run`` flags of one setting."""
     flags = []
@@ -92,7 +113,10 @@ def run_flags(setting: dict) -> list[str]:
 def run_side(checkout: Path, out: Path) -> list[str]:
     """Every run of one checkout into ``out``; returns the failures."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
-    failures = []
+    out.mkdir(parents=True, exist_ok=True)
+    streams = [sys.executable, "-c", HASH_STREAMS, json.dumps(SEEDS), str(out / "presets.streams.sha256")]
+    done = subprocess.run(streams, env=env, capture_output=True, text=True)
+    failures = [f"{checkout} streams: exit {done.returncode}: {done.stderr.strip()[-500:]}"] if done.returncode else []
     for name, setting in SETTINGS.items():
         cli = [sys.executable, "-m", "driftel.cli", "run", "--no-wall-time", "--out-dir", str(out / name)]
         for flag, values in (("--algorithms", ALGORITHMS), ("--streams", STREAMS), ("--seeds", SEEDS)):
@@ -125,12 +149,13 @@ def main(argv=None) -> int:
             return 2
         files = sorted(p.relative_to(sides["parent"]) for p in sides["parent"].rglob("*") if p.is_file())
         diff = subprocess.run(["diff", "-r", str(sides["parent"]), str(sides["change"])], capture_output=True, text=True)
-        hashed = {kind: [f for f in files if f.name.endswith(f".{kind}.sha256")] for kind in ("posteriors", "trees")}
+        kinds = ("posteriors", "trees", "streams")
+        hashed = {kind: [f for f in files if f.name.endswith(f".{kind}.sha256")] for kind in kinds}
         lines = {kind: sum(len((sides["parent"] / f).read_text().splitlines()) for f in fs)
                  for kind, fs in hashed.items()}
-        print(f"{len(files) - len(hashed['posteriors']) - len(hashed['trees'])} result files, "
+        print(f"{len(files) - sum(map(len, hashed.values()))} result files, "
               f"{lines['posteriors']} posterior hashes and {lines['trees']} tree hash lines "
-              f"({len(SETTINGS)} settings) compared")
+              f"({len(SETTINGS)} settings) and {lines['streams']} stream chunk hashes compared")
         if diff.returncode:
             print(diff.stdout[-4000:] or diff.stderr)
             print("DIFFERENT")

@@ -12,24 +12,18 @@ Every command is fully seeded: rerunning with the same spec reproduces the
 same result bytes (wall-clock timings are the one exception; disable them
 with --no-wall-time for byte-identical reruns).
 
-Exit codes: 0 success, 1 input error, 2 runtime failure.
+Each optional flag of ``generate``, ``run`` and ``sweep`` sets the field of
+its name, dashes read as underscores (``--noise-rate`` sets ``noise_rate``);
+``--steps`` sets ``n_steps`` and ``--no-wall-time`` sets ``record_wall_time``
+to false. A flag that is not given leaves its field as it was. ``run``'s
+fields are those of ``RunSpec``, which are also the keys of its JSON spec
+file (--spec); a flag overrides its key. ``generate`` and ``sweep`` set
+fields of the preset's ``streams.DriftStreamConfig``. List flags (--algorithms,
+--streams, --seeds, --m-values) take comma-separated values and may repeat;
+``run`` runs each distinct value once, in first-seen order.
 
-``run`` accepts a JSON spec file (--spec); any flag given on the command line
-overrides the corresponding spec key. Keys and defaults:
-
-  algorithms        ["dtel"]            registered algorithm names
-  streams           []                  preset names and/or dataset CSV paths
-  seeds             [0]                 one run per (algorithm, stream, seed)
-  m                 25                  archive capacity
-  epsilon           1e-10               weight denominator guard
-  max_depth         null                tree depth cap (null = unbounded)
-  min_samples_split 2
-  min_impurity_decrease 0.0
-  noise_rate        0.1                 training-label noise for presets
-  n_steps           120                 steps per generated stream
-  protocol          "auto"              auto | synthetic | prequential
-  out_dir           "results"
-  record_wall_time  true
+Exit codes: 0 success (and --help), 1 input error (a usage error, or a bad
+value, spec, path or dataset CSV), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -51,6 +45,7 @@ from .datasets import read_stream_csv, write_stream_csv
 from .dtel import DtelConfig
 from .evaluation import (
     RunResult,
+    pool_accuracies,
     rank_sum_test,
     read_results_csv,
     run_prequential,
@@ -59,7 +54,9 @@ from .evaluation import (
     write_results_csv,
     write_summary_csv,
 )
-from .streams import PRESETS, ChunkPair, make_stream, preset_config
+from .streams import PRESETS, ChunkPair, DriftStreamConfig, make_stream, preset_config
+
+PROTOCOLS = ("auto", "synthetic", "prequential")
 
 
 def _is_int(v) -> bool:
@@ -81,16 +78,16 @@ _SPEC_TYPES = {
 @dataclass
 class RunSpec:
     algorithms: list[str] = field(default_factory=lambda: ["dtel"])
-    streams: list[str] = field(default_factory=list)
+    streams: list[str] = field(default_factory=list)  # preset names and/or dataset CSV paths
     seeds: list[int] = field(default_factory=lambda: [0])
-    m: int = 25
-    epsilon: float = 1e-10
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    min_impurity_decrease: float = 0.0
-    noise_rate: float = 0.10
-    n_steps: int = 120
-    protocol: str = "auto"
+    m: int = DtelConfig.m
+    epsilon: float = DtelConfig.epsilon
+    max_depth: int | None = StoppingParams.max_depth
+    min_samples_split: int = StoppingParams.min_samples_split
+    min_impurity_decrease: float = StoppingParams.min_impurity_decrease
+    noise_rate: float = DriftStreamConfig.noise_rate  # of the presets
+    n_steps: int = DriftStreamConfig.n_steps  # of the presets
+    protocol: str = "auto"  # one of PROTOCOLS
     out_dir: str = "results"
     record_wall_time: bool = True
 
@@ -111,17 +108,21 @@ class RunSpec:
         return cls(**data)
 
     def validate(self) -> None:
-        if not self.streams:
-            raise ValueError("no streams given")
+        for key in ("algorithms", "streams", "seeds"):
+            if not getattr(self, key):
+                raise ValueError(f"no {key} given")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(
                     f"unknown algorithm {name!r}; registered: {', '.join(sorted(ALGORITHMS))}"
                 )
-        if not self.seeds:
-            raise ValueError("no seeds given")
-        if self.protocol not in ("auto", "synthetic", "prequential"):
-            raise ValueError("protocol must be auto, synthetic, or prequential")
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"protocol must be one of {', '.join(PROTOCOLS)}")
+        labels = {}
+        for name in self.streams:
+            other = labels.setdefault(_stream_label(name), name)
+            if other != name:
+                raise ValueError(f"streams {other} and {name} share the label {_stream_label(name)!r}")
 
     def learner_config(self) -> DtelConfig:
         return DtelConfig(
@@ -188,21 +189,16 @@ def _run_cell(spec: RunSpec, algorithm: str, stream_name: str, seed: int, items,
 
 
 def run_spec(spec: RunSpec) -> list[RunResult]:
-    """Execute every (algorithm, stream, seed) cell and write all CSVs."""
+    """Execute every distinct (algorithm, stream, seed) cell and write all CSVs."""
     spec.validate()
+    algorithms, streams, seeds = (dict.fromkeys(v) for v in (spec.algorithms, spec.streams, spec.seeds))
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    loaded = {}
-    for stream_name in spec.streams:
-        for seed in spec.seeds:
-            key = (stream_name, seed)
-            if key not in loaded:
-                loaded[key] = _load_stream(stream_name, seed, spec)
+    loaded = {(name, seed): _load_stream(name, seed, spec) for name, seed in product(streams, seeds)}
 
     results = []
-    for alg, stream_name, seed in product(spec.algorithms, spec.streams, spec.seeds):
-        items, paired = loaded[(stream_name, seed)]
+    for alg, (stream_name, seed) in product(algorithms, loaded):
+        items, paired = loaded[stream_name, seed]
         result = _run_cell(spec, alg, stream_name, seed, items, paired)
         cell_path = out_dir / f"{result.run_id}.csv"
         _atomic_write(cell_path, lambda tmp: write_results_csv([result], tmp))
@@ -214,14 +210,14 @@ def run_spec(spec: RunSpec) -> list[RunResult]:
     return results
 
 
+def _given(args, cls) -> dict:
+    """The fields of dataclass ``cls`` that flags given on the command line
+    set; a flag that was not given is absent from ``args``."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _cmd_generate(args) -> int:
-    cfg = preset_config(
-        args.preset,
-        seed=args.seed,
-        noise_rate=args.noise_rate if args.noise_rate is not None else 0.10,
-        n_steps=args.steps,
-        **({"chunk_size": args.chunk_size} if args.chunk_size else {}),
-    )
+    cfg = preset_config(args.preset, **_given(args, DriftStreamConfig))
     stream = make_stream(cfg)
     out = Path(args.out)
     rows = _atomic_write(out, lambda tmp: write_stream_csv(stream, tmp))
@@ -229,35 +225,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _apply_overrides(spec: RunSpec, args) -> RunSpec:
-    if args.algorithms:
-        spec.algorithms = [a for part in args.algorithms for a in part.split(",") if a]
-    if args.streams:
-        spec.streams = [s for part in args.streams for s in part.split(",") if s]
-    if args.seeds:
-        spec.seeds = [int(s) for part in args.seeds for s in part.split(",") if s]
-    for name in (
-        "m",
-        "epsilon",
-        "max_depth",
-        "min_samples_split",
-        "min_impurity_decrease",
-        "noise_rate",
-        "n_steps",
-        "protocol",
-        "out_dir",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(spec, name, value)
-    if args.no_wall_time:
-        spec.record_wall_time = False
-    return spec
-
-
 def _cmd_run(args) -> int:
     spec = RunSpec.from_json(args.spec) if args.spec else RunSpec()
-    spec = _apply_overrides(spec, args)
+    spec = replace(spec, **_given(args, RunSpec))
     results = run_spec(spec)
     for res in results:
         s = summarize(res)
@@ -267,15 +237,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    m_values = sorted({int(v) for part in args.m_values for v in part.split(",") if v})
+    m_values = sorted(set(args.m_values))
     if not m_values:
         raise ValueError("no archive sizes given")
-    seeds = [int(s) for part in (args.seeds or ["0"]) for s in part.split(",") if s]
+    seeds = vars(args).get("seeds", [0])
+    if not seeds:
+        raise ValueError("no seeds given")
+    out = Path(args.out)
+    if out.is_dir():  # before the sweep runs
+        raise ValueError(f"{out} is a directory")
     rows = []
     for m in m_values:
         accs = []
         for seed in seeds:
-            cfg = preset_config(args.preset, seed=seed, n_steps=args.steps)
+            cfg = preset_config(args.preset, seed=seed, **_given(args, DriftStreamConfig))
             learner = make_learner("dtel", DtelConfig(m=m))
             result = run_synthetic(
                 learner, make_stream(cfg), stream_id=args.preset, seed=seed,
@@ -283,10 +258,6 @@ def _cmd_sweep(args) -> int:
             )
             accs.append(float(np.mean(result.per_chunk_accuracy)))
         rows.append((m, float(np.mean(accs))))
-
-    out = Path(args.out)
-    if out.is_dir():  # before the sweep runs
-        raise ValueError(f"{out} is a directory")
 
     def write(tmp):
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
@@ -311,9 +282,7 @@ def _cmd_report(args) -> int:
     results = read_results_csv(results_path)
     if not results:
         raise ValueError(f"no results found in {args.results}")
-    pooled: dict[tuple[str, str], list[float]] = {}
-    for res in results:
-        pooled.setdefault((res.algorithm, res.stream), []).extend(res.per_chunk_accuracy)
+    pooled = pool_accuracies(results)
     algorithms = sorted({a for a, _ in pooled})
     reference = args.reference
     if reference in algorithms:
@@ -341,43 +310,59 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _comma_list(kind):
+    """Argparse type of a list flag: comma-separated ``kind`` values, empty
+    items dropped."""
+
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",") if v]
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftel", description="concept-drift ensemble benchmark harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag that is not given is absent from the parsed arguments.
+    optional = dict(argument_default=argparse.SUPPRESS)
+    strs = dict(action="extend", type=_comma_list(str))
+    ints = dict(action="extend", type=_comma_list(int))
 
-    gen = sub.add_parser("generate", help="write a stream preset as a dataset CSV")
+    gen = sub.add_parser("generate", help="write a stream preset as a dataset CSV", **optional)
     gen.add_argument("--preset", required=True, help=f"one of: {', '.join(sorted(PRESETS))}")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--steps", type=int, default=120)
-    gen.add_argument("--chunk-size", type=int, default=None)
-    gen.add_argument("--noise-rate", type=float, default=None)
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--steps", dest="n_steps", type=int)
+    gen.add_argument("--chunk-size", type=int)
+    gen.add_argument("--noise-rate", type=float)
     gen.add_argument("--out", required=True)
     gen.set_defaults(fn=_cmd_generate)
 
-    run = sub.add_parser("run", help="run algorithms over streams")
-    run.add_argument("--spec", help="JSON spec file; flags override its keys")
-    run.add_argument("--algorithms", action="append", default=None)
-    run.add_argument("--streams", action="append", default=None, help="preset names or dataset CSV paths")
-    run.add_argument("--seeds", action="append", default=None)
-    run.add_argument("--m", type=int, default=None)
-    run.add_argument("--epsilon", type=float, default=None)
-    run.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    run.add_argument("--min-samples-split", dest="min_samples_split", type=int, default=None)
-    run.add_argument("--min-impurity-decrease", dest="min_impurity_decrease", type=float, default=None)
-    run.add_argument("--noise-rate", dest="noise_rate", type=float, default=None)
-    run.add_argument("--steps", dest="n_steps", type=int, default=None)
-    run.add_argument("--protocol", choices=("auto", "synthetic", "prequential"), default=None)
-    run.add_argument("--out-dir", dest="out_dir", default=None)
-    run.add_argument("--no-wall-time", action="store_true", help="write zero timings for byte-identical reruns")
+    run = sub.add_parser("run", help="run algorithms over streams", **optional)
+    run.add_argument("--spec", default=None, help="JSON spec file; flags override its keys")
+    run.add_argument("--algorithms", **strs)
+    run.add_argument("--streams", **strs, help="preset names or dataset CSV paths")
+    run.add_argument("--seeds", **ints)
+    run.add_argument("--m", type=int)
+    run.add_argument("--epsilon", type=float)
+    run.add_argument("--max-depth", type=int)
+    run.add_argument("--min-samples-split", type=int)
+    run.add_argument("--min-impurity-decrease", type=float)
+    run.add_argument("--noise-rate", type=float)
+    run.add_argument("--steps", dest="n_steps", type=int)
+    run.add_argument("--protocol", choices=PROTOCOLS)
+    run.add_argument("--out-dir")
+    run.add_argument("--no-wall-time", dest="record_wall_time", action="store_false",
+                     help="write zero timings for byte-identical reruns")
     run.set_defaults(fn=_cmd_run)
 
-    sweep = sub.add_parser("sweep", help="archive-size sensitivity sweep for dtel")
+    sweep = sub.add_parser("sweep", help="archive-size sensitivity sweep for dtel", **optional)
     sweep.add_argument("--preset", required=True)
-    sweep.add_argument("--m-values", dest="m_values", action="append", required=True)
-    sweep.add_argument("--seeds", action="append", default=None)
-    sweep.add_argument("--steps", type=int, default=120)
+    sweep.add_argument("--m-values", required=True, **ints)
+    sweep.add_argument("--seeds", **ints)
+    sweep.add_argument("--steps", dest="n_steps", type=int)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(fn=_cmd_sweep)
 
@@ -389,8 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error is an input error
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError, FileExistsError, NotADirectoryError, json.JSONDecodeError) as exc:

@@ -162,11 +162,17 @@ def write_results_csv(results, path) -> None:
                 )
 
 
-def write_summary_csv(results, path) -> None:
-    """Mean/std of per-chunk accuracy pooled per (algorithm, stream)."""
+def pool_accuracies(results) -> dict[tuple[str, str], list[float]]:
+    """Per-chunk accuracies pooled over seeds per (algorithm, stream)."""
     pooled: dict[tuple[str, str], list[float]] = {}
     for res in results:
         pooled.setdefault((res.algorithm, res.stream), []).extend(res.per_chunk_accuracy)
+    return pooled
+
+
+def write_summary_csv(results, path) -> None:
+    """Mean/std of per-chunk accuracy pooled per (algorithm, stream)."""
+    pooled = pool_accuracies(results)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)

@@ -22,6 +22,11 @@ satisfy the concept rule exactly.
 Variant "A" drifts more dramatically than variant "G". Scheduled families
 (SEA, CIR, STA) switch concepts abruptly every ``n_steps / len(segments)``
 steps; cumulative families (ROT, SIN) advance their angle every step.
+
+Every family is one draw of noise-free rows for a concept, and one recipe
+turns it into a step's pair. The rng order is part of the stream: the step's
+own rng (``make_rng(seed, step)``) draws the train rows, then the test rows,
+then the training-label noise. Reordering these draws changes every stream.
 """
 
 from __future__ import annotations
@@ -159,17 +164,18 @@ def schema_for(family: str) -> Schema:
         raise ValueError(f"unknown family {family!r}") from None
 
 
+# The segment values of the abruptly switching families, per variant.
+_SEGMENTS = {"SEA": SEA_THETA, "CIR": CIR_RADIUS, "STA": STA_RULES}
+# The per-step angle of the cumulative families, per variant.
+_DELTAS = {"ROT": ROT_DELTA, "SIN": SIN_DELTA}
+
+
 def schedule_for(family: str, variant: str, n_steps: int) -> DriftSchedule | None:
     """Segment schedule for the abruptly switching families; None for the
     cumulative-angle families (ROT, SIN)."""
-    if family == "SEA":
-        segments = SEA_THETA[variant]
-    elif family == "CIR":
-        segments = CIR_RADIUS[variant]
-    elif family == "STA":
-        segments = STA_RULES[variant]
-    else:
+    if family not in _SEGMENTS:
         return None
+    segments = _SEGMENTS[family][variant]
     return DriftSchedule(segments, max(1, n_steps // len(segments)))
 
 
@@ -215,24 +221,15 @@ def add_noise(chunk: Chunk, rate: float, rng: np.random.Generator) -> Chunk:
     return chunk.with_labels(y)
 
 
-def _pair(cfg: DriftStreamConfig, step: int, schema: Schema, Xtr, ytr, Xte, yte, rng) -> ChunkPair:
-    train = add_noise(Chunk(step, schema, Xtr, ytr), cfg.noise_rate, rng)
-    test = Chunk(step, schema, Xte, yte)
-    return ChunkPair(train, test)
+def _uniform(low: float, high: float, d: int, label):
+    """Draw of ``n`` rows uniform on ``[low, high)^d``, labelled by
+    ``label(x1, x2, concept)``."""
 
+    def draw(rng, n: int, concept):
+        X = rng.uniform(low, high, (n, d))
+        return X, label(X[:, 0], X[:, 1], concept)
 
-def gen_sea(cfg: DriftStreamConfig, step: int) -> ChunkPair:
-    rng = make_rng(cfg.seed, step)
-    schema = schema_for("SEA")
-    theta = schedule_for("SEA", cfg.variant, cfg.n_steps).value_at(step)
-    Xtr = rng.uniform(0.0, 10.0, (cfg.chunk_size, 3))
-    Xte = rng.uniform(0.0, 10.0, (cfg.chunk_size, 3))
-    return _pair(
-        cfg, step, schema,
-        Xtr, sea_label(Xtr[:, 0], Xtr[:, 1], theta),
-        Xte, sea_label(Xte[:, 0], Xte[:, 1], theta),
-        rng,
-    )
+    return draw
 
 
 def _rot_draw(rng, n: int, theta: float):
@@ -244,69 +241,35 @@ def _rot_draw(rng, n: int, theta: float):
     return np.stack([x1, x2], axis=1), labels.astype(np.int64)
 
 
-def gen_rot(cfg: DriftStreamConfig, step: int) -> ChunkPair:
-    rng = make_rng(cfg.seed, step)
-    schema = schema_for("ROT")
-    theta = step * ROT_DELTA[cfg.variant]
-    Xtr, ytr = _rot_draw(rng, cfg.chunk_size, theta)
-    Xte, yte = _rot_draw(rng, cfg.chunk_size, theta)
-    return _pair(cfg, step, schema, Xtr, ytr, Xte, yte, rng)
+def _sta_draw(rng, n: int, rule):
+    X = rng.integers(0, 3, (n, 3)).astype(np.float64)
+    return X, sta_label(X[:, 0], X[:, 1], rule)
 
 
-def gen_cir(cfg: DriftStreamConfig, step: int) -> ChunkPair:
-    rng = make_rng(cfg.seed, step)
-    schema = schema_for("CIR")
-    radius = schedule_for("CIR", cfg.variant, cfg.n_steps).value_at(step)
-    Xtr = rng.uniform(-5.0, 5.0, (cfg.chunk_size, 3))
-    Xte = rng.uniform(-5.0, 5.0, (cfg.chunk_size, 3))
-    return _pair(
-        cfg, step, schema,
-        Xtr, cir_label(Xtr[:, 0], Xtr[:, 1], radius),
-        Xte, cir_label(Xte[:, 0], Xte[:, 1], radius),
-        rng,
-    )
-
-
-def gen_sin(cfg: DriftStreamConfig, step: int) -> ChunkPair:
-    rng = make_rng(cfg.seed, step)
-    schema = schema_for("SIN")
-    theta = step * SIN_DELTA[cfg.variant]
-    Xtr = rng.uniform(-5.0, 5.0, (cfg.chunk_size, 2))
-    Xte = rng.uniform(-5.0, 5.0, (cfg.chunk_size, 2))
-    return _pair(
-        cfg, step, schema,
-        Xtr, sin_label(Xtr[:, 0], Xtr[:, 1], theta),
-        Xte, sin_label(Xte[:, 0], Xte[:, 1], theta),
-        rng,
-    )
-
-
-def gen_sta(cfg: DriftStreamConfig, step: int) -> ChunkPair:
-    rng = make_rng(cfg.seed, step)
-    rule = schedule_for("STA", cfg.variant, cfg.n_steps).value_at(step)
-    Xtr = rng.integers(0, 3, (cfg.chunk_size, 3)).astype(np.float64)
-    Xte = rng.integers(0, 3, (cfg.chunk_size, 3)).astype(np.float64)
-    return _pair(
-        cfg, step, schema_for("STA"),
-        Xtr, sta_label(Xtr[:, 0], Xtr[:, 1], rule),
-        Xte, sta_label(Xte[:, 0], Xte[:, 1], rule),
-        rng,
-    )
-
-
-_GENERATORS = {
-    "SEA": gen_sea,
-    "ROT": gen_rot,
-    "CIR": gen_cir,
-    "SIN": gen_sin,
-    "STA": gen_sta,
+# ``draw(rng, n, concept) -> (X, y)`` per family: ``n`` noise-free rows of
+# the concept.
+_DRAWS = {
+    "SEA": _uniform(0.0, 10.0, 3, sea_label),
+    "ROT": _rot_draw,
+    "CIR": _uniform(-5.0, 5.0, 3, cir_label),
+    "SIN": _uniform(-5.0, 5.0, 2, sin_label),
+    "STA": _sta_draw,
 }
 
 
 def generate_pair(cfg: DriftStreamConfig, step: int) -> ChunkPair:
     if not 0 <= step < cfg.n_steps:
         raise ValueError(f"step {step} outside [0, {cfg.n_steps})")
-    return _GENERATORS[cfg.family](cfg, step)
+    schedule = schedule_for(cfg.family, cfg.variant, cfg.n_steps)
+    if schedule is None:
+        concept = step * _DELTAS[cfg.family][cfg.variant]
+    else:
+        concept = schedule.value_at(step)
+    rng = make_rng(cfg.seed, step)
+    draw, schema = _DRAWS[cfg.family], schema_for(cfg.family)
+    train = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))
+    test = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))
+    return ChunkPair(add_noise(train, cfg.noise_rate, rng), test)
 
 
 def make_stream(cfg: DriftStreamConfig) -> list[ChunkPair]:
@@ -318,11 +281,11 @@ def make_stream(cfg: DriftStreamConfig) -> list[ChunkPair]:
 # Named stream presets: family + chunk size + drift variant. "A" variants
 # drift more dramatically than "G" variants; 500-size presets use 500
 # instances per chunk. All run 120 steps with 10% training-label noise.
-PRESETS = {}
-for _fam in FAMILIES:
-    PRESETS[f"{_fam}200A"] = (_fam, "A", 200)
-    PRESETS[f"{_fam}200G"] = (_fam, "G", 200)
-    PRESETS[f"{_fam}500G"] = (_fam, "G", 500)
+PRESETS = {
+    f"{family}{size}{variant}": (family, variant, size)
+    for family in FAMILIES
+    for size, variant in ((200, "A"), (200, "G"), (500, "G"))
+}
 
 
 def preset_config(name: str, seed: int = 0, **overrides) -> DriftStreamConfig:

@@ -8,12 +8,13 @@ reference grower; the unfused transfer walk; the per-site regrowth loop;
 the splice that re-laid grown subtrees in pre-order and renumbered the
 trees around them; the ``dtel-no-transfer`` step that grew its new tree
 alone and scored the archived trees from their own arrays; the per-row soft
-vote, the rational Q loops, the accuracy removal loop and the sea swap
-loop. ``pre_order`` gives any tree a canonical node order for byte
+vote, the rational Q loops, the accuracy removal loop, the sea swap loop and
+the five per-family stream generators. ``pre_order`` gives any tree a canonical node order for byte
 comparisons."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,9 +41,26 @@ from driftel.core import (
     Chunk,
     FeatureDescriptor,
     Schema,
+    make_rng,
 )
 from driftel.diversity import NEW_MODEL, correctness
 from driftel.dtel import ADAPTED, NEW, EnsembleMember, WeightedEnsemble, mse_random, weight_adapted, weight_new
+from driftel.streams import (
+    ROT_CLASSES,
+    ROT_DELTA,
+    ROT_SIGMA,
+    SIN_DELTA,
+    ChunkPair,
+    DriftStreamConfig,
+    add_noise,
+    cir_label,
+    rotate_points,
+    schedule_for,
+    schema_for,
+    sea_label,
+    sin_label,
+    sta_label,
+)
 
 
 # Hypothesis settings for growth tests: a failing example is reported as
@@ -1034,3 +1052,97 @@ def reference_sea_swap(preds, new_pred, y, num_classes):
         if acc > best_acc:
             best_slot, best_acc = slot, acc
     return best_slot
+
+
+# The per-family stream generators that ``streams.generate_pair`` replaced,
+# each drawing train rows, test rows and then training noise from its step's rng.
+def _pair(cfg: DriftStreamConfig, step: int, schema: Schema, Xtr, ytr, Xte, yte, rng) -> ChunkPair:
+    train = add_noise(Chunk(step, schema, Xtr, ytr), cfg.noise_rate, rng)
+    test = Chunk(step, schema, Xte, yte)
+    return ChunkPair(train, test)
+
+
+def gen_sea(cfg: DriftStreamConfig, step: int) -> ChunkPair:
+    rng = make_rng(cfg.seed, step)
+    schema = schema_for("SEA")
+    theta = schedule_for("SEA", cfg.variant, cfg.n_steps).value_at(step)
+    Xtr = rng.uniform(0.0, 10.0, (cfg.chunk_size, 3))
+    Xte = rng.uniform(0.0, 10.0, (cfg.chunk_size, 3))
+    return _pair(
+        cfg, step, schema,
+        Xtr, sea_label(Xtr[:, 0], Xtr[:, 1], theta),
+        Xte, sea_label(Xte[:, 0], Xte[:, 1], theta),
+        rng,
+    )
+
+
+def _rot_draw(rng, n: int, theta: float):
+    labels = rng.integers(0, ROT_CLASSES, size=n)
+    angles = labels * (math.pi / 3.0)
+    centers = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    pts = centers + rng.normal(0.0, ROT_SIGMA, (n, 2))
+    x1, x2 = rotate_points(pts[:, 0], pts[:, 1], theta)
+    return np.stack([x1, x2], axis=1), labels.astype(np.int64)
+
+
+def gen_rot(cfg: DriftStreamConfig, step: int) -> ChunkPair:
+    rng = make_rng(cfg.seed, step)
+    schema = schema_for("ROT")
+    theta = step * ROT_DELTA[cfg.variant]
+    Xtr, ytr = _rot_draw(rng, cfg.chunk_size, theta)
+    Xte, yte = _rot_draw(rng, cfg.chunk_size, theta)
+    return _pair(cfg, step, schema, Xtr, ytr, Xte, yte, rng)
+
+
+def gen_cir(cfg: DriftStreamConfig, step: int) -> ChunkPair:
+    rng = make_rng(cfg.seed, step)
+    schema = schema_for("CIR")
+    radius = schedule_for("CIR", cfg.variant, cfg.n_steps).value_at(step)
+    Xtr = rng.uniform(-5.0, 5.0, (cfg.chunk_size, 3))
+    Xte = rng.uniform(-5.0, 5.0, (cfg.chunk_size, 3))
+    return _pair(
+        cfg, step, schema,
+        Xtr, cir_label(Xtr[:, 0], Xtr[:, 1], radius),
+        Xte, cir_label(Xte[:, 0], Xte[:, 1], radius),
+        rng,
+    )
+
+
+def gen_sin(cfg: DriftStreamConfig, step: int) -> ChunkPair:
+    rng = make_rng(cfg.seed, step)
+    schema = schema_for("SIN")
+    theta = step * SIN_DELTA[cfg.variant]
+    Xtr = rng.uniform(-5.0, 5.0, (cfg.chunk_size, 2))
+    Xte = rng.uniform(-5.0, 5.0, (cfg.chunk_size, 2))
+    return _pair(
+        cfg, step, schema,
+        Xtr, sin_label(Xtr[:, 0], Xtr[:, 1], theta),
+        Xte, sin_label(Xte[:, 0], Xte[:, 1], theta),
+        rng,
+    )
+
+
+def gen_sta(cfg: DriftStreamConfig, step: int) -> ChunkPair:
+    rng = make_rng(cfg.seed, step)
+    rule = schedule_for("STA", cfg.variant, cfg.n_steps).value_at(step)
+    Xtr = rng.integers(0, 3, (cfg.chunk_size, 3)).astype(np.float64)
+    Xte = rng.integers(0, 3, (cfg.chunk_size, 3)).astype(np.float64)
+    return _pair(
+        cfg, step, schema_for("STA"),
+        Xtr, sta_label(Xtr[:, 0], Xtr[:, 1], rule),
+        Xte, sta_label(Xte[:, 0], Xte[:, 1], rule),
+        rng,
+    )
+
+
+_GENERATORS = {
+    "SEA": gen_sea,
+    "ROT": gen_rot,
+    "CIR": gen_cir,
+    "SIN": gen_sin,
+    "STA": gen_sta,
+}
+
+
+def reference_generate_pair(cfg: DriftStreamConfig, step: int) -> ChunkPair:
+    return _GENERATORS[cfg.family](cfg, step)

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from driftel import cli
 from driftel.cli import RunSpec, build_parser, main, run_spec
 from driftel.datasets import read_stream_csv, write_stream_csv
 from driftel.streams import make_stream, preset_config
@@ -184,6 +186,15 @@ def test_removed_concurrency_flags_are_rejected(capsys, argv, flag):
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
+def test_sweep_checks_its_output_path_before_it_runs(tmp_path, monkeypatch, capsys):
+    def no_learner(*args):
+        raise RuntimeError("the sweep ran")
+
+    monkeypatch.setattr(cli, "make_learner", no_learner)
+    assert main(["sweep", "--preset", "SEA200A", "--m-values", "2", "--steps", "2", "--out", str(tmp_path)]) == 1
+    assert f"{tmp_path} is a directory" in capsys.readouterr().err
+
+
 def test_sweep_writes_deduplicated_sizes(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main([
@@ -223,3 +234,92 @@ def test_report_missing_dir_is_input_error(tmp_path):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--streams", "SEA200A", "--m", "abc"],
+        ["run", "--streams", "SEA200A", "--seeds", "1,x"],
+        ["run", "--streams", "SEA200A", "--bogus"],
+        ["sweep", "--preset", "SEA200A", "--out", "x.csv"],  # no --m-values
+        ["frob"],
+    ],
+)
+def test_usage_errors_are_input_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "usage: driftel" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    assert "usage: driftel" in capsys.readouterr().out
+
+
+def test_run_flags_set_the_spec_fields_they_name(monkeypatch):
+    captured = []
+    monkeypatch.setattr(cli, "run_spec", lambda spec: captured.append(spec) or [])
+    assert main(["run"]) == 0
+    assert captured.pop() == RunSpec()  # no flag given, no field set
+    argv = [
+        "run", "--algorithms", "sea,dtel", "--algorithms", "dtel-no-transfer", "--streams", "STA200A",
+        "--seeds", "3", "--m", "4", "--epsilon", "0.5", "--max-depth", "6", "--min-samples-split", "7",
+        "--min-impurity-decrease", "0.25", "--noise-rate", "0.2", "--steps", "9",
+        "--protocol", "prequential", "--out-dir", "x", "--no-wall-time",
+    ]
+    assert main(argv) == 0
+    expected = RunSpec(
+        ["sea", "dtel", "dtel-no-transfer"], ["STA200A"], [3], 4, 0.5, 6, 7, 0.25, 0.2, 9,
+        "prequential", "x", False,
+    )
+    assert captured.pop() == expected
+    assert all(getattr(expected, f.name) != getattr(RunSpec(), f.name) for f in fields(RunSpec))
+
+
+def test_empty_lists_are_input_errors(tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    assert main(["run", "--algorithms", ",", "--streams", "SEA200A", "--out-dir", str(out_dir)]) == 1
+    assert "no algorithms given" in capsys.readouterr().err
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"algorithms": [], "streams": ["SEA200A"], "n_steps": 2}))
+    assert main(["run", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 1
+    assert "no algorithms given" in capsys.readouterr().err
+    assert not out_dir.exists()
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--preset", "SEA200A", "--m-values", "2", "--seeds", ",", "--out", str(sweep)]) == 1
+    assert "no seeds given" in capsys.readouterr().err
+    assert not sweep.exists()
+
+
+def test_repeated_list_values_run_once(tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    assert main([
+        "run", "--algorithms", "dtel,dtel", "--algorithms", "dtel", "--seeds", "1,1", "--streams", "SEA200A",
+        "--steps", "2", "--no-wall-time", "--out-dir", str(out_dir),
+    ]) == 0
+    assert "wrote 1 runs" in capsys.readouterr().out
+    assert (out_dir / "results.csv").read_text().count("dtel__SEA200A__s1") == 2  # one row a step
+    summary = (out_dir / "summary.csv").read_text().splitlines()
+    assert summary[1].startswith("dtel,SEA200A,") and summary[1].endswith(",2")
+
+
+def test_streams_sharing_a_label_are_input_errors(tmp_path, capsys):
+    a, b, c = tmp_path / "a" / "data.csv", tmp_path / "b" / "data.csv", tmp_path / "c" / "SEA200A.csv"
+    for path, preset in ((a, "SEA200A"), (b, "STA200A"), (c, "STA200A")):
+        path.parent.mkdir()
+        write_stream_csv(make_stream(preset_config(preset, n_steps=2, chunk_size=20)), path)
+    out_dir = tmp_path / "res"
+    for first, second in ((a, b), ("SEA200A", c)):
+        assert main(["run", "--streams", f"{first},{second}", "--steps", "2", "--out-dir", str(out_dir)]) == 1
+        assert f"streams {first} and {second} share the label" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_generate_zero_chunk_size_is_input_error(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["generate", "--preset", "SEA200A", "--steps", "2", "--chunk-size", "0", "--out", str(out)]) == 1
+    assert "chunk_size must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

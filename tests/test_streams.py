@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from driftel.core import make_rng
 from driftel.streams import (
     CIR_RADIUS,
+    FAMILIES,
     PRESETS,
     ROT_CLASSES,
     ROT_DELTA,
@@ -16,6 +17,7 @@ from driftel.streams import (
     STA_COLORS,
     STA_RULES,
     STA_SHAPES,
+    VARIANTS,
     DriftSchedule,
     DriftStreamConfig,
     add_noise,
@@ -27,7 +29,7 @@ from driftel.streams import (
     schema_for,
     sta_label,
 )
-from helpers import numeric_chunk
+from helpers import NO_SHRINK, numeric_chunk, reference_generate_pair
 
 
 def test_presets_match_published_stream_table():
@@ -246,3 +248,28 @@ def test_config_validation():
         DriftStreamConfig("SEA", "A", 100, noise_rate=1.5)
     with pytest.raises(ValueError):
         generate_pair(DriftStreamConfig("SEA", "A", 10, n_steps=5), 7)
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(VARIANTS),
+    st.integers(1, 40),
+    st.integers(1, 130),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+)
+def test_generate_pair_matches_the_per_family_generators(
+    family, variant, chunk_size, n_steps, data, seed, noise_rate
+):
+    # One recipe for all families draws what the five generators it replaced
+    # drew, in the same rng order: train rows, test rows, training noise.
+    step = data.draw(st.integers(0, n_steps - 1), label="step")
+    cfg = DriftStreamConfig(family, variant, chunk_size, n_steps=n_steps, noise_rate=noise_rate, seed=seed)
+    got, want = generate_pair(cfg, step), reference_generate_pair(cfg, step)
+    for a, b in ((got.train, want.train), (got.test, want.test)):
+        assert a.index == b.index == step
+        assert a.schema is b.schema
+        assert a.X.dtype == b.X.dtype and a.X.tobytes() == b.X.tobytes()
+        assert a.y.dtype == b.y.dtype and a.y.tobytes() == b.y.tobytes()
