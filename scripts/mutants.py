@@ -90,16 +90,16 @@ MUTANTS = [
      "onehot = onehot * 1",
      ["test_transfer.py"]),
     ("new-tree-label-last-maximum", CART,
-     "right = counts.argmax(axis=0)[entry_leaf] == entry_label",
-     "right = (K - 1 - counts[::-1].argmax(axis=0))[entry_leaf] == entry_label",
+     "return _readonly(self.counts.argmax(axis=1))",
+     "return _readonly(self.counts.shape[1] - 1 - self.counts[:, ::-1].argmax(axis=1))",
      ["test_transfer.py"]),
     ("batched-last-maximum", CART,
      "hit = hit[_heads(group[hit])]",
      "hit = hit[np.append(group[hit][1:] != group[hit][:-1], True)]",
      ["test_transfer.py"]),
     ("batched-split-drops-positions", CART,
-     "node, rows, labels, pos = child[order], rows[order], labels[order], pos[order]",
-     "node, rows, labels, pos = child[order], rows[order], labels[order], pos",
+     "node, pos = child[order], pos[order]",
+     "node, pos = child[order], pos",
      ["test_transfer.py"]),
     ("batched-depth-stop-off-by-one", CART,
      "grow &= depth < max_depth",
@@ -142,12 +142,12 @@ MUTANTS = [
      "key = int(candidates[i].bits.sum())",
      ["test_diversity.py"]),
     ("source-bits-inverted", TRANSFER,
-     "bits = forest.counts.argmax(axis=1)[leaves] == chunk.y",
-     "bits = forest.counts.argmax(axis=1)[leaves] != chunk.y",
+     "bits = forest.labels[leaves] == chunk.y",
+     "bits = forest.labels[leaves] != chunk.y",
      ["test_dtel.py"]),
     ("no-transfer-posterior-of-class-zero", TRANSFER,
-     "p_sources = forest.counts[leaves[:-1], chunk.y] / forest.counts.sum(axis=1)[leaves[:-1]]",
-     "p_sources = forest.counts[leaves[:-1], 0] / forest.counts.sum(axis=1)[leaves[:-1]]",
+     "p_true = np.concatenate([forest.probabilities[leaves[:-1], chunk.y], p_true])",
+     "p_true = np.concatenate([forest.probabilities[leaves[:-1], 0], p_true])",
      ["test_dtel.py"]),
     ("least-accurate-max", DIVERSITY,
      "return min(ordered, key=lambda c: np.count_nonzero(c.bits)).model_id",
@@ -182,8 +182,8 @@ MUTANTS = [
      "return acc if inverse is None else acc[np.sort(inverse)]",
      ["test_dtel.py"]),
     ("vote-weights-shifted", CART,
-     "p *= np.repeat(weights, self.sizes)[:, None]",
-     "p *= np.repeat(np.roll(weights, 1), self.sizes)[:, None]",
+     "return self.probabilities * np.repeat(weights, self.sizes)[:, None]",
+     "return self.probabilities * np.repeat(np.roll(weights, 1), self.sizes)[:, None]",
      ["test_dtel.py"]),
     ("vote-last-tree-offset-off-by-one", CART,
      "shift = np.repeat(self.starts, sizes)",
@@ -201,6 +201,14 @@ MUTANTS = [
      "removed = select_removal(candidates) if diverse else select_least_accurate(candidates)",
      "removed = select_removal(candidates)",
      ["test_dtel.py"]),
+    ("split-score-drops-right-side", CART,
+     "return np.add.reduce(left) / nl + np.add.reduce(right) / (n - nl)",
+     "return np.add.reduce(left) / nl",
+     ["test_cart.py"]),
+    ("posterior-over-all-counts", CART,
+     "return _readonly(self.counts / self.counts.sum(axis=1, keepdims=True))",
+     "return _readonly(self.counts / self.counts.sum())",
+     ["test_cart.py"]),
     ("stream-noise-before-test-rows", STREAMS,
      "    train = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"
      "    test = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"

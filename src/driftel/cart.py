@@ -9,10 +9,12 @@ belongs to the split subset. Growth at a node stops when the node is pure,
 has fewer than ``min_samples_split`` samples, sits at ``max_depth``, or no
 candidate split reaches ``min_impurity_decrease``.
 
-Split ties are broken deterministically: lowest feature index first, then
-lowest threshold (for categorical features, earliest subset in the documented
-enumeration order). A leaf's label is the argmax of its class counts, lowest
-class index on ties.
+Split ties are broken deterministically among equal float scores: lowest
+feature index first, then lowest threshold (for categorical features,
+earliest subset in the documented enumeration order); rational ties can
+round apart (see :func:`grow_sites`, and ROADMAP item 17). Each node rule
+is written once: the leaf rule (``_LeafRule``: label and posterior), for
+trees, forests and growth, and the split score (``_split_score``).
 
 A tree is a set of flat per-node arrays (see :class:`Tree`); several trees
 are one :class:`_Forest`, their arrays concatenated, the only such
@@ -37,8 +39,9 @@ round; the per-tree views (``posterior_chunk``, ``predict_chunk``,
 ``route_to_leaf``) route a forest of one tree. One forest runs from growth
 to vote: the forest ``_Forest.splice`` returns, the adapted trees and then
 the new tree, is the one the ensemble votes with, each node's posterior
-weighted (``_Forest.weighted_posteriors``, see ``dtel``). So this module
-alone knows the node layout.
+weighted (``_Forest.weighted_posteriors``, see ``dtel``), and ``sea``
+takes its labels in one gather (``predict_forest``). So this module alone
+knows the node layout.
 
 A forest pass over a chunk routes each distinct feature row once
 (``Chunk.distinct``) and spreads the leaves to the rows: transfer's pass,
@@ -61,7 +64,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Chunk, ClassDistribution, Instance, Schema
+from .core import Chunk, ClassDistribution, Instance, Schema, _readonly
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,27 @@ class StoppingParams:
             raise ValueError("min_impurity_decrease must be >= 0")
 
 
+class _LeafRule:
+    """The leaf rule of trees, forests and growth, from ``counts`` (nodes x
+    classes), each part computed on first use and read-only: ``labels``, the
+    argmax (lowest class on ties), and ``probabilities``, counts over their
+    total (NaN, without a warning, for a one-leaf tree's zero counts)."""
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return _readonly(self.counts.argmax(axis=1))
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            return _readonly(self.counts / self.counts.sum(axis=1, keepdims=True))
+
+
 @dataclass(frozen=True, eq=False)
-class Tree:
+class Tree(_LeafRule):
     """A trained tree as flat, read-only per-node arrays; node 0 is the root.
     A tree grown from a leaf is laid out breadth first; an adapted tree keeps
     its source's node ids and appends what it grows (``_Forest.splice``).
@@ -94,7 +116,8 @@ class Tree:
     the schema's ``category_width``. ``left`` and ``right`` are child node
     ids, -1 at leaves. ``counts`` (nodes x classes) holds the class counts of
     the training instances each node was grown on; those of the leaves give
-    the posteriors and labels. Depth is derived from the structure.
+    the posteriors and labels (``_LeafRule``). Depth is derived from the
+    structure.
     """
 
     feature: np.ndarray
@@ -115,20 +138,6 @@ class Tree:
         return self.feature.size
 
     @cached_property
-    def probabilities(self) -> np.ndarray:
-        """Per-node class distribution: counts over their total, one division."""
-        p = self.counts / self.counts.sum(axis=1, keepdims=True)
-        p.setflags(write=False)
-        return p
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Per-node label: the argmax of the counts, lowest class on ties."""
-        lab = np.argmax(self.counts, axis=1)
-        lab.setflags(write=False)
-        return lab
-
-    @cached_property
     def depth(self) -> np.ndarray:
         """Per-node depth, the root at 0, found one level at a time."""
         depth = np.empty(self.n_nodes, dtype=np.int64)
@@ -138,8 +147,7 @@ class Tree:
             level = level[self.feature[level] >= 0]
             level = np.concatenate([self.left[level], self.right[level]])
             d += 1
-        depth.setflags(write=False)
-        return depth
+        return _readonly(depth)
 
 
 _NODE_ARRAYS = ("feature", "threshold", "categories", "left", "right", "counts")  # Tree's, in order
@@ -186,10 +194,10 @@ def best_split(chunk: Chunk) -> SplitCandidate | None:
     """Greedy best Gini split of a whole chunk, for split-enumeration checks:
     the root level of the batched search, one node that holds every row.
 
-    Returns None when no candidate produces two non-empty sides. The gain of
-    a split is computed from integer class counts, so mathematically tied
-    candidates evaluate to identical floats and the documented tie order
-    (lowest feature, lowest threshold / earliest subset) decides.
+    Returns None when no candidate produces two non-empty sides. Equal float
+    scores go by the documented order (lowest feature, lowest threshold /
+    earliest subset); candidates that tie as rationals can round apart (see
+    :func:`grow_sites`, and ROADMAP item 17).
     """
     n = len(chunk)
     counts = np.bincount(chunk.y, minlength=chunk.schema.num_classes).reshape(-1, 1)
@@ -313,8 +321,8 @@ def grow_sites(
     so the children of the k-th split node of all are nodes ``n_sites + 2k``
     (left) and ``n_sites + 2k + 1`` (right); ``_Forest.splice`` puts them in
     place. Also returns, aligned with ``rows``, each row's posterior of its
-    own label at its leaf, ``counts[label] / n``, and whether the leaf's
-    label, the argmax of its counts (lowest class on ties), is the row's.
+    own label at its leaf and whether the leaf's label is the row's, both
+    by the leaf rule (``_LeafRule``) on the grown counts.
 
     A node stops when it is pure, has fewer than ``min_samples_split`` rows,
     sits at ``max_depth``, or its best split gains less than
@@ -328,15 +336,18 @@ def grow_sites(
     and the categorical counts all add weights, so they count rows exactly
     as on the rows themselves; a cut falls only between distinct values,
     and the rows of a pair share their leaf. Chunks whose rows are all
-    distinct grow on the rows, unweighted.
+    distinct grow on the rows, unweighted. The entries (``rows``,
+    ``labels``, ``weight``) are one table; a level is its entries'
+    positions there (``pos``) and their nodes (``node``).
 
-    Class counts are integers, and the Gini score of a cut, ``sl / nl +
-    sr / nr`` from integer sums, is one float expression, so tied cuts tie
-    exactly. Each numeric feature sorts a node's entries by (node, value,
-    row), so the node's cuts come in ascending order and the first maximum
-    of the score wins: the lowest threshold. Features and subsets are
-    compared by gain, the first maximum in schema and enumeration order
-    winning.
+    Every cut is scored by one float expression (``_split_score``). Each
+    numeric feature sorts a node's entries by (node, value, row), so the
+    node's cuts come in ascending order and the first maximum of the score
+    wins. Features and subsets are compared by gain, the first maximum in
+    schema and enumeration order winning. Rational ties need not tie as
+    floats: with x = 0, 1, ..., 7 and y = [1, 0, 1, 1, 1, 0, 1, 1], the cuts
+    at 1.5 and 5.5 both score 16/3, rounded to 5.333333333333333 and
+    5.333333333333334, so the node splits at 5.5 (ROADMAP item 17).
     """
     K = chunk.schema.num_classes
     tables = _SearchTables(chunk)
@@ -346,15 +357,13 @@ def grow_sites(
     weight = spread = None
     if chunk.distinct is not None:
         rows, labels, weight, bounds, spread = _collapse(chunk, rows, labels, bounds)
-    entry_label = labels
+    weigh = (lambda pos: None) if weight is None else weight.take  # the entries' weights
     entry_leaf = np.empty(rows.size, dtype=np.int64)  # each entry's deepest node so far
-    # The open level: each entry is a (node, row, label) triple with a
-    # weight, grouped by node, the entries of a node in their order in
-    # ``rows``; ``pos`` is the entry's position there. Nodes are numbered
-    # breadth first over all sites. Array methods and ufuncs stand in for
-    # their ``np`` wrappers throughout: a level of a small site is a few
-    # hundred calls on a few hundred entries, and the wrappers' Python
-    # frames would cost about a fifth of its time.
+    # The open level: its entries grouped by node, a node's in table order.
+    # Nodes are numbered breadth first over all sites. Array methods and
+    # ufuncs stand in for their ``np`` wrappers throughout: a level of a
+    # small site is a few hundred calls on a few hundred entries, and the
+    # wrappers' Python frames would cost about a fifth of its time.
     size = np.diff(bounds)  # entries per node
     node = np.repeat(np.arange(size.size), size)
     pos = np.arange(rows.size)
@@ -365,7 +374,7 @@ def grow_sites(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             m = size.size
-            counts = np.bincount(labels * m + node, weight, K * m).astype(np.int64, copy=False).reshape(K, m)
+            counts = np.bincount(labels[pos] * m + node, weigh(pos), K * m).astype(np.int64, copy=False).reshape(K, m)
             n = np.add.reduce(counts)  # rows per node
             grow = (np.maximum.reduce(counts) < n) & (n >= params.min_samples_split)
             if max_depth is not None:
@@ -379,12 +388,10 @@ def grow_sites(
                 break
             if growing < m:  # only the growing nodes' entries are searched
                 keep = grow[node]
-                node, rows, labels, pos = node[keep], rows[keep], labels[keep], pos[keep]
-                if weight is not None:
-                    weight = weight[keep]
+                node, pos = node[keep], pos[keep]
                 size = np.where(grow, size, 0)
             _gain, feature, threshold, codes = _level_splits(
-                tables, node, rows, labels, weight, counts, n, size, min_gain
+                tables, node, rows[pos], labels[pos], weigh(pos), counts, n, size, min_gain
             )
             levels.append((counts, feature, threshold, codes, site))
             internal = feature >= 0
@@ -395,29 +402,25 @@ def grow_sites(
             # its left child (2 * rank) and right child (2 * rank + 1).
             if splits < growing:  # a growing node found no split
                 keep = internal[node]
-                node, rows, labels, pos = node[keep], rows[keep], labels[keep], pos[keep]
-                if weight is not None:
-                    weight = weight[keep]
-            values = chunk.X[rows, feature[node]]
+                node, pos = node[keep], pos[keep]
+            values = chunk.X[rows[pos], feature[node]]
             go = values <= threshold[node]  # NaN thresholds: categorical tests
             if width:
                 go |= (np.where(codes >= 0, codes, np.nan)[node] == values[:, None]).any(axis=1)
             child = (2 * internal.cumsum() - 1)[node] - go
             order = child.argsort(kind="stable")
-            node, rows, labels, pos = child[order], rows[order], labels[order], pos[order]
-            if weight is not None:
-                weight = weight[order]
+            node, pos = child[order], pos[order]
             size = np.bincount(node, None, 2 * splits)
             site = site[internal].repeat(2)
             if max_depth is not None:
                 depth = np.repeat(depth[internal] + 1, 2)
-    counts = np.concatenate([lv[0] for lv in levels], axis=1)  # (classes, nodes)
-    p_true = counts[entry_label, entry_leaf] / np.add.reduce(counts)[entry_leaf]
-    right = counts.argmax(axis=0)[entry_leaf] == entry_label
+    grown = _LeafRule(np.concatenate([lv[0] for lv in levels], axis=1).T)  # (nodes, classes)
+    p_true = grown.probabilities[entry_leaf, labels]
+    right = grown.labels[entry_leaf] == labels
     if spread is not None:
         p_true, right = p_true[spread], right[spread]
     feature, threshold, categories, site = (np.concatenate(a) for a in list(zip(*levels))[1:])
-    return (feature, threshold, categories, counts.T, site), p_true, right
+    return (feature, threshold, categories, grown.counts, site), p_true, right
 
 
 def _level_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, size, min_gain):
@@ -463,7 +466,8 @@ def _subset_gains(tables: _SearchTables, node, rows, labels, weight, totals, n, 
     categorical features together, shape (nodes, subsets); -inf where a
     subset does not part a node's entries. One count of (class, node, code)
     triples and one product with the block-diagonal subset matrix give
-    every subset's class counts. Counts stay exact integers in floats."""
+    every subset's class counts. Counts stay exact integers in floats; an
+    empty side's 0 / 0 marks -inf."""
     K, m = totals.shape
     n_codes = tables.member.shape[0]
     index = (((labels * m + node) * n_codes)[:, None] + tables.codes[rows]).ravel()
@@ -471,13 +475,20 @@ def _subset_gains(tables: _SearchTables, node, rows, labels, weight, totals, n, 
         weight = np.repeat(weight, len(tables.categorical))
     cc = np.bincount(index, weight, K * m * n_codes)
     left = cc.reshape(K, m, n_codes) @ tables.member  # (classes, nodes, subsets)
-    right = totals[:, :, None] - left
-    nl = np.add.reduce(left)
-    nr = n[:, None] - nl
-    sl, sr = np.add.reduce(left * left), np.add.reduce(right * right)
-    g = (sl / nl + sr / nr - parent_score[:, None]) / n[:, None]
-    g[(nl == 0) | (nr == 0)] = -np.inf
+    g = (_split_score(left, totals[:, :, None], n[:, None]) - parent_score[:, None]) / n[:, None]
+    g[g != g] = -np.inf
     return g
+
+
+def _split_score(left, total, n):
+    """``sl / nl + sr / nr``, the Gini score of numeric cuts and categorical
+    subsets alike, from each cut's class counts on its left, class-major
+    (squared in place), and its node's class counts ``total`` and rows ``n``."""
+    right = total - left
+    nl = np.add.reduce(left)
+    left *= left
+    right *= right
+    return np.add.reduce(left) / nl + np.add.reduce(right) / (n - nl)
 
 
 def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold):
@@ -512,13 +523,8 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n
     left = before.take(cut + 1, axis=1)
     left -= before.take(cut - cut % e + start[owner], axis=1)  # less the counts before the segment
     del before
-    right = totals.take(owner, axis=1)
-    right -= left
-    nl = np.add.reduce(left)
-    left *= left
-    right *= right
-    score = np.add.reduce(left) / nl + np.add.reduce(right) / (n[owner] - nl)
-    del left, right, nl
+    score = _split_score(left, totals.take(owner, axis=1), n[owner])
+    del left
     # The first maximum of each segment's scores, in sweep order.
     head = _heads(at)
     group = head.cumsum() - 1
@@ -533,7 +539,7 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n
     gain[at] = (score[hit] - parent_score[owner]) / n[owner]
 
 
-class _Forest:
+class _Forest(_LeafRule):
     """Several trees' per-node arrays of ``Tree``, concatenated, child ids
     local to each tree; each tree's node count (``sizes``) and first global
     id (``starts``); and the trees as ``Tree`` objects (``trees``). A plain
@@ -621,11 +627,8 @@ class _Forest:
 
     def weighted_posteriors(self, weights: np.ndarray) -> np.ndarray:
         """Every node's posterior times its tree's weight, shape (nodes,
-        classes): ``weights[t] * trees[t].probabilities``, the same division
-        and the same product, so the same to the bit."""
-        p = self.counts / self.counts.sum(axis=1, keepdims=True)
-        p *= np.repeat(weights, self.sizes)[:, None]
-        return p
+        classes): ``weights[t] * trees[t].probabilities``, to the bit."""
+        return self.probabilities * np.repeat(weights, self.sizes)[:, None]
 
     def route(self, columns: np.ndarray) -> np.ndarray:
         """Global leaf id of every (tree, row) pair, tree-major, given the
@@ -683,26 +686,29 @@ def _route_rows(forest: _Forest, chunk: Chunk) -> np.ndarray:
     return leaves if inverse is None else leaves.take(inverse, axis=1)
 
 
-def route_forest(trees, chunk: Chunk) -> np.ndarray:
-    """The leaf id of every (tree, row) pair, shape (len(trees), len(chunk)),
-    from one forest pass over the chunk's distinct rows; ids index each
-    tree's own node arrays."""
+def _route_trees(trees, chunk: Chunk) -> tuple[_Forest | None, np.ndarray]:
+    """The forest of ``trees`` (None for no tree) and the global leaf id of
+    every (tree, row) pair, shape (len(trees), len(chunk)): one forest pass."""
     trees = list(trees)
     _check_schema(trees, chunk.schema)
     if not trees:
-        return np.empty((0, len(chunk)), dtype=np.int64)
+        return None, np.empty((0, len(chunk)), dtype=np.int64)
     forest = _Forest.of(trees)
-    return _route_rows(forest, chunk) - forest.starts[:, None]
+    return forest, _route_rows(forest, chunk)
+
+
+def route_forest(trees, chunk: Chunk) -> np.ndarray:
+    """The leaf id of every (tree, row) pair, shape (len(trees), len(chunk));
+    ids index each tree's own node arrays."""
+    forest, leaves = _route_trees(trees, chunk)
+    return leaves if forest is None else leaves - forest.starts[:, None]
 
 
 def predict_forest(trees, chunk: Chunk) -> np.ndarray:
-    """Predicted label of every (tree, row) pair, shape (len(trees), len(chunk))."""
-    trees = list(trees)
-    leaves = route_forest(trees, chunk)
-    out = np.empty(leaves.shape, dtype=np.int64)
-    for t, tree in enumerate(trees):
-        out[t] = tree.labels[leaves[t]]
-    return out
+    """Predicted label of every (tree, row) pair, shape (len(trees),
+    len(chunk)): one gather of the forest's labels."""
+    forest, leaves = _route_trees(trees, chunk)
+    return leaves if forest is None else forest.labels[leaves]
 
 
 def route_to_leaf(tree: Tree, instance: Instance) -> int:

@@ -70,6 +70,7 @@ _SPEC_TYPES = {
     "int": (_is_int, "an integer"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float | None": (lambda v: v is None or _is_int(v) or isinstance(v, float), "a number or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
 }
@@ -85,8 +86,8 @@ class RunSpec:
     max_depth: int | None = StoppingParams.max_depth
     min_samples_split: int = StoppingParams.min_samples_split
     min_impurity_decrease: float = StoppingParams.min_impurity_decrease
-    noise_rate: float = DriftStreamConfig.noise_rate  # of the presets
-    n_steps: int = DriftStreamConfig.n_steps  # of the presets
+    noise_rate: float | None = None  # of the presets; None: DriftStreamConfig's
+    n_steps: int | None = None  # of the presets; None: DriftStreamConfig's
     protocol: str = "auto"  # one of PROTOCOLS
     out_dir: str = "results"
     record_wall_time: bool = True
@@ -123,6 +124,10 @@ class RunSpec:
             other = labels.setdefault(_stream_label(name), name)
             if other != name:
                 raise ValueError(f"streams {other} and {name} share the label {_stream_label(name)!r}")
+        if not any(name in PRESETS for name in self.streams):
+            for key, flag in (("n_steps", "--steps"), ("noise_rate", "--noise-rate")):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{flag} ({key}) sets the presets, and no stream of this run is a preset")
 
     def learner_config(self) -> DtelConfig:
         return DtelConfig(
@@ -158,48 +163,41 @@ def _stream_label(name: str) -> str:
     return Path(name).stem if name not in PRESETS else name
 
 
-def _load_stream(name: str, seed: int, spec: RunSpec):
-    """Returns (items, is_paired). Presets regenerate per seed; CSV paths load
-    as-is (their seed column is the run seed only)."""
-    if name in PRESETS:
-        cfg = preset_config(
-            name, seed=seed, noise_rate=spec.noise_rate, n_steps=spec.n_steps
-        )
-        return make_stream(cfg), True
-    items = read_stream_csv(name)
-    return items, bool(items) and isinstance(items[0], ChunkPair)
-
-
-def _run_cell(spec: RunSpec, algorithm: str, stream_name: str, seed: int, items, paired) -> RunResult:
-    learner = make_learner(algorithm, spec.learner_config())
-    label = _stream_label(stream_name)
-    protocol = spec.protocol
-    if protocol == "auto":
-        protocol = "synthetic" if paired else "prequential"
-    if protocol == "synthetic":
+def _protocol_input(name: str, items, protocol: str):
+    """The runner of a stream's protocol (``auto`` resolved) and its input,
+    pairs or chunks; a stream that would score no step is an input error."""
+    paired = isinstance(items[0], ChunkPair)
+    if protocol == "synthetic" or (protocol == "auto" and paired):
         if not paired:
-            raise ValueError(f"stream {stream_name} has no test chunks for the synthetic protocol")
-        return run_synthetic(
-            learner, items, stream_id=label, seed=seed, record_wall_time=spec.record_wall_time
-        )
+            raise ValueError(f"stream {name} has no test chunks for the synthetic protocol")
+        return run_synthetic, items
     chunks = [p.train for p in items] if paired else items
-    return run_prequential(
-        learner, chunks, stream_id=label, seed=seed, record_wall_time=spec.record_wall_time
-    )
+    if len(chunks) < 2:
+        raise ValueError(f"stream {name} has no step to score: prequential scoring starts at its second chunk")
+    return run_prequential, chunks
 
 
 def run_spec(spec: RunSpec) -> list[RunResult]:
-    """Execute every distinct (algorithm, stream, seed) cell and write all CSVs."""
+    """Execute every distinct (algorithm, stream, seed) cell and write all
+    CSVs. Every stream is loaded and checked before any cell runs: presets
+    once per seed, a dataset CSV once for all (its seed column is the run's)."""
     spec.validate()
     algorithms, streams, seeds = (dict.fromkeys(v) for v in (spec.algorithms, spec.streams, spec.seeds))
+    files = {name: read_stream_csv(name) for name in streams if name not in PRESETS}
+    preset = {key: getattr(spec, key) for key in ("noise_rate", "n_steps") if getattr(spec, key) is not None}
+    loaded = {}
+    for name, seed in product(streams, seeds):
+        items = files[name] if name in files else make_stream(preset_config(name, seed=seed, **preset))
+        loaded[name, seed] = _protocol_input(name, items, spec.protocol)
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    loaded = {(name, seed): _load_stream(name, seed, spec) for name, seed in product(streams, seeds)}
 
     results = []
     for alg, (stream_name, seed) in product(algorithms, loaded):
-        items, paired = loaded[stream_name, seed]
-        result = _run_cell(spec, alg, stream_name, seed, items, paired)
+        run, items = loaded[stream_name, seed]
+        learner = make_learner(alg, spec.learner_config())
+        label = _stream_label(stream_name)
+        result = run(learner, items, stream_id=label, seed=seed, record_wall_time=spec.record_wall_time)
         cell_path = out_dir / f"{result.run_id}.csv"
         _atomic_write(cell_path, lambda tmp: write_results_csv([result], tmp))
         results.append(result)

@@ -17,7 +17,8 @@ leaf grows in place (``cart._Forest.splice``): no source node changes its
 id, and a tree that no row reaches stays the same object. The pass yields
 the source trees' correctness bits (each leaf's label for the rows it
 receives) and the growth the adapted trees' true-class posteriors (what
-``dtel.mse_model`` reads), so no regrown subtree is routed again.
+``dtel.mse_model`` reads), so no regrown subtree is routed again. Labels
+and posteriors come from ``cart``'s one leaf rule, never from the counts.
 
 A DTEL step (``grow_step``) adapts one more tree: the paper trains "each
 preserved historical model as an initial model" on the new chunk, and the
@@ -96,12 +97,11 @@ def grow_step(
     reached, grown, p_grown, right = _regrow(sites.ravel(), depth, chunk, params)
     members = forest.splice(reached, grown)
     members.trees[-1] = members.tree(-1, chunk.schema, chunk.index)
-    bits = forest.counts.argmax(axis=1)[leaves] == chunk.y
+    bits = forest.labels[leaves] == chunk.y
     bits[-1] = right[-len(chunk):]  # the new tree as grown: its source learned nothing
     p_true = p_grown.reshape(len(sites), -1)
     if not adapt:  # each source's posterior at the leaf its rows reach
-        p_sources = forest.counts[leaves[:-1], chunk.y] / forest.counts.sum(axis=1)[leaves[:-1]]
-        p_true = np.concatenate([p_sources, p_true])
+        p_true = np.concatenate([forest.probabilities[leaves[:-1], chunk.y], p_true])
     return members, bits, p_true
 
 

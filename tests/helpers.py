@@ -6,7 +6,8 @@ batched grower builds every tree; the object-graph trees with their
 recursive grower, fused transfer walk and per-tree router; a numpy
 reference grower; the unfused transfer walk; the per-site regrowth loop;
 the splice that re-laid grown subtrees in pre-order and renumbered the
-trees around them; the ``dtel-no-transfer`` step that grew its new tree
+trees around them; the batched grower that carried each level as five
+parallel arrays; the ``dtel-no-transfer`` step that grew its new tree
 alone and scored the archived trees from their own arrays; the per-row soft
 vote, the rational Q loops, the accuracy removal loop, the sea swap loop and
 the five per-family stream generators. ``pre_order`` gives any tree a canonical node order for byte
@@ -30,7 +31,10 @@ from driftel.cart import (
     SplitCandidate,
     StoppingParams,
     Tree,
+    _collapse,
     _Forest,
+    _level_splits,
+    _SearchTables,
     categorical_split_subsets,
     category_width,
     route_forest,
@@ -728,6 +732,96 @@ def growth_order(blocks, schema: Schema):
         column("counts", np.int64, K),
         np.array([s for s, _node in nodes], dtype=np.int64),
     )
+
+
+def reference_grow_sites(
+    chunk: Chunk, rows: np.ndarray, bounds: np.ndarray, depths: np.ndarray, params: StoppingParams
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """``cart.grow_sites`` as it was before each level became positions in
+    one entry table: each level carries its entries' nodes, rows, labels,
+    positions and weights side by side, and the posteriors and bits are
+    divided and compared here. Its contract is ``cart.grow_sites``'s.
+    """
+    K = chunk.schema.num_classes
+    tables = _SearchTables(chunk)
+    width = tables.width
+    max_depth, min_gain = params.max_depth, params.min_impurity_decrease
+    labels = chunk.y[rows]
+    weight = spread = None
+    if chunk.distinct is not None:
+        rows, labels, weight, bounds, spread = _collapse(chunk, rows, labels, bounds)
+    entry_label = labels
+    entry_leaf = np.empty(rows.size, dtype=np.int64)  # each entry's deepest node so far
+    # The open level: each entry is a (node, row, label) triple with a
+    # weight, grouped by node, the entries of a node in their order in
+    # ``rows``; ``pos`` is the entry's position there. Nodes are numbered
+    # breadth first over all sites. Array methods and ufuncs stand in for
+    # their ``np`` wrappers throughout: a level of a small site is a few
+    # hundred calls on a few hundred entries, and the wrappers' Python
+    # frames would cost about a fifth of its time.
+    size = np.diff(bounds)  # entries per node
+    node = np.repeat(np.arange(size.size), size)
+    pos = np.arange(rows.size)
+    depth = np.asarray(depths, dtype=np.int64)
+    site = np.arange(size.size)  # each node's site
+    levels = []  # per level: class-major counts, feature, threshold, codes, site
+    first_id = 0  # id of the level's first node
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            m = size.size
+            counts = np.bincount(labels * m + node, weight, K * m).astype(np.int64, copy=False).reshape(K, m)
+            n = np.add.reduce(counts)  # rows per node
+            grow = (np.maximum.reduce(counts) < n) & (n >= params.min_samples_split)
+            if max_depth is not None:
+                grow &= depth < max_depth
+            entry_leaf[pos] = node + first_id
+            first_id += m
+            growing = np.count_nonzero(grow)
+            if not growing:
+                leaves = np.full(m, -1, dtype=np.int64), np.full(m, np.nan), np.full((m, width), -1, dtype=np.int64)
+                levels.append((counts, *leaves, site))
+                break
+            if growing < m:  # only the growing nodes' entries are searched
+                keep = grow[node]
+                node, rows, labels, pos = node[keep], rows[keep], labels[keep], pos[keep]
+                if weight is not None:
+                    weight = weight[keep]
+                size = np.where(grow, size, 0)
+            _gain, feature, threshold, codes = _level_splits(
+                tables, node, rows, labels, weight, counts, n, size, min_gain
+            )
+            levels.append((counts, feature, threshold, codes, site))
+            internal = feature >= 0
+            splits = np.count_nonzero(internal)
+            if not splits:
+                break
+            # The next level: each split node's entries, stably divided into
+            # its left child (2 * rank) and right child (2 * rank + 1).
+            if splits < growing:  # a growing node found no split
+                keep = internal[node]
+                node, rows, labels, pos = node[keep], rows[keep], labels[keep], pos[keep]
+                if weight is not None:
+                    weight = weight[keep]
+            values = chunk.X[rows, feature[node]]
+            go = values <= threshold[node]  # NaN thresholds: categorical tests
+            if width:
+                go |= (np.where(codes >= 0, codes, np.nan)[node] == values[:, None]).any(axis=1)
+            child = (2 * internal.cumsum() - 1)[node] - go
+            order = child.argsort(kind="stable")
+            node, rows, labels, pos = child[order], rows[order], labels[order], pos[order]
+            if weight is not None:
+                weight = weight[order]
+            size = np.bincount(node, None, 2 * splits)
+            site = site[internal].repeat(2)
+            if max_depth is not None:
+                depth = np.repeat(depth[internal] + 1, 2)
+    counts = np.concatenate([lv[0] for lv in levels], axis=1)  # (classes, nodes)
+    p_true = counts[entry_label, entry_leaf] / np.add.reduce(counts)[entry_leaf]
+    right = counts.argmax(axis=0)[entry_leaf] == entry_label
+    if spread is not None:
+        p_true, right = p_true[spread], right[spread]
+    feature, threshold, categories, site = (np.concatenate(a) for a in list(zip(*levels))[1:])
+    return (feature, threshold, categories, counts.T, site), p_true, right
 
 
 def reference_grow_step(sources, chunk: Chunk, params, adapt: bool = True):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +13,15 @@ from hypothesis import strategies as st
 import driftel
 from driftel.cart import (
     StoppingParams,
+    _Forest,
     best_split,
+    grow_sites,
+    one_leaf,
     posterior,
     posterior_chunk,
     predict,
     predict_chunk,
+    predict_forest,
     route_forest,
     route_to_leaf,
     train_cart,
@@ -44,9 +49,11 @@ from helpers import (
     graph_transfer,
     node_categories,
     numeric_chunk,
+    random_chunk,
     random_consistent_chunk,
     random_schema,
     reference_best_split,
+    reference_grow_sites,
     reference_grow_subtree,
     reference_transfer,
     straight_line_route,
@@ -440,3 +447,78 @@ def test_categorical_domain_beyond_64_codes():
         assert leaves[1, row] == straight_line_route(adapted.tree, x)
     assert np.array_equal(adapted.tree.labels[leaves[1]], second.y)
     assert posterior_chunk(adapted.tree, second).tobytes() == graph_posterior_chunk(reference, second).tobytes()
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_grow_sites_matches_the_five_array_grower(data):
+    # Each growth level is the positions of its entries in one entry table.
+    # The grower that carried every entry's node, row, label, position and
+    # weight side by side (helpers.reference_grow_sites) must grow the same
+    # nodes, posteriors and bits: on distinct rows, and on a few rows copied
+    # many times, which grow as weighted (row, label) entries.
+    n = data.draw(st.integers(1, 80))
+    X = walk_rows(data, n, (4, 8), grid=1.0) if data.draw(st.booleans()) else duplicate_rows(data, n)
+    y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    chunk = Chunk(0, WALK_SCHEMA, X, y)
+    site = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    sites = data.draw(st.lists(site, min_size=1, max_size=12))
+    rows = np.concatenate(sites).astype(np.int64)
+    bounds = np.cumsum([0] + [len(s) for s in sites])
+    depths = np.asarray(data.draw(st.lists(st.integers(0, 6), min_size=len(sites), max_size=len(sites))))
+    params = StoppingParams(
+        max_depth=data.draw(st.one_of(st.none(), st.integers(0, 8))),
+        min_samples_split=data.draw(st.integers(2, 5)),
+        min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
+    )
+    grown, p_true, right = grow_sites(chunk, rows, bounds, depths, params)
+    ref_grown, ref_p_true, ref_right = reference_grow_sites(chunk, rows, bounds, depths, params)
+    for a, b in zip(grown, ref_grown):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert p_true.dtype == ref_p_true.dtype and p_true.tobytes() == ref_p_true.tobytes()
+    assert np.array_equal(right, ref_right)
+
+
+def _mixed_trees(seed: int):
+    """Fully grown, depth-limited and adapted trees on one random schema,
+    and a one-leaf tree, whose counts are all zero; and a test chunk."""
+    rng = make_rng(seed)
+    schema = random_schema(rng)
+    chunks = [random_chunk(rng, schema, int(rng.integers(1, 120)), index) for index in range(3)]
+    full = train_cart(chunks[0], UNBOUNDED)
+    trees = [
+        full,
+        one_leaf(schema, 1),
+        train_cart(chunks[1], StoppingParams(max_depth=2)),
+        transfer_tree(full, chunks[1], UNBOUNDED).tree,
+    ]
+    return trees, chunks[2]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forest_leaf_rule_is_each_trees_own(seed):
+    trees, _chunk = _mixed_trees(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the one-leaf tree's 0 / 0 warns nowhere
+        forest = _Forest.of(trees)
+        for name in ("labels", "probabilities"):
+            joined = getattr(forest, name)
+            assert not joined.flags.writeable
+            for tree, a in zip(trees, forest.starts.tolist()):
+                own = getattr(tree, name)
+                assert not own.flags.writeable
+                assert joined[a:a + tree.n_nodes].tobytes() == own.tobytes()
+    assert np.isnan(trees[1].probabilities).all() and trees[1].labels.tolist() == [0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_predict_forest_equals_each_trees_predictions(seed):
+    trees, chunk = _mixed_trees(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = predict_forest(trees, chunk)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, np.stack([predict_chunk(tree, chunk) for tree in trees]))
+        assert (labels[1] == 0).all()  # the one-leaf tree: lowest class on its tie of zeros
+        empty = predict_forest([], chunk)
+    assert empty.shape == (0, len(chunk)) and empty.dtype == np.int64

@@ -323,3 +323,64 @@ def test_generate_zero_chunk_size_is_input_error(tmp_path, capsys):
     assert main(["generate", "--preset", "SEA200A", "--steps", "2", "--chunk-size", "0", "--out", str(out)]) == 1
     assert "chunk_size must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _three_step_csv(tmp_path, name="three.csv"):
+    path = tmp_path / name
+    write_stream_csv(make_stream(preset_config("SEA200A", seed=4, n_steps=3, chunk_size=20)), path)
+    return path
+
+
+def test_a_dataset_csv_is_read_once_per_run(tmp_path, monkeypatch):
+    data = _three_step_csv(tmp_path)
+    calls = []
+    read = cli.read_stream_csv
+    monkeypatch.setattr(cli, "read_stream_csv", lambda path: calls.append(path) or read(path))
+    spec = RunSpec(algorithms=["sea"], streams=[str(data)], seeds=[1, 2, 3], out_dir=str(tmp_path / "res"))
+    results = run_spec(spec)
+    assert calls == [str(data)]
+    assert [(r.seed, r.per_chunk_accuracy.size) for r in results] == [(1, 3), (2, 3), (3, 3)]
+
+
+def test_preset_settings_without_a_preset_are_input_errors(tmp_path, capsys):
+    data = _three_step_csv(tmp_path)
+    out_dir = tmp_path / "res"
+    for flags, named in ((["--steps", "1"], "--steps (n_steps)"), (["--noise-rate", "0.5"], "--noise-rate (noise_rate)")):
+        assert main(["run", "--streams", str(data), *flags, "--out-dir", str(out_dir)]) == 1
+        assert named in capsys.readouterr().err
+    spec_path = tmp_path / "spec.json"
+    for key, value in (("n_steps", 1), ("noise_rate", 0.5)):
+        spec_path.write_text(json.dumps({"streams": [str(data)], key: value}))
+        assert main(["run", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 1
+        assert f"({key}) sets the presets, and no stream of this run is a preset" in capsys.readouterr().err
+    assert not out_dir.exists()
+    spec_path.write_text(json.dumps({"streams": [str(data)], "n_steps": None, "noise_rate": None}))
+    assert main(["run", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 0  # null: not set
+
+
+def test_preset_settings_of_a_mixed_run_set_its_presets(tmp_path):
+    data = _three_step_csv(tmp_path)
+    flags = ["--steps", "1", "--noise-rate", "0.5", "--no-wall-time"]
+    runs = {
+        "mixed": ["--streams", f"SEA200A,{data}", *flags],
+        "preset": ["--streams", "SEA200A", *flags],
+        "csv": ["--streams", str(data), "--no-wall-time"],
+    }
+    for name, argv in runs.items():
+        assert main(["run", *argv, "--out-dir", str(tmp_path / name)]) == 0
+    summary = (tmp_path / "mixed" / "summary.csv").read_text().splitlines()
+    assert [(cols[1], cols[-1]) for cols in (line.split(",") for line in summary[1:])] == [("SEA200A", "1"), ("three", "3")]
+    for name, cell in (("preset", "dtel__SEA200A__s0.csv"), ("csv", "dtel__three__s0.csv")):
+        assert (tmp_path / "mixed" / cell).read_bytes() == (tmp_path / name / cell).read_bytes()
+
+
+def test_a_stream_with_no_scored_step_is_an_input_error(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    write_stream_csv([make_stream(preset_config("SEA200A", n_steps=1, chunk_size=20))[0].train], one)
+    out_dir = tmp_path / "res"
+    assert main(["run", "--streams", f"SEA200A,{one}", "--steps", "2", "--out-dir", str(out_dir)]) == 1
+    assert f"stream {one} has no step to score" in capsys.readouterr().err
+    assert main(["run", "--streams", "SEA200A", "--steps", "1", "--protocol", "prequential",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "stream SEA200A has no step to score" in capsys.readouterr().err
+    assert not out_dir.exists()  # no cell ran
