@@ -31,6 +31,7 @@ CART = "src/driftel/cart.py"
 CORE = "src/driftel/core.py"
 DIVERSITY = "src/driftel/diversity.py"
 DTEL = "src/driftel/dtel.py"
+EVALUATION = "src/driftel/evaluation.py"
 STREAMS = "src/driftel/streams.py"
 TRANSFER = "src/driftel/transfer.py"
 TIMEOUT_S = 60  # the unmutated unit files take 1-11 s each
@@ -42,8 +43,8 @@ settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.
 
 MUTANTS = [
     ("route-strict", CART,
-     "go = v <= self.threshold[node]",
-     "go = v < self.threshold[node]",
+     "go = values <= threshold[node]",
+     "go = values < threshold[node]",
      ["test_cart.py"]),
     ("feature-last-maximum", CART,
      "feature = gain.argmax(axis=0)  # the first maximum: the lowest feature",
@@ -61,13 +62,13 @@ MUTANTS = [
      "NEAR_TIE = 1e-9",
      "NEAR_TIE = 0",
      ["test_diversity.py"]),
-    ("regrowth-depth-ignored", TRANSFER,
-     "depth = np.concatenate([t.depth for t in trees])",
-     "depth = 0 * np.concatenate([t.depth for t in trees])",
+    ("regrowth-depth-ignored", CART,
+     "else np.concatenate([t.depth for t in forest.trees])[reached]",
+     "else 0 * np.concatenate([t.depth for t in forest.trees])[reached]",
      ["test_transfer.py"]),
-    ("new-tree-rooted-at-depth-one", TRANSFER,
-     "depth = np.concatenate([t.depth for t in trees])",
-     "depth = np.concatenate([t.depth for t in trees[:-1]] + [[1]])",
+    ("new-tree-rooted-at-depth-one", CART,
+     "else np.concatenate([t.depth for t in forest.trees])[reached]",
+     "else np.concatenate([t.depth for t in forest.trees[:-1]] + [[1]])[reached]",
      ["test_transfer.py"]),
     ("no-transfer-regrows-sources", TRANSFER,
      "sites = leaves if adapt else leaves[-1:]",
@@ -134,8 +135,8 @@ MUTANTS = [
      "child = (2 * internal.cumsum() - 2)[node] + go",
      ["test_cart.py"]),
     ("code-test-and", CART,
-     "go |= codes[node] == v",
-     "go &= codes[node] == v",
+     "go |= column[node] == values",
+     "go &= column[node] == values",
      ["test_cart.py"]),
     ("exact-rows-by-count", DIVERSITY,
      "key = candidates[i].bits.tobytes()",
@@ -205,6 +206,18 @@ MUTANTS = [
      "return np.add.reduce(left) / nl + np.add.reduce(right) / (n - nl)",
      "return np.add.reduce(left) / nl",
      ["test_cart.py"]),
+    ("squared-error-unsquared", DTEL,
+     "return np.mean((1.0 - p_true) ** 2, axis=-1)",
+     "return np.mean(1.0 - p_true, axis=-1)",
+     ["test_dtel.py"]),
+    ("prequential-pairs-shifted", EVALUATION,
+     "zip(chunks, chunks[1:])",
+     "zip(chunks[1:], chunks[1:])",
+     ["test_evaluation.py"]),
+    ("run-result-length-unchecked", EVALUATION,
+     "if acc.shape != sec.shape:",
+     "if False:",
+     ["test_evaluation.py"]),
     ("posterior-over-all-counts", CART,
      "return _readonly(self.counts / self.counts.sum(axis=1, keepdims=True))",
      "return _readonly(self.counts / self.counts.sum())",

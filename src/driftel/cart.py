@@ -14,7 +14,9 @@ feature index first, then lowest threshold (for categorical features,
 earliest subset in the documented enumeration order); rational ties can
 round apart (see :func:`grow_sites`, and ROADMAP item 17). Each node rule
 is written once: the leaf rule (``_LeafRule``: label and posterior), for
-trees, forests and growth, and the split score (``_split_score``).
+trees, forests and growth; the split score (``_split_score``); and the node
+test (``_goes_left``, on the code table ``_code_columns``), by which the
+forest pass routes rows and growth parts each level's entries.
 
 A tree is a set of flat per-node arrays (see :class:`Tree`); several trees
 are one :class:`_Forest`, their arrays concatenated, the only such
@@ -22,16 +24,16 @@ container. One grower builds every tree: :func:`grow_sites` grows many
 subtrees together, breadth first, one set of numpy rounds per level over
 every open node of every subtree, and hands its nodes over in the order it
 grows them; ``_Forest.splice`` grows them in place of their leaves, so an
-adapted tree is its source's arrays, extended. Each DTEL step
-(``transfer.grow_step``) calls the grower once, on the leaves its forest
-pass reaches: the ~600 small row groups per step that the archived trees
-regrow on SEA200A, and the leaf of a tree that has learned nothing
+adapted tree is its source's arrays, extended. One site grouping,
+:func:`grow_leaves`, turns the (tree, row) pairs of a forest pass into the
+grower's sites, one per reached leaf. Each DTEL step
+(``transfer.grow_step``) calls it once, on the leaves its forest pass
+reaches: the ~600 small row groups per step that the archived trees regrow
+on SEA200A, and the leaf of a tree that has learned nothing
 (:func:`one_leaf`), which every row reaches and which regrows from depth 0
-into the step's new tree. :func:`train_cart` grows one site, the whole
-chunk, in place of such a leaf, and :func:`best_split` is the search on
-that site's root. The node-by-node grower on Python lists that ``sea`` used
-before lives on in the tests as an oracle; over the 120 training chunks of
-SEA200A, one tree per chunk now grows in about 0.8x its time.
+into the step's new tree. :func:`train_cart` grows that leaf alone, one
+site, the whole chunk, and :func:`best_split` is the search on that site's
+root.
 
 Every traversal goes through one forest pass, :func:`route_forest`, which
 moves all (tree, row) pairs of a list of trees down one level per numpy
@@ -214,14 +216,14 @@ def best_split(chunk: Chunk) -> SplitCandidate | None:
 
 
 def train_cart(chunk: Chunk, params: StoppingParams, schema: Schema | None = None) -> Tree:
-    """Train a CART tree on one chunk: :func:`grow_sites` with one site,
-    every row at depth 0, spliced in place of a one-leaf tree's leaf, as a
+    """Train a CART tree on one chunk: every row reaches a one-leaf tree's
+    leaf, which regrows (:func:`grow_leaves`) and is spliced in place, as a
     DTEL step places its new tree."""
     if schema is not None and schema != chunk.schema:
         raise ValueError("schema does not match the chunk's schema")
-    n, root = len(chunk), np.zeros(1, dtype=np.int64)
-    grown = grow_sites(chunk, np.arange(n), np.array([0, n]), root, params)[0]
-    return _Forest.of([one_leaf(chunk.schema, chunk.index)]).splice(root, grown).trees[0]
+    forest = _Forest.of([one_leaf(chunk.schema, chunk.index)])
+    reached, grown = grow_leaves(forest, np.zeros(len(chunk), dtype=np.int64), chunk, params)[:2]
+    return forest.splice(reached, grown).trees[0]
 
 
 def one_leaf(schema: Schema, origin_chunk_index: int) -> Tree:
@@ -307,17 +309,36 @@ def _collapse(chunk: Chunk, rows, labels, bounds):
     return rows[first], labels[first], weight, bounds, spread
 
 
+def grow_leaves(forest: _Forest, leaves: np.ndarray, chunk: Chunk, params: StoppingParams):
+    """The one site grouping: regrow every leaf of ``forest`` that the
+    (tree, row) pairs ``leaves`` (global ids, tree-major) reach, in one
+    :func:`grow_sites` call, each leaf's rows, in row order, one site rooted
+    at the leaf's depth (read only under ``max_depth``). Returns the reached
+    leaves (ascending), the grown nodes (what ``_Forest.splice`` takes), and,
+    aligned with ``leaves``, each pair's true-class posterior at its regrown
+    leaf and whether that leaf's label is the row's."""
+    order = np.argsort(leaves, kind="stable")  # rows stay ascending in each site
+    ranked = leaves[order]
+    first = np.flatnonzero(np.diff(ranked, prepend=-1))
+    reached = ranked[first]
+    depths = None if params.max_depth is None else np.concatenate([t.depth for t in forest.trees])[reached]
+    grown, p_sorted, right_sorted = grow_sites(chunk, order % len(chunk), np.append(first, leaves.size), depths, params)
+    p_true, right = np.empty(leaves.size, dtype=np.float64), np.empty(leaves.size, dtype=bool)
+    p_true[order], right[order] = p_sorted, right_sorted
+    return reached, grown, p_true, right
+
+
 def grow_sites(
-    chunk: Chunk, rows: np.ndarray, bounds: np.ndarray, depths: np.ndarray, params: StoppingParams
+    chunk: Chunk, rows: np.ndarray, bounds: np.ndarray, depth: np.ndarray | None, params: StoppingParams
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Grow one subtree per site, all sites together, breadth first: each
     round of numpy calls grows every open node of every site by one level.
 
     Site ``s`` holds the chunk rows ``rows[bounds[s]:bounds[s + 1]]`` and
-    its root sits at depth ``depths[s]``. Returns the grown nodes in growth
-    order, the sites' roots first, as ``(feature, threshold, categories,
-    counts, site)``: ``Tree``'s node arrays but the child ids, and each
-    node's site. Each level's nodes are its split nodes' children in pairs,
+    its root sits at depth ``depth[s]`` (read only under ``max_depth``).
+    Returns the grown nodes in growth order, the sites' roots first, as
+    ``(feature, threshold, categories, counts, site)``: ``Tree``'s node
+    arrays but the child ids, and each node's site. Each level's nodes are its split nodes' children in pairs,
     so the children of the k-th split node of all are nodes ``n_sites + 2k``
     (left) and ``n_sites + 2k + 1`` (right); ``_Forest.splice`` puts them in
     place. Also returns, aligned with ``rows``, each row's posterior of its
@@ -351,7 +372,6 @@ def grow_sites(
     """
     K = chunk.schema.num_classes
     tables = _SearchTables(chunk)
-    width = tables.width
     max_depth, min_gain = params.max_depth, params.min_impurity_decrease
     labels = chunk.y[rows]
     weight = spread = None
@@ -367,7 +387,6 @@ def grow_sites(
     size = np.diff(bounds)  # entries per node
     node = np.repeat(np.arange(size.size), size)
     pos = np.arange(rows.size)
-    depth = np.asarray(depths, dtype=np.int64)
     site = np.arange(size.size)  # each node's site
     levels = []  # per level: class-major counts, feature, threshold, codes, site
     first_id = 0  # id of the level's first node
@@ -383,7 +402,7 @@ def grow_sites(
             first_id += m
             growing = np.count_nonzero(grow)
             if not growing:
-                leaves = np.full(m, -1, dtype=np.int64), np.full(m, np.nan), np.full((m, width), -1, dtype=np.int64)
+                leaves = np.full(m, -1, dtype=np.int64), np.full(m, np.nan), np.full((m, tables.width), -1, dtype=np.int64)
                 levels.append((counts, *leaves, site))
                 break
             if growing < m:  # only the growing nodes' entries are searched
@@ -403,10 +422,8 @@ def grow_sites(
             if splits < growing:  # a growing node found no split
                 keep = internal[node]
                 node, pos = node[keep], pos[keep]
-            values = chunk.X[rows[pos], feature[node]]
-            go = values <= threshold[node]  # NaN thresholds: categorical tests
-            if width:
-                go |= (np.where(codes >= 0, codes, np.nan)[node] == values[:, None]).any(axis=1)
+            table = _code_columns(codes) if tables.width else ()  # a numeric schema's is empty: skip its calls
+            go = _goes_left(chunk.X[rows[pos], feature[node]], threshold, table, node)
             child = (2 * internal.cumsum() - 1)[node] - go
             order = child.argsort(kind="stable")
             node, pos = child[order], pos[order]
@@ -539,6 +556,25 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n
     gain[at] = (score[hit] - parent_score[owner]) / n[owner]
 
 
+def _code_columns(categories: np.ndarray) -> np.ndarray:
+    """The code table of the node test: the go-left codes of ``categories``
+    column by column as floats, NaN where a node has no such code (an
+    equality that NaN never meets), without the columns no node uses."""
+    cats = np.ascontiguousarray(categories.T)
+    used = cats >= 0
+    return np.where(used, cats, np.nan)[used.any(axis=1)]
+
+
+def _goes_left(values: np.ndarray, threshold: np.ndarray, codes: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """The one node test, of routing and growth alike: a value goes left at
+    its node iff ``value <= threshold`` (never at a categorical node, whose
+    threshold is NaN) or it equals one of the node's go-left ``codes``."""
+    go = values <= threshold[node]
+    for column in codes:
+        go |= column[node] == values
+    return go
+
+
 class _Forest(_LeafRule):
     """Several trees' per-node arrays of ``Tree``, concatenated, child ids
     local to each tree; each tree's node count (``sizes``) and first global
@@ -548,9 +584,8 @@ class _Forest(_LeafRule):
 
     The routing tables are built with the forest. ``kids`` holds each node's
     right and left child, as global ids, at ``2*node`` and ``2*node + 1``,
-    so a go-left bit picks the child by offset. ``codes`` holds the go-left
-    codes column by column as floats, NaN where a node has no such code, so
-    a code test is an equality that NaN never meets.
+    so a go-left bit picks the child by offset, and ``codes`` is the code
+    table of the node test (``_code_columns``).
     """
 
     def __init__(self, feature, threshold, categories, left, right, counts, sizes, trees):
@@ -563,9 +598,7 @@ class _Forest(_LeafRule):
         self.kids = np.empty(2 * self.size, dtype=np.int64)
         self.kids[0::2] = right + shift
         self.kids[1::2] = left + shift
-        cats = np.ascontiguousarray(categories.T)
-        used = cats >= 0
-        self.codes = np.where(used, cats, np.nan)[used.any(axis=1)]
+        self.codes = _code_columns(categories)
 
     @classmethod
     def of(cls, trees) -> "_Forest":
@@ -652,10 +685,7 @@ class _Forest(_LeafRule):
                 node, pair, row, f = node[live], pair[live], row[live], f[live]
                 if not node.size:
                     return out
-            v = values[f + row]
-            go = v <= self.threshold[node]  # NaN thresholds: categorical tests
-            for codes in self.codes:
-                go |= codes[node] == v
+            go = _goes_left(values[f + row], self.threshold, self.codes, node)
             node = self.kids[2 * node + go]
             out[pair] = node
             f = offset[node]

@@ -20,7 +20,7 @@ fields are those of ``RunSpec``, which are also the keys of its JSON spec
 file (--spec); a flag overrides its key. ``generate`` and ``sweep`` set
 fields of the preset's ``streams.DriftStreamConfig``. List flags (--algorithms,
 --streams, --seeds, --m-values) take comma-separated values and may repeat;
-``run`` runs each distinct value once, in first-seen order.
+``run`` and ``sweep`` run each distinct value once, in first-seen order.
 
 Exit codes: 0 success (and --help), 1 input error (a usage error, or a bad
 value, spec, path or dataset CSV), 2 runtime failure.
@@ -163,44 +163,52 @@ def _stream_label(name: str) -> str:
     return Path(name).stem if name not in PRESETS else name
 
 
-def _protocol_input(name: str, items, protocol: str):
-    """The runner of a stream's protocol (``auto`` resolved) and its input,
-    pairs or chunks; a stream that would score no step is an input error."""
-    paired = isinstance(items[0], ChunkPair)
+def _protocol(name: str, paired: bool, n_steps: int, protocol: str):
+    """The runner of a stream's protocol (``auto`` resolved) and whether it
+    takes the train chunks of the stream's pairs; a stream that would score
+    no step is an input error."""
     if protocol == "synthetic" or (protocol == "auto" and paired):
         if not paired:
             raise ValueError(f"stream {name} has no test chunks for the synthetic protocol")
-        return run_synthetic, items
-    chunks = [p.train for p in items] if paired else items
-    if len(chunks) < 2:
+        return run_synthetic, False
+    if n_steps < 2:
         raise ValueError(f"stream {name} has no step to score: prequential scoring starts at its second chunk")
-    return run_prequential, chunks
+    return run_prequential, paired
 
 
 def run_spec(spec: RunSpec) -> list[RunResult]:
     """Execute every distinct (algorithm, stream, seed) cell and write all
-    CSVs. Every stream is loaded and checked before any cell runs: presets
-    once per seed, a dataset CSV once for all (its seed column is the run's)."""
+    CSVs. Every stream is checked before any cell runs, a dataset CSV read
+    once for all seeds (its seed column is the run's). A preset's stream is
+    generated when its seed's cells start and dropped when they end."""
     spec.validate()
     algorithms, streams, seeds = (dict.fromkeys(v) for v in (spec.algorithms, spec.streams, spec.seeds))
     files = {name: read_stream_csv(name) for name in streams if name not in PRESETS}
     preset = {key: getattr(spec, key) for key in ("noise_rate", "n_steps") if getattr(spec, key) is not None}
-    loaded = {}
+    checked = {}  # (stream, seed): its rows or preset config, its runner, whether it takes train chunks
     for name, seed in product(streams, seeds):
-        items = files[name] if name in files else make_stream(preset_config(name, seed=seed, **preset))
-        loaded[name, seed] = _protocol_input(name, items, spec.protocol)
+        if name in files:
+            source = files[name]
+            paired, n_steps = isinstance(source[0], ChunkPair), len(source)
+        else:
+            source = preset_config(name, seed=seed, **preset)
+            paired, n_steps = True, source.n_steps
+        checked[name, seed] = (source, *_protocol(name, paired, n_steps, spec.protocol))
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for alg, (stream_name, seed) in product(algorithms, loaded):
-        run, items = loaded[stream_name, seed]
-        learner = make_learner(alg, spec.learner_config())
-        label = _stream_label(stream_name)
-        result = run(learner, items, stream_id=label, seed=seed, record_wall_time=spec.record_wall_time)
-        cell_path = out_dir / f"{result.run_id}.csv"
-        _atomic_write(cell_path, lambda tmp: write_results_csv([result], tmp))
-        results.append(result)
+    for (stream_name, seed), (source, run, trains) in checked.items():
+        items = source if stream_name in files else make_stream(source)
+        if trains:
+            items = [p.train for p in items]
+        for alg in algorithms:
+            learner = make_learner(alg, spec.learner_config())
+            result = run(learner, items, stream_id=_stream_label(stream_name), seed=seed,
+                         record_wall_time=spec.record_wall_time)
+            _atomic_write(out_dir / f"{result.run_id}.csv", lambda tmp: write_results_csv([result], tmp))
+            results.append(result)
+        del items
 
     results.sort(key=lambda r: (r.algorithm, r.stream, r.seed))
     _atomic_write(out_dir / "results.csv", lambda tmp: write_results_csv(results, tmp))
@@ -238,24 +246,20 @@ def _cmd_sweep(args) -> int:
     m_values = sorted(set(args.m_values))
     if not m_values:
         raise ValueError("no archive sizes given")
-    seeds = vars(args).get("seeds", [0])
+    seeds = dict.fromkeys(vars(args).get("seeds", [0]))
     if not seeds:
         raise ValueError("no seeds given")
     out = Path(args.out)
     if out.is_dir():  # before the sweep runs
         raise ValueError(f"{out} is a directory")
-    rows = []
-    for m in m_values:
-        accs = []
-        for seed in seeds:
-            cfg = preset_config(args.preset, seed=seed, **_given(args, DriftStreamConfig))
-            learner = make_learner("dtel", DtelConfig(m=m))
-            result = run_synthetic(
-                learner, make_stream(cfg), stream_id=args.preset, seed=seed,
-                record_wall_time=False,
-            )
-            accs.append(float(np.mean(result.per_chunk_accuracy)))
-        rows.append((m, float(np.mean(accs))))
+    accs = {m: [] for m in m_values}
+    for seed in seeds:  # each stream generated once, for every m
+        stream = make_stream(preset_config(args.preset, seed=seed, **_given(args, DriftStreamConfig)))
+        for m in m_values:
+            result = run_synthetic(make_learner("dtel", DtelConfig(m=m)), stream, stream_id=args.preset, seed=seed,
+                                   record_wall_time=False)
+            accs[m].append(float(np.mean(result.per_chunk_accuracy)))
+    rows = [(m, float(np.mean(a))) for m, a in accs.items()]
 
     def write(tmp):
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
@@ -267,7 +271,6 @@ def _cmd_sweep(args) -> int:
     for m, acc in rows:
         print(f"m={m}: mean accuracy {100 * acc:.2f}%")
     print(f"wrote sweep over m={m_values} to {out}")
-    print("note: archive sizes above 20 typically sit on the stable plateau")
     return 0
 
 

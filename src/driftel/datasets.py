@@ -10,7 +10,8 @@ Reading infers the schema: a feature column is numeric iff every value parses
 as a float; otherwise it is categorical with its domain in first-seen order.
 Labels that are all decimal integers are used directly as dense indices
 (num_classes = max + 1); otherwise label symbols are mapped to indices in
-first-seen order. Missing (empty) values are rejected.
+first-seen order. Missing (empty) values are rejected, and so is a
+non-finite value (``nan``, ``inf``) in a numeric column.
 """
 
 from __future__ import annotations
@@ -68,30 +69,23 @@ def write_stream_csv(stream, path) -> int:
 
 
 def _infer_schema(feature_cells: list[list[str]], label_cells: list[str]) -> tuple[Schema, list]:
-    n_features = len(feature_cells)
     features = []
     encoders = []
-    for j in range(n_features):
-        values = feature_cells[j]
+    for j, values in enumerate(feature_cells):
         if any(v == "" for v in values):
             raise ValueError(f"feature f{j} has missing values")
         try:
             parsed = [float(v) for v in values]
-            if not all(np.isfinite(parsed)):
-                raise ValueError
-            features.append(FeatureDescriptor(NUMERIC))
-            encoders.append(parsed)
+        except ValueError:  # a value that is no float: a categorical column
+            code = {v: float(c) for c, v in enumerate(dict.fromkeys(values))}  # first-seen order
+            features.append(FeatureDescriptor(CATEGORICAL, tuple(code)))
+            encoders.append([code[v] for v in values])
             continue
-        except ValueError:
-            pass
-        domain: list[str] = []
-        seen: dict[str, int] = {}
-        for v in values:
-            if v not in seen:
-                seen[v] = len(domain)
-                domain.append(v)
-        features.append(FeatureDescriptor(CATEGORICAL, tuple(domain)))
-        encoders.append([float(seen[v]) for v in values])
+        bad = [v for v, x in zip(values, parsed) if not np.isfinite(x)]
+        if bad:
+            raise ValueError(f"feature f{j} is numeric but holds the non-finite value {bad[0]!r}")
+        features.append(FeatureDescriptor(NUMERIC))
+        encoders.append(parsed)
 
     if any(v == "" for v in label_cells):
         raise ValueError("label column has missing values")

@@ -12,7 +12,8 @@ tree that has learned nothing in one forest pass, and every reached leaf
 regrows in one growth call; the regrown one-leaf tree is the new tree (see
 ``transfer.grow_step``). The pass yields the archived trees' correctness
 bits, for the archive update; the growth yields the new tree's bits, the
-adapted trees' true-class posteriors, for their squared errors, and the
+adapted trees' true-class posteriors, for their squared errors (``_mse``,
+the one squared error, which ``mse_model`` computes too), and the
 forest of the adapted trees and the new tree, which the ensemble votes with.
 The ensemble builds its vote's tables when the update makes it: each forest
 node's posterior times its tree's weight, and the weight total. A
@@ -113,13 +114,15 @@ class WeightedEnsemble:
         object.__setattr__(self, "total", np.add.accumulate(weights)[-1])
 
 
-def _mse(p_true: np.ndarray) -> float:
-    return float(np.mean((1.0 - p_true) ** 2))
+def _mse(p_true: np.ndarray) -> np.ndarray:
+    """The one squared error of a member: the mean of ``(1 - p)^2`` over the
+    last axis of its rows' true-class posteriors ``p_true``."""
+    return np.mean((1.0 - p_true) ** 2, axis=-1)
 
 
 def mse_model(model: Tree, chunk: Chunk) -> float:
     """Mean squared error of a model's posterior on the true labels."""
-    return _mse(posterior_chunk(model, chunk)[np.arange(len(chunk)), chunk.y])
+    return float(_mse(posterior_chunk(model, chunk)[np.arange(len(chunk)), chunk.y]))
 
 
 def mse_random(chunk: Chunk) -> float:
@@ -215,7 +218,7 @@ def process_chunk(
     new_tree = forest.trees[-1]
     updated = _update_archive(archive, new_tree, bits[-1], diverse, bits[:-1])
     mse_r = mse_random(chunk)
-    mse = np.mean((1.0 - p_true[:-1]) ** 2, axis=1)
+    mse = _mse(p_true[:-1])
     members = tuple(
         EnsembleMember(t, weight_adapted(mse_r, e, cfg.epsilon), ADAPTED)
         for t, e in zip(forest.trees, mse.tolist())

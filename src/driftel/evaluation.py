@@ -1,12 +1,15 @@
 """Run algorithms over streams, score per-chunk accuracy, summarize, and
 compare with the Wilcoxon rank-sum test.
 
-Two protocols:
+One scoring loop, ``run_synthetic``, serves two protocols:
 * paired synthetic: at each step the learner trains on the pair's train chunk
   and is then scored on the same step's test chunk (the learner never sees a
   test chunk through its update interface);
 * prequential: each chunk first scores the model from the previous step, then
-  updates it; step 0 only trains, so it contributes no accuracy record.
+  updates it; step 0 only trains, so it contributes no accuracy record. Step
+  k of a prequential run is the loop's step on chunks k and k + 1.
+
+A step's seconds are the update and the prediction behind its accuracy.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import _readonly
 
 A_BETTER = "a_better"
 B_BETTER = "b_better"
@@ -29,15 +34,15 @@ class RunResult:
     stream: str
     seed: int
     per_chunk_accuracy: np.ndarray
-    seconds: np.ndarray  # wall time per step (zeros when timing is disabled)
+    seconds: np.ndarray  # wall time per accuracy (zeros when timing is disabled)
 
     def __post_init__(self):
-        acc = np.ascontiguousarray(np.asarray(self.per_chunk_accuracy, dtype=np.float64))
-        sec = np.ascontiguousarray(np.asarray(self.seconds, dtype=np.float64))
+        acc = _readonly(np.asarray(self.per_chunk_accuracy, dtype=np.float64))
+        sec = _readonly(np.asarray(self.seconds, dtype=np.float64))
         if acc.size and (acc.min() < 0.0 or acc.max() > 1.0):
             raise ValueError("accuracies must lie in [0, 1]")
-        acc.setflags(write=False)
-        sec.setflags(write=False)
+        if acc.shape != sec.shape:
+            raise ValueError("a run needs one wall time per accuracy")
         object.__setattr__(self, "per_chunk_accuracy", acc)
         object.__setattr__(self, "seconds", sec)
 
@@ -52,50 +57,36 @@ class Summary:
     std: float  # sample (n-1) standard deviation over chunks
 
 
-def run_synthetic(
-    learner,
-    stream,
-    *,
-    stream_id: str = "",
-    seed: int = 0,
-    record_wall_time: bool = True,
-) -> RunResult:
-    """Paired-chunk protocol: update on train, score the result on test."""
+def run_synthetic(learner, stream, *, stream_id: str = "", seed: int = 0, record_wall_time: bool = True) -> RunResult:
+    """The scoring loop: at each step, update on ``train`` and score the
+    result on ``test``, for every (train, test) pair of ``stream``."""
     accs, secs = [], []
-    for step, pair in enumerate(stream):
+    for step, (train, test) in enumerate(stream):
         t0 = time.perf_counter()
         try:
-            learner.update(pair.train)
-            pred = learner.predict_chunk(pair.test)
+            learner.update(train)
+            pred = learner.predict_chunk(test)
         except Exception as exc:
             raise RuntimeError(f"algorithm failed at step {step}: {exc}") from exc
         elapsed = time.perf_counter() - t0
-        accs.append(float(np.mean(pred == pair.test.y)))
+        accs.append(float(np.mean(pred == test.y)))
         secs.append(elapsed if record_wall_time else 0.0)
     return RunResult(getattr(learner, "name", "unknown"), stream_id, seed, accs, secs)
 
 
-def run_prequential(
-    learner,
-    chunks,
-    *,
-    stream_id: str = "",
-    seed: int = 0,
-    record_wall_time: bool = True,
-) -> RunResult:
-    """Test-then-train protocol over bare chunks."""
-    accs, secs = [], []
-    for step, chunk in enumerate(chunks):
-        t0 = time.perf_counter()
+def run_prequential(learner, chunks, *, stream_id: str = "", seed: int = 0, record_wall_time: bool = True) -> RunResult:
+    """Test-then-train protocol over bare chunks: ``run_synthetic`` on each
+    chunk and the next, then an untimed update on the last chunk, so that
+    the learner ends trained on every chunk."""
+    chunks = list(chunks)
+    result = run_synthetic(learner, zip(chunks, chunks[1:]), stream_id=stream_id, seed=seed,
+                           record_wall_time=record_wall_time)
+    if chunks:
         try:
-            if step > 0:
-                pred = learner.predict_chunk(chunk)
-                accs.append(float(np.mean(pred == chunk.y)))
-            learner.update(chunk)
+            learner.update(chunks[-1])
         except Exception as exc:
-            raise RuntimeError(f"algorithm failed at step {step}: {exc}") from exc
-        secs.append(time.perf_counter() - t0 if record_wall_time else 0.0)
-    return RunResult(getattr(learner, "name", "unknown"), stream_id, seed, accs, secs)
+            raise RuntimeError(f"algorithm failed at step {len(chunks) - 1}: {exc}") from exc
+    return result
 
 
 def summarize(result: RunResult | np.ndarray) -> Summary:
@@ -196,15 +187,7 @@ def read_results_csv(path) -> list[RunResult]:
             g["rows"].append((int(row["step"]), float(row["accuracy"]), float(row["seconds"])))
     out = []
     for run_id, g in grouped.items():
-        rows = sorted(g["rows"])
+        _steps, accs, secs = zip(*sorted(g["rows"]))
         seed = int(run_id.rsplit("__s", 1)[1]) if "__s" in run_id else 0
-        out.append(
-            RunResult(
-                g["algorithm"],
-                g["stream"],
-                seed,
-                [r[1] for r in rows],
-                [r[2] for r in rows],
-            )
-        )
+        out.append(RunResult(g["algorithm"], g["stream"], seed, accs, secs))
     return out

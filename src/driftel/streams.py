@@ -125,7 +125,8 @@ class DriftStreamConfig:
 
 @dataclass(frozen=True)
 class ChunkPair:
-    """Same-concept train/test chunks for one step; only train carries noise."""
+    """Same-concept train/test chunks for one step; only train carries noise.
+    It unpacks as ``train, test``."""
 
     train: Chunk
     test: Chunk
@@ -133,6 +134,9 @@ class ChunkPair:
     def __post_init__(self):
         if self.train.index != self.test.index:
             raise ValueError("train/test chunks must share a step index")
+
+    def __iter__(self):
+        return iter((self.train, self.test))
 
 
 def _numeric_schema(n_features: int, num_classes: int) -> Schema:

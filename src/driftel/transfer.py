@@ -4,21 +4,22 @@ The new chunk is routed through the existing split structure. Every leaf that
 receives instances has its class counts and label replaced by those of the
 routed instances, and a fresh CART subtree is grown in place of the leaf when
 the routed instances still violate the stopping criteria (subtree depths
-continue from the hosting leaf's depth, so ``max_depth`` bounds the whole
+continue from the hosting leaf's depth, so ``max_depth`` limits the whole
 adapted tree). A leaf that receives no instances keeps its historical counts
 and label, so the adapted tree blends current and historical knowledge and
 its posterior is defined everywhere. The source tree is never modified.
 
 All trees transferred to one chunk are routed together in one forest pass
 over the chunk's distinct rows, whose leaves are spread to every row (see
-``cart``). Each reached leaf's rows, in row order, are one site of a single
-``cart.grow_sites`` call, one set of numpy rounds per tree level, and each
-leaf grows in place (``cart._Forest.splice``): no source node changes its
-id, and a tree that no row reaches stays the same object. The pass yields
-the source trees' correctness bits (each leaf's label for the rows it
-receives) and the growth the adapted trees' true-class posteriors (what
-``dtel.mse_model`` reads), so no regrown subtree is routed again. Labels
-and posteriors come from ``cart``'s one leaf rule, never from the counts.
+``cart``). ``cart.grow_leaves``, the one site grouping, regrows every
+reached leaf from its rows, in row order, in one set of numpy rounds per
+tree level, parting rows by the node test the pass routes them by; a call
+of its own (``cart._Forest.splice``) then grows each leaf in place: no
+source node changes its id, and a tree that no row reaches stays the same
+object. The pass yields the source trees' correctness bits (each leaf's
+label for the rows it receives) and the growth the adapted trees'
+true-class posteriors (what ``dtel.mse_model`` reads), so no regrown
+subtree is routed again. Labels, posteriors and depths are ``cart``'s.
 
 A DTEL step (``grow_step``) adapts one more tree: the paper trains "each
 preserved historical model as an initial model" on the new chunk, and the
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_rows, grow_sites, one_leaf, predict_chunk
+from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_rows, grow_leaves, one_leaf, predict_chunk
 from .core import Chunk
 
 
@@ -54,34 +55,13 @@ class AdaptedTree:
     p_true: np.ndarray  # per chunk instance: the adapted tree's true-class posterior
 
 
-def _regrow(leaves: np.ndarray, depth: np.ndarray, chunk: Chunk, params: StoppingParams):
-    """Regrow every leaf that the (tree, row) pairs ``leaves`` (global ids,
-    tree-major) reach, in one ``cart.grow_sites`` call: each leaf's rows, in
-    row order, are one site, its root at the leaf's depth (``depth`` holds
-    every forest node's depth).
-
-    Returns the reached leaves (ascending), the grown nodes in growth order
-    with their sites (what ``cart._Forest.splice`` takes), and, aligned with
-    ``leaves``, each pair's true-class posterior at its regrown leaf and
-    whether that leaf's label is the row's.
-    """
-    order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
-    ranked = leaves[order]
-    first = np.flatnonzero(np.diff(ranked, prepend=-1))
-    reached = ranked[first]
-    bounds = np.append(first, leaves.size)
-    grown, p_sorted, right_sorted = grow_sites(chunk, order % len(chunk), bounds, depth[reached], params)
-    p_true, right = np.empty(leaves.size, dtype=np.float64), np.empty(leaves.size, dtype=bool)
-    p_true[order], right[order] = p_sorted, right_sorted
-    return reached, grown, p_true, right
-
-
 def grow_step(
     sources, chunk: Chunk, params: StoppingParams, adapt: bool = True
 ) -> tuple[_Forest, np.ndarray, np.ndarray]:
     """One DTEL step's growth: ``sources`` and a one-leaf tree
     (``cart.one_leaf``) routed in one forest pass, and every reached leaf,
-    or with ``adapt=False`` only the one-leaf tree's, regrown (``_regrow``).
+    or with ``adapt=False`` only the one-leaf tree's, regrown
+    (``cart.grow_leaves``) and spliced in place.
 
     Returns the members' forest (each source adapted, or as it is, then the
     new tree, which owns its nodes so that the archive can keep it alone)
@@ -92,9 +72,8 @@ def grow_step(
     trees = sources + [one_leaf(chunk.schema, chunk.index)]
     forest = _Forest.of(trees)
     leaves = _route_rows(forest, chunk)  # (trees, rows)
-    depth = np.concatenate([t.depth for t in trees])
     sites = leaves if adapt else leaves[-1:]
-    reached, grown, p_grown, right = _regrow(sites.ravel(), depth, chunk, params)
+    reached, grown, p_grown, right = grow_leaves(forest, sites.ravel(), chunk, params)
     members = forest.splice(reached, grown)
     members.trees[-1] = members.tree(-1, chunk.schema, chunk.index)
     bits = forest.labels[leaves] == chunk.y

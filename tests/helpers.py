@@ -668,20 +668,20 @@ def _block_score(nodes: _Nodes, row, label: int) -> tuple[float, bool]:
     return counts[label] / sum(counts), counts.index(max(counts)) == label
 
 
-def reference_regrow(leaves, node_depth, chunk: Chunk, params):
+def reference_regrow(forest: _Forest, leaves, chunk: Chunk, params):
     """The regrowth loop that transfer ran before its sites were grown
     together: one list-grower call (``_grow_rows``) per (tree, leaf)
-    row group of the forest pass ``leaves``, shared through a memo keyed by
-    (rows, depth); ``node_depth`` holds every forest node's depth. Returns
+    row group of the forest pass ``leaves`` over ``forest``, shared through
+    a memo keyed by (rows, depth), each rooted at its leaf's depth. Returns
     the reached leaves, their subtrees' nodes in growth order
     (``growth_order``), and the regrown trees' true-class posterior and
-    correctness bit of every (tree, row) pair, as ``transfer._regrow``
+    correctness bit of every (tree, row) pair, as ``cart.grow_leaves``
     does."""
     order = np.argsort(leaves, kind="stable")  # rows stay ascending in each group
     ranked = leaves[order]
     first = np.flatnonzero(np.diff(ranked, prepend=-1))
     reached = ranked[first]
-    depths = node_depth[reached].tolist()
+    depths = np.concatenate([t.depth for t in forest.trees])[reached].tolist()
     rows = (order % len(chunk)).tolist()
     bounds = first.tolist() + [len(rows)]
     X, y = chunk.X.tolist(), chunk.y.tolist()
@@ -826,8 +826,8 @@ def reference_grow_sites(
 
 def reference_grow_step(sources, chunk: Chunk, params, adapt: bool = True):
     """``transfer.grow_step`` with its regrowth, the new tree's included,
-    done by ``reference_regrow``."""
-    with mock.patch.object(transfer, "_regrow", reference_regrow):
+    done by ``reference_regrow`` in place of ``cart.grow_leaves``."""
+    with mock.patch.object(transfer, "grow_leaves", reference_regrow):
         return transfer.grow_step(sources, chunk, params, adapt)
 
 
@@ -967,8 +967,8 @@ def reference_splice_step(sources, chunk: Chunk, params, adapt: bool = True):
 
 def reference_transfer_trees(sources, chunk: Chunk, params):
     """``transfer.transfer_trees`` with its regrowth done by
-    ``reference_regrow``."""
-    with mock.patch.object(transfer, "_regrow", reference_regrow):
+    ``reference_regrow`` in place of ``cart.grow_leaves``."""
+    with mock.patch.object(transfer, "grow_leaves", reference_regrow):
         return transfer.transfer_trees(sources, chunk, params)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import driftel
 from driftel.cart import (
     StoppingParams,
+    Tree,
     _Forest,
     best_split,
     grow_sites,
@@ -101,6 +102,18 @@ def test_route_boundary_is_inclusive():
     assert route_to_leaf(tree, Instance((5.01,), 0)) == tree.right[0]
     single = train_cart(numeric_chunk([3.0], [1], num_classes=2), UNBOUNDED)
     assert route_to_leaf(single, Instance((123.0,), 0)) == 0
+
+
+def test_code_test_sends_the_go_left_codes_left():
+    # A hand-built categorical stump checks the node test without growth:
+    # codes 0 and 2 go left, 1 and 3 go right.
+    schema = Schema((FeatureDescriptor(CATEGORICAL, ("a", "b", "c", "d")),), 2)
+    tree = Tree(
+        np.array([0, -1, -1]), np.full(3, np.nan), np.array([[0, 2, -1], [-1, -1, -1], [-1, -1, -1]]),
+        np.array([1, -1, -1]), np.array([2, -1, -1]), np.array([[3, 3], [3, 0], [0, 3]]), schema, 0,
+    )
+    chunk = Chunk(0, schema, np.array([[0.0], [1.0], [2.0], [3.0]]), np.zeros(4, dtype=np.int64))
+    assert route_forest([tree], chunk).tolist() == [[1, 2, 1, 2]]
 
 
 def test_predict_and_posterior_examples():

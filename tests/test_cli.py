@@ -195,6 +195,21 @@ def test_sweep_checks_its_output_path_before_it_runs(tmp_path, monkeypatch, caps
     assert f"{tmp_path} is a directory" in capsys.readouterr().err
 
 
+def test_sweep_generates_each_seeds_stream_once(tmp_path, monkeypatch, capsys):
+    # Every archive size runs on the same stream of a seed, so a stream is
+    # generated once per distinct seed, and the sweep prints only what it
+    # measured.
+    calls = []
+    generate = cli.make_stream
+    monkeypatch.setattr(cli, "make_stream", lambda cfg: calls.append(cfg.seed) or generate(cfg))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--preset", "SEA200A", "--m-values", "1,2,3", "--seeds", "1,2,1", "--steps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == [1, 2]
+    assert "note" not in capsys.readouterr().out
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["m", "1", "2", "3"]
+
+
 def test_sweep_writes_deduplicated_sizes(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main([
@@ -383,4 +398,26 @@ def test_a_stream_with_no_scored_step_is_an_input_error(tmp_path, capsys):
     assert main(["run", "--streams", "SEA200A", "--steps", "1", "--protocol", "prequential",
                  "--out-dir", str(out_dir)]) == 1
     assert "stream SEA200A has no step to score" in capsys.readouterr().err
+    assert not out_dir.exists()  # no cell ran
+
+
+def test_run_holds_one_preset_stream_at_a_time(tmp_path, monkeypatch):
+    # A preset's stream is generated when its cells start: never before the
+    # last cell of the stream before it has run.
+    events = []
+    generate, learner = cli.make_stream, cli.make_learner
+    monkeypatch.setattr(cli, "make_stream", lambda cfg: events.append(("stream", cfg.family, cfg.seed)) or generate(cfg))
+    monkeypatch.setattr(cli, "make_learner", lambda name, cfg: events.append(("cell", name)) or learner(name, cfg))
+    spec = RunSpec(algorithms=["dtel", "sea"], streams=["SEA200A", "STA200A"], seeds=[1, 2], n_steps=2,
+                   out_dir=str(tmp_path / "res"), record_wall_time=False)
+    assert len(run_spec(spec)) == 8
+    streams = [("stream", family, seed) for family in ("SEA", "STA") for seed in (1, 2)]
+    assert events == [e for stream in streams for e in (stream, ("cell", "dtel"), ("cell", "sea"))]
+
+
+def test_bad_preset_settings_are_reported_before_any_cell(tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    for flags, message in ((["--steps", "0"], "n_steps must be >= 1"), (["--noise-rate", "2"], "noise_rate must lie in [0, 1]")):
+        assert main(["run", "--streams", "SEA200A,STA200A", "--seeds", "1,2", *flags, "--out-dir", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
     assert not out_dir.exists()  # no cell ran

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftel.cli import main
 from driftel.core import CATEGORICAL, NUMERIC
 from driftel.datasets import read_stream_csv, write_stream_csv
 from driftel.streams import ChunkPair, make_stream, preset_config
@@ -77,6 +78,20 @@ def test_missing_values_rejected(tmp_path):
     path.write_text("step,role,f0,label\n0,train,,0\n")
     with pytest.raises(ValueError):
         read_stream_csv(path)
+
+
+def test_non_finite_numeric_values_are_input_errors(tmp_path, capsys):
+    # A column whose values all parse as floats is numeric; a nan or inf in
+    # it is an error that names the column and the value, not a reason to
+    # read the column as categorical.
+    path = tmp_path / "nonfinite.csv"
+    values = ["1.5", "nan", "2.0", "0.5", "3.0", "inf"]
+    path.write_text("step,role,f0,f1,label\n" + "".join(f"0,train,1.0,{v},{i % 2}\n" for i, v in enumerate(values)))
+    with pytest.raises(ValueError, match="feature f1 is numeric but holds the non-finite value 'nan'"):
+        read_stream_csv(path)
+    assert main(["run", "--streams", str(path), "--out-dir", str(tmp_path / "res")]) == 1
+    assert "feature f1 is numeric but holds the non-finite value 'nan'" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
 
 
 def test_malformed_files_rejected(tmp_path):

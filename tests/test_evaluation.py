@@ -6,6 +6,7 @@ from scipy import stats as scipy_stats
 
 from driftel.baselines import make_learner
 from driftel.core import make_rng
+from driftel import evaluation
 from driftel.dtel import DtelConfig
 from driftel.evaluation import (
     A_BETTER,
@@ -109,7 +110,43 @@ def test_run_prequential_single_chunk_yields_no_accuracy():
     learner = make_learner("dtel", DtelConfig(m=2))
     result = run_prequential(learner, [chunk], stream_id="one", seed=0)
     assert result.per_chunk_accuracy.size == 0
-    assert result.seconds.size == 1
+    assert result.seconds.size == 0  # one wall time per accuracy
+
+
+def test_a_prequential_rows_seconds_are_its_update_and_the_next_prediction(tmp_path, monkeypatch):
+    # A fake clock that the learner advances: updating on chunk k takes
+    # k + 1 seconds and predicting chunk k takes 100 (k + 1). Row k scores
+    # chunk k + 1 with the model updated on chunk k, so its seconds are
+    # (k + 1) + 100 (k + 2); the last update is not timed, and the CSV
+    # gives back the run that was written.
+    clock = [0.0]
+    monkeypatch.setattr(evaluation.time, "perf_counter", lambda: clock[0])
+
+    class Ticking(ConstantLearner):
+        def update(self, chunk):
+            clock[0] += chunk.index + 1
+
+        def predict_chunk(self, chunk):
+            clock[0] += 100 * (chunk.index + 1)
+            return super().predict_chunk(chunk)
+
+    chunks = [numeric_chunk([1, 2, 3, 4], [0, 0, 0, k % 2], index=k) for k in range(4)]
+    result = run_prequential(Ticking(0), chunks, stream_id="tick", seed=3)
+    assert result.per_chunk_accuracy.tolist() == [0.75, 1.0, 0.75]
+    assert result.seconds.tolist() == [201.0, 302.0, 403.0]
+    assert clock[0] == 1 + 2 + 3 + 4 + 200 + 300 + 400
+    path = tmp_path / "results.csv"
+    write_results_csv([result], path)
+    [back] = read_results_csv(path)
+    assert back.per_chunk_accuracy.tolist() == result.per_chunk_accuracy.tolist()
+    assert back.seconds.tolist() == result.seconds.tolist()
+
+
+def test_run_result_needs_one_wall_time_per_accuracy():
+    with pytest.raises(ValueError, match="one wall time per accuracy"):
+        RunResult("a", "s", 0, [0.5, 0.75], [1.0])
+    with pytest.raises(ValueError, match="one wall time per accuracy"):
+        RunResult("a", "s", 0, [], [1.0])
 
 
 def test_run_prequential_identical_chunks_score_one_then():
