@@ -222,6 +222,19 @@ MUTANTS = [
      "return _readonly(self.counts / self.counts.sum(axis=1, keepdims=True))",
      "return _readonly(self.counts / self.counts.sum())",
      ["test_cart.py"]),
+    ("class-prior-unnormalised", CORE,
+     "return counts / counts.sum()",
+     "return counts / chunk.schema.num_classes",
+     ["test_core.py"]),
+    ("empty-child-unchecked", CART,
+     "            if not size.all():  # a chosen split always parts its entries\n"
+     "                raise RuntimeError(\"a split left a child without entries\")\n",
+     "",
+     ["test_cart.py"]),
+    ("duplicate-weight-dropped", CART,
+     "counts = np.bincount(labels[pos] * m + node, weigh(pos), K * m)",
+     "counts = np.bincount(labels[pos] * m + node, None, K * m)",
+     ["test_metamorphic.py"]),
     ("stream-noise-before-test-rows", STREAMS,
      "    train = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"
      "    test = Chunk(step, schema, *draw(rng, cfg.chunk_size, concept))\n"

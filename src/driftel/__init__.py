@@ -11,8 +11,6 @@ from .baselines import ALGORITHMS, make_learner, sea_process_chunk
 from .cart import (
     StoppingParams,
     Tree,
-    posterior,
-    predict,
     predict_chunk,
     route_forest,
     train_cart,
@@ -20,9 +18,7 @@ from .cart import (
 )
 from .core import (
     Chunk,
-    ClassDistribution,
     FeatureDescriptor,
-    Instance,
     Schema,
     class_prior,
     make_rng,
@@ -35,7 +31,6 @@ from .dtel import (
     WeightedEnsemble,
     mse_model,
     mse_random,
-    predict_ensemble,
     process_chunk,
     weight_adapted,
     weight_new,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cart import predict_forest, train_cart
-from .core import Chunk, Instance
+from .core import Chunk
 from .dtel import Archive, DtelConfig, DtelLearner
 
 
@@ -93,13 +93,6 @@ class SeaLearner:
         if not len(self.state):
             raise ValueError("learner has not been trained yet")
         return sea_predict_chunk(self.state, chunk)
-
-    def predict(self, instance: Instance) -> int:
-        if not len(self.state):
-            raise ValueError("learner has not been trained yet")
-        schema = self.state.models[0].schema
-        chunk = Chunk(0, schema, schema.encode_features(instance.features)[None, :], np.zeros(1, dtype=np.int64))
-        return int(self.predict_chunk(chunk)[0])
 
 
 class NoTransferLearner(DtelLearner):

@@ -37,13 +37,13 @@ root.
 
 Every traversal goes through one forest pass, :func:`route_forest`, which
 moves all (tree, row) pairs of a list of trees down one level per numpy
-round; the per-tree views (``posterior_chunk``, ``predict_chunk``,
-``route_to_leaf``) route a forest of one tree. One forest runs from growth
-to vote: the forest ``_Forest.splice`` returns, the adapted trees and then
-the new tree, is the one the ensemble votes with, each node's posterior
-weighted (``_Forest.weighted_posteriors``, see ``dtel``), and ``sea``
-takes its labels in one gather (``predict_forest``). So this module alone
-knows the node layout.
+round; the per-tree views (``posterior_chunk``, ``predict_chunk``) route a
+forest of one tree. One forest runs from growth to vote: the forest
+``_Forest.splice`` returns, the adapted trees and then the new tree, is the
+one the ensemble votes with, each node's posterior weighted
+(``_Forest.weighted_posteriors``, see ``dtel``), and ``sea`` takes its
+labels in one gather (``predict_forest``). So this module alone knows the
+node layout.
 
 A forest pass over a chunk routes each distinct feature row once
 (``Chunk.distinct``) and spreads the leaves to the rows: transfer's pass,
@@ -66,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Chunk, ClassDistribution, Instance, Schema, _readonly
+from .core import Chunk, Schema, _readonly
 
 
 @dataclass(frozen=True)
@@ -428,6 +428,8 @@ def grow_sites(
             order = child.argsort(kind="stable")
             node, pos = child[order], pos[order]
             size = np.bincount(node, None, 2 * splits)
+            if not size.all():  # a chosen split always parts its entries
+                raise RuntimeError("a split left a child without entries")
             site = site[internal].repeat(2)
             if max_depth is not None:
                 depth = np.repeat(depth[internal] + 1, 2)
@@ -741,28 +743,13 @@ def predict_forest(trees, chunk: Chunk) -> np.ndarray:
     return leaves if forest is None else forest.labels[leaves]
 
 
-def route_to_leaf(tree: Tree, instance: Instance) -> int:
-    """Deterministically route one instance to its leaf; returns the leaf id."""
-    x = tree.schema.encode_features(instance.features)
-    return int(_Forest.of([tree]).route(x[:, None])[0])
-
-
-def predict(tree: Tree, instance: Instance) -> int:
-    return int(tree.labels[route_to_leaf(tree, instance)])
-
-
-def posterior(tree: Tree, instance: Instance) -> ClassDistribution:
-    """Class distribution of the routed leaf: per-class count ratios."""
-    return ClassDistribution(tree.probabilities[route_to_leaf(tree, instance)])
-
-
 def posterior_chunk(tree: Tree, chunk: Chunk) -> np.ndarray:
-    """Per-instance posterior matrix, shape (len(chunk), num_classes)."""
+    """Posterior of every row of a chunk, shape (len(chunk), num_classes)."""
     return tree.probabilities[route_forest([tree], chunk)[0]]
 
 
 def predict_chunk(tree: Tree, chunk: Chunk) -> np.ndarray:
-    """Predicted labels for every instance of a chunk."""
+    """Predicted label of every row of a chunk."""
     return tree.labels[route_forest([tree], chunk)[0]]
 
 

@@ -1,5 +1,5 @@
-"""Shared data model: feature schemas, instances, chunks, class distributions,
-and the seeded random source used by every stochastic component.
+"""Shared data model: feature schemas, chunks, a chunk's class prior, and the
+seeded random source used by every stochastic component.
 
 All types here are immutable after construction and safe to share across
 threads. Random generators are single-owner: fork a fresh one per consumer
@@ -8,7 +8,6 @@ with :func:`make_rng` instead of sharing generator state.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,35 +61,6 @@ class FeatureDescriptor:
     def is_categorical(self) -> bool:
         return self.kind == CATEGORICAL
 
-    @cached_property
-    def _codes(self) -> dict[str, int]:
-        return {sym: i for i, sym in enumerate(self.domain)}
-
-    def encode(self, value) -> float:
-        """Map a raw feature value to its float representation.
-
-        Numeric values pass through; categorical symbols become their domain
-        index. Missing values (None) are rejected.
-        """
-        if value is None:
-            raise ValueError("missing feature value")
-        if self.is_categorical:
-            try:
-                return float(self._codes[value])
-            except KeyError:
-                raise ValueError(f"symbol {value!r} not in domain {self.domain}") from None
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"numeric feature got non-numeric value {value!r}")
-        v = float(value)
-        if not np.isfinite(v):
-            raise ValueError(f"numeric feature value must be finite, got {v}")
-        return v
-
-    def decode(self, code: float):
-        if self.is_categorical:
-            return self.domain[int(code)]
-        return float(code)
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -110,32 +80,6 @@ class Schema:
     def n_features(self) -> int:
         return len(self.features)
 
-    def encode_features(self, values) -> np.ndarray:
-        values = tuple(values)
-        if len(values) != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} feature values, got {len(values)}"
-            )
-        return np.array(
-            [fd.encode(v) for fd, v in zip(self.features, values)], dtype=np.float64
-        )
-
-    def decode_features(self, codes) -> tuple:
-        return tuple(fd.decode(c) for fd, c in zip(self.features, codes))
-
-
-@dataclass(frozen=True)
-class Instance:
-    """One labeled example: raw feature values (floats or category symbols)
-    and a class index in [0, num_classes)."""
-
-    features: tuple
-    label: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "label", int(self.label))
-
 
 @dataclass(frozen=True, eq=False)
 class Chunk:
@@ -143,7 +87,7 @@ class Chunk:
 
     Features are stored encoded: an (n, d) float64 matrix where categorical
     columns hold domain indices. Labels are an (n,) int64 vector. Both arrays
-    are read-only; ``instances`` decodes back to raw values on demand.
+    are read-only.
 
     Two views are computed at first use and shared by every tree that routes
     the chunk: ``columns``, the features column-major, and ``distinct``, the
@@ -180,20 +124,6 @@ class Chunk:
         object.__setattr__(self, "X", _readonly(X))
         object.__setattr__(self, "y", _readonly(y))
         object.__setattr__(self, "index", int(self.index))
-
-    @classmethod
-    def from_instances(cls, index: int, instances, schema: Schema) -> "Chunk":
-        instances = tuple(instances)
-        if not instances:
-            raise ValueError("chunk must be non-empty")
-        X = np.empty((len(instances), schema.n_features), dtype=np.float64)
-        y = np.empty(len(instances), dtype=np.int64)
-        for i, inst in enumerate(instances):
-            X[i] = schema.encode_features(inst.features)
-            if not 0 <= inst.label < schema.num_classes:
-                raise ValueError(f"label {inst.label} out of range")
-            y[i] = inst.label
-        return cls(index, schema, X, y)
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -238,49 +168,13 @@ class Chunk:
         inverse[order] = np.cumsum(head) - 1
         return _readonly(ranked[:, head]), _readonly(inverse)
 
-    @cached_property
-    def instances(self) -> tuple[Instance, ...]:
-        return tuple(
-            Instance(self.schema.decode_features(row), int(lab))
-            for row, lab in zip(self.X, self.y)
-        )
-
     def with_labels(self, y: np.ndarray) -> "Chunk":
         """New chunk sharing this chunk's features with replaced labels."""
         return Chunk(self.index, self.schema, self.X, y)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassDistribution:
-    """A probability vector over the dense class indices."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probabilities must be a non-empty vector")
-        if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-        object.__setattr__(self, "probabilities", _readonly(p))
-
-    @classmethod
-    def from_counts(cls, counts) -> "ClassDistribution":
-        c = np.asarray(counts, dtype=np.float64)
-        total = c.sum()
-        if total <= 0:
-            raise ValueError("counts must sum to a positive total")
-        return cls(c / total)
-
-    @property
-    def predicted_label(self) -> int:
-        # argmax takes the lowest index on ties
-        return int(np.argmax(self.probabilities))
-
-
-def class_prior(chunk: Chunk) -> ClassDistribution:
-    """Empirical label distribution of a chunk."""
+def class_prior(chunk: Chunk) -> np.ndarray:
+    """Empirical label distribution of a chunk: its class counts over their
+    total, one entry per class."""
     counts = np.bincount(chunk.y, minlength=chunk.schema.num_classes)
-    return ClassDistribution.from_counts(counts)
+    return counts / counts.sum()

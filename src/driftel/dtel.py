@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cart import StoppingParams, Tree, _check_schema, _Forest, _route_distinct, posterior_chunk
-from .core import Chunk, ClassDistribution, Instance, class_prior
+from .core import Chunk, class_prior
 from .diversity import NEW_MODEL, CorrectnessVector, select_least_accurate, select_removal
 from .transfer import grow_step
 
@@ -96,7 +96,6 @@ class WeightedEnsemble:
     member order (``total``)."""
 
     members: tuple[EnsembleMember, ...]
-    chunk_index: int
     forest: _Forest = field(repr=False)
     weighted: np.ndarray = field(init=False, repr=False)
     total: float = field(init=False, repr=False)
@@ -127,7 +126,7 @@ def mse_model(model: Tree, chunk: Chunk) -> float:
 
 def mse_random(chunk: Chunk) -> float:
     """Squared error of a classifier sampling labels from the chunk's prior."""
-    p = class_prior(chunk).probabilities
+    p = class_prior(chunk)
     return float(np.sum(p * (1.0 - p) ** 2))
 
 
@@ -159,14 +158,6 @@ def ensemble_posteriors(ens: WeightedEnsemble, chunk: Chunk) -> np.ndarray:
 
 def predict_ensemble_chunk(ens: WeightedEnsemble, chunk: Chunk) -> np.ndarray:
     return np.argmax(ensemble_posteriors(ens, chunk), axis=1)
-
-
-def predict_ensemble(ens: WeightedEnsemble, instance: Instance) -> tuple[int, ClassDistribution]:
-    """Combined prediction for one instance: (argmax label, soft distribution)."""
-    schema = ens.members[0].tree.schema
-    chunk = Chunk(ens.chunk_index, schema, schema.encode_features(instance.features)[None, :], np.zeros(1, dtype=np.int64))
-    combined = ensemble_posteriors(ens, chunk)[0]
-    return int(np.argmax(combined)), ClassDistribution(combined)
 
 
 def _update_archive(
@@ -223,7 +214,7 @@ def process_chunk(
         EnsembleMember(t, weight_adapted(mse_r, e, cfg.epsilon), ADAPTED)
         for t, e in zip(forest.trees, mse.tolist())
     ) + (EnsembleMember(new_tree, weight_new(mse_r, cfg.epsilon), NEW),)
-    return WeightedEnsemble(members, chunk.index, forest), updated
+    return WeightedEnsemble(members, forest), updated
 
 
 class DtelLearner:
@@ -248,8 +239,3 @@ class DtelLearner:
         if self.ensemble is None:
             raise ValueError("learner has not been trained yet")
         return predict_ensemble_chunk(self.ensemble, chunk)
-
-    def predict(self, instance: Instance) -> int:
-        if self.ensemble is None:
-            raise ValueError("learner has not been trained yet")
-        return predict_ensemble(self.ensemble, instance)[0]

@@ -85,6 +85,25 @@ def numeric_chunk(points, labels, num_classes: int = 2, index: int = 0) -> Chunk
     return Chunk(index, schema, X, np.asarray(labels, dtype=np.int64))
 
 
+def one_row(schema: Schema, *values: float, index: int = 0) -> Chunk:
+    """A one-row chunk of encoded feature values, labelled 0."""
+    return Chunk(index, schema, np.array([values], dtype=np.float64), np.zeros(1, dtype=np.int64))
+
+
+def decoded_chunk(chunk: Chunk) -> tuple:
+    """A chunk as raw values, for comparing chunks whose categorical domains
+    may list their symbols in another order: its step index, its feature
+    kinds, its rows with each categorical code as its symbol
+    (``fd.domain[int(code)]``) and each numeric value as a float, and its
+    labels."""
+    features = chunk.schema.features
+    rows = [
+        tuple(fd.domain[int(v)] if fd.is_categorical else v for fd, v in zip(features, row))
+        for row in chunk.X.tolist()
+    ]
+    return chunk.index, [fd.kind for fd in features], rows, chunk.y.tolist()
+
+
 def random_schema(rng: np.random.Generator, max_features: int = 3, num_classes: int | None = None) -> Schema:
     """Random mixed schema with at least one numeric feature, so feature
     vectors are almost surely distinct (labelings stay consistent)."""
@@ -972,11 +991,11 @@ def reference_transfer_trees(sources, chunk: Chunk, params):
         return transfer.transfer_trees(sources, chunk, params)
 
 
-def hand_ensemble(members, chunk_index: int = 0) -> WeightedEnsemble:
+def hand_ensemble(members) -> WeightedEnsemble:
     """An ensemble of ``members`` built by hand: their trees' forest is
     ``_Forest.of`` them."""
     members = tuple(members)
-    return WeightedEnsemble(members, chunk_index, _Forest.of(m.tree for m in members))
+    return WeightedEnsemble(members, _Forest.of(m.tree for m in members))
 
 
 def reference_no_transfer_step(archive, chunk: Chunk, cfg, diverse: bool = True):
@@ -997,7 +1016,7 @@ def reference_no_transfer_step(archive, chunk: Chunk, cfg, diverse: bool = True)
     members = tuple(
         EnsembleMember(t, weight_adapted(mse_r, e, cfg.epsilon), ADAPTED) for t, e in zip(trees, mse.tolist())
     ) + (EnsembleMember(new_tree, weight_new(mse_r, cfg.epsilon), NEW),)
-    return hand_ensemble(members, chunk.index), updated
+    return hand_ensemble(members), updated
 
 
 WALK_SCHEMA = Schema(

@@ -18,13 +18,10 @@ from driftel.cart import (
     best_split,
     grow_sites,
     one_leaf,
-    posterior,
     posterior_chunk,
-    predict,
     predict_chunk,
     predict_forest,
     route_forest,
-    route_to_leaf,
     train_cart,
     tree_to_text,
 )
@@ -33,7 +30,6 @@ from driftel.core import (
     NUMERIC,
     Chunk,
     FeatureDescriptor,
-    Instance,
     Schema,
     make_rng,
 )
@@ -50,6 +46,7 @@ from helpers import (
     graph_transfer,
     node_categories,
     numeric_chunk,
+    one_row,
     random_chunk,
     random_consistent_chunk,
     random_schema,
@@ -98,10 +95,10 @@ def test_route_boundary_is_inclusive():
     # force the threshold to exactly 5.0
     tree = train_cart(chunk, UNBOUNDED)
     assert tree.threshold[0] == 5.0
-    assert route_to_leaf(tree, Instance((5.0,), 0)) == tree.left[0]
-    assert route_to_leaf(tree, Instance((5.01,), 0)) == tree.right[0]
+    assert route_forest([tree], one_row(tree.schema, 5.0)).tolist() == [[tree.left[0]]]
+    assert route_forest([tree], one_row(tree.schema, 5.01)).tolist() == [[tree.right[0]]]
     single = train_cart(numeric_chunk([3.0], [1], num_classes=2), UNBOUNDED)
-    assert route_to_leaf(single, Instance((123.0,), 0)) == 0
+    assert route_forest([single], one_row(single.schema, 123.0)).tolist() == [[0]]
 
 
 def test_code_test_sends_the_go_left_codes_left():
@@ -116,24 +113,41 @@ def test_code_test_sends_the_go_left_codes_left():
     assert route_forest([tree], chunk).tolist() == [[1, 2, 1, 2]]
 
 
+def test_growth_fails_on_a_split_that_parts_nothing(monkeypatch):
+    # A node test that sends every value left leaves each split's right child
+    # empty; growth must raise rather than split the same entries forever.
+    # The fake test stops a growth that does not fail after 100 levels.
+    calls = []
+
+    def all_left(values, threshold, codes, node):
+        calls.append(node.size)
+        assert len(calls) < 100, "growth split the same entries forever"
+        return np.ones(values.shape, dtype=bool)
+
+    monkeypatch.setattr(driftel.cart, "_goes_left", all_left)
+    with pytest.raises(RuntimeError, match="without entries"):
+        train_cart(numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1]), UNBOUNDED)
+
+
 def test_predict_and_posterior_examples():
     tree = train_cart(numeric_chunk([1, 2, 3, 4], [0, 0, 0, 1]), StoppingParams(max_depth=0))
     assert np.array_equal(tree.counts[0], [3, 1])
     assert np.allclose(tree.probabilities[0], [0.75, 0.25])
     # majority-count leaf (3 vs 1) predicts the majority
-    assert predict(tree, Instance((2.0,), 0)) == 0
-    assert np.allclose(posterior(tree, Instance((2.0,), 0)).probabilities, [0.75, 0.25])
+    row = one_row(tree.schema, 2.0)
+    assert predict_chunk(tree, row).tolist() == [0]
+    assert np.allclose(posterior_chunk(tree, row), [[0.75, 0.25]])
     tie = train_cart(numeric_chunk([1, 2, 3, 4], [0, 0, 1, 1]), StoppingParams(max_depth=0))
-    assert predict(tie, Instance((2.0,), 0)) == 0  # tie -> lowest class index
+    assert predict_chunk(tie, row).tolist() == [0]  # tie -> lowest class index
     three = train_cart(
         numeric_chunk([1, 2, 3, 4], [0, 1, 2, 2], num_classes=3), StoppingParams(max_depth=0)
     )
-    assert np.allclose(posterior(three, Instance((1.0,), 0)).probabilities, [0.25, 0.25, 0.5])
+    assert np.allclose(posterior_chunk(three, one_row(three.schema, 1.0)), [[0.25, 0.25, 0.5]])
 
 
 def test_pure_leaf_posterior():
     tree = train_cart(numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1]), UNBOUNDED)
-    assert np.allclose(posterior(tree, Instance((1.0,), 0)).probabilities, [1.0, 0.0])
+    assert np.allclose(posterior_chunk(tree, one_row(tree.schema, 1.0)), [[1.0, 0.0]])
 
 
 def test_stopping_max_depth_and_min_samples():
@@ -176,10 +190,9 @@ def test_categorical_split_and_unseen_symbol_routes_right():
     tree = train_cart(Chunk(0, schema, X, y), UNBOUNDED)
     assert tree.feature[0] >= 0 and node_categories(tree, 0) is not None
     # symbol "c" (code 2) appears in no training partition -> routes right
-    leaf_c = route_to_leaf(tree, Instance(("c",), 0))
-    assert leaf_c == tree.right[0]
-    assert predict(tree, Instance(("a",), 0)) == 1
-    assert predict(tree, Instance(("b",), 0)) == 0
+    assert route_forest([tree], one_row(schema, 2.0)).tolist() == [[tree.right[0]]]
+    assert predict_chunk(tree, one_row(schema, 0.0)).tolist() == [1]
+    assert predict_chunk(tree, one_row(schema, 1.0)).tolist() == [0]
 
 
 def test_split_tie_breaks_lowest_feature_then_threshold():
@@ -351,8 +364,6 @@ def test_chunk_routing_matches_straight_line_route(data):
             assert labels[i] == tree.labels[leaf]
             assert post[i].tobytes() == tree.probabilities[leaf].tobytes()
             assert leaves[0, i] == leaves[1, i] == leaf
-            instance = Instance(WALK_SCHEMA.decode_features(x), 0)
-            assert route_to_leaf(tree, instance) == leaf
 
 
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)

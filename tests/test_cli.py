@@ -8,6 +8,7 @@ from driftel import cli
 from driftel.cli import RunSpec, build_parser, main, run_spec
 from driftel.datasets import read_stream_csv, write_stream_csv
 from driftel.streams import make_stream, preset_config
+from helpers import decoded_chunk
 
 
 def test_generate_row_count_and_roundtrip(tmp_path, capsys):
@@ -20,8 +21,8 @@ def test_generate_row_count_and_roundtrip(tmp_path, capsys):
     loaded = read_stream_csv(out)
     regenerated = make_stream(preset_config("SEA200A", seed=3, n_steps=5))
     for a, b in zip(loaded, regenerated):
-        assert a.train.instances == b.train.instances
-        assert a.test.instances == b.test.instances
+        assert decoded_chunk(a.train) == decoded_chunk(b.train)
+        assert decoded_chunk(a.test) == decoded_chunk(b.test)
 
 
 def test_generate_full_preset_row_count(tmp_path):

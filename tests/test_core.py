@@ -7,9 +7,7 @@ from driftel.core import (
     CATEGORICAL,
     NUMERIC,
     Chunk,
-    ClassDistribution,
     FeatureDescriptor,
-    Instance,
     Schema,
     class_prior,
     make_rng,
@@ -35,33 +33,6 @@ def test_schema_validation():
         Schema((), 2)
     with pytest.raises(ValueError):
         Schema((FeatureDescriptor(NUMERIC),), 1)
-
-
-def test_encode_decode_roundtrip():
-    fd = FeatureDescriptor(CATEGORICAL, ("R", "B", "G"))
-    assert fd.encode("B") == 1.0
-    assert fd.decode(1.0) == "B"
-    with pytest.raises(ValueError):
-        fd.encode("X")
-    with pytest.raises(ValueError):
-        fd.encode(None)
-    num = FeatureDescriptor(NUMERIC)
-    assert num.encode(2.5) == 2.5
-    with pytest.raises(ValueError):
-        num.encode(float("nan"))
-    with pytest.raises(ValueError):
-        num.encode("abc")
-
-
-def test_chunk_from_instances_and_back():
-    schema = Schema(
-        (FeatureDescriptor(NUMERIC), FeatureDescriptor(CATEGORICAL, ("x", "y"))), 2
-    )
-    insts = (Instance((1.5, "y"), 0), Instance((2.0, "x"), 1))
-    chunk = Chunk.from_instances(3, insts, schema)
-    assert len(chunk) == 2
-    assert chunk.instances == insts
-    assert chunk.X[0, 1] == 1.0
 
 
 def test_chunk_validation():
@@ -124,30 +95,15 @@ def test_distinct_rows_match_brute_force_grouping(data):
 
 
 def test_class_prior_examples():
-    assert np.allclose(class_prior(numeric_chunk([1, 2, 3, 4], [0, 0, 1, 1])).probabilities, [0.5, 0.5])
-    assert np.allclose(
-        class_prior(numeric_chunk([1, 2, 3], [0, 0, 0], num_classes=3)).probabilities,
-        [1.0, 0.0, 0.0],
-    )
-    assert np.allclose(
-        class_prior(numeric_chunk([1, 2, 3, 4], [0, 0, 0, 1])).probabilities, [0.75, 0.25]
-    )
+    assert class_prior(numeric_chunk([1, 2, 3, 4], [0, 0, 1, 1])).tolist() == [0.5, 0.5]
+    assert class_prior(numeric_chunk([1, 2, 3], [0, 0, 0], num_classes=3)).tolist() == [1.0, 0.0, 0.0]
+    assert class_prior(numeric_chunk([1, 2, 3, 4], [0, 0, 0, 1])).tolist() == [0.75, 0.25]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60))
 def test_class_prior_sums_to_one(labels):
     chunk = numeric_chunk(np.arange(len(labels), dtype=float), labels, num_classes=4)
-    assert abs(class_prior(chunk).probabilities.sum() - 1.0) <= 1e-12
-
-
-def test_class_distribution_validation():
-    with pytest.raises(ValueError):
-        ClassDistribution(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        ClassDistribution(np.array([1.5, -0.5]))
-    d = ClassDistribution.from_counts([3, 1])
-    assert d.predicted_label == 0
-    assert ClassDistribution.from_counts([2, 2]).predicted_label == 0  # tie -> lowest
+    assert abs(class_prior(chunk).sum() - 1.0) <= 1e-12
 
 
 def test_make_rng_deterministic_and_forked():

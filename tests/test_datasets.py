@@ -5,13 +5,14 @@ from driftel.cli import main
 from driftel.core import CATEGORICAL, NUMERIC
 from driftel.datasets import read_stream_csv, write_stream_csv
 from driftel.streams import ChunkPair, make_stream, preset_config
-from helpers import numeric_chunk
+from helpers import decoded_chunk, numeric_chunk
 
 
-def pairs_equal_as_instances(a, b):
-    assert a.train.index == b.train.index
+def pairs_equal_as_rows(a, b):
+    # A CSV lists a categorical domain in first-seen order, so codes may
+    # differ where the symbols agree.
     for ca, cb in ((a.train, b.train), (a.test, b.test)):
-        assert ca.instances == cb.instances
+        assert decoded_chunk(ca) == decoded_chunk(cb)
 
 
 @pytest.mark.parametrize("preset", ["SEA200A", "STA200G", "ROT200A"])
@@ -24,7 +25,7 @@ def test_stream_csv_roundtrip_reproduces_instances(tmp_path, preset):
     assert len(loaded) == len(stream)
     assert isinstance(loaded[0], ChunkPair)
     for a, b in zip(stream, loaded):
-        pairs_equal_as_instances(a, b)
+        pairs_equal_as_rows(a, b)
 
 
 def test_bare_chunks_roundtrip_as_prequential(tmp_path):
@@ -34,7 +35,7 @@ def test_bare_chunks_roundtrip_as_prequential(tmp_path):
     loaded = read_stream_csv(path)
     assert not isinstance(loaded[0], ChunkPair)
     for a, b in zip(chunks, loaded):
-        assert a.instances == b.instances
+        assert decoded_chunk(a) == decoded_chunk(b)
 
 
 def test_schema_inference_kinds(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from driftel import dtel
 from driftel.cart import StoppingParams, _Forest, train_cart, tree_to_text
-from driftel.core import Chunk, Instance, make_rng
+from driftel.core import Chunk, make_rng
 from driftel.diversity import correctness
 from driftel.dtel import (
     Archive,
@@ -16,7 +16,6 @@ from driftel.dtel import (
     ensemble_posteriors,
     mse_model,
     mse_random,
-    predict_ensemble,
     predict_ensemble_chunk,
     process_chunk,
     weight_adapted,
@@ -28,6 +27,7 @@ from helpers import (
     duplicate_rows,
     hand_ensemble,
     numeric_chunk,
+    one_row,
     random_chunk,
     random_consistent_chunk,
     random_schema,
@@ -76,9 +76,9 @@ def _member(points, labels, weight, kind="adapted", params=UNBOUNDED):
 def test_predict_ensemble_single_member_identity():
     tree = train_cart(numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1]), UNBOUNDED)
     ens = hand_ensemble((EnsembleMember(tree, 3.0, "new"),))
-    label, dist = predict_ensemble(ens, Instance((1.0,), 0))
-    assert label == 0
-    assert np.allclose(dist.probabilities, [1.0, 0.0])
+    row = one_row(tree.schema, 1.0)
+    assert predict_ensemble_chunk(ens, row).tolist() == [0]
+    assert np.allclose(ensemble_posteriors(ens, row), [[1.0, 0.0]])
 
 
 def test_predict_ensemble_weighted_mean():
@@ -86,21 +86,22 @@ def test_predict_ensemble_weighted_mean():
     m1 = _member([1, 2], [0, 0], 2.0)
     m2 = _member([1, 2], [1, 1], 1.0, kind="new")
     ens = hand_ensemble((m1, m2))
-    label, dist = predict_ensemble(ens, Instance((1.5,), 0))
-    assert np.allclose(dist.probabilities, [2 / 3, 1 / 3], atol=1e-12)
-    assert label == 0
+    row = one_row(m1.tree.schema, 1.5)
+    dist = ensemble_posteriors(ens, row)[0]
+    assert np.allclose(dist, [2 / 3, 1 / 3], atol=1e-12)
+    assert predict_ensemble_chunk(ens, row).tolist() == [0]
     # brute-force oracle: weighted mean of the member posteriors
     oracle = (2.0 * np.array([1.0, 0.0]) + 1.0 * np.array([0.0, 1.0])) / 3.0
-    assert np.allclose(dist.probabilities, oracle)
+    assert np.allclose(dist, oracle)
 
 
 def test_predict_ensemble_agreement_is_weight_free():
     m1 = _member([1, 2], [1, 1], 0.1)
     m2 = _member([3, 4], [1, 1], 7.0, kind="new")
     ens = hand_ensemble((m1, m2))
-    label, dist = predict_ensemble(ens, Instance((2.0,), 0))
-    assert label == 1
-    assert np.allclose(dist.probabilities, [0.0, 1.0])
+    row = one_row(m1.tree.schema, 2.0)
+    assert predict_ensemble_chunk(ens, row).tolist() == [1]
+    assert np.allclose(ensemble_posteriors(ens, row), [[0.0, 1.0]])
 
 
 def test_weighted_ensemble_invariants():
@@ -113,7 +114,7 @@ def test_weighted_ensemble_invariants():
     m2 = _member([1, 2], [0, 1], 1.0, kind="new")
     for trees in ([m1.tree], [m2.tree, m1.tree], [m1.tree, _member([1, 2], [0, 1], 1.0).tree]):
         with pytest.raises(ValueError):  # the forest must hold the members' own trees, in order
-            WeightedEnsemble((m1, m2), 0, _Forest.of(trees))
+            WeightedEnsemble((m1, m2), _Forest.of(trees))
 
 
 def test_first_chunk_warm_up():
@@ -219,7 +220,7 @@ def test_vote_tables_match_per_row_vote_under_every_setting(data):
     # members' forest, each node's weighted posterior and the weight total.
     # The ensembles process_chunk returns, and one built by hand with its
     # members reordered and reweighted, must vote like helpers' row by row
-    # vote, to the bit, on chunks and on single instances, under every
+    # vote, to the bit, on chunks and on one-row chunks, under every
     # adapt/diverse setting and archive size; training chunks repeat rows,
     # so transfer and growth run on weighted entries.
     adapt, diverse = data.draw(st.booleans()), data.draw(st.booleans())
@@ -253,10 +254,11 @@ def test_vote_tables_match_per_row_vote_under_every_setting(data):
         expected = reference_ensemble_posteriors(e, test)
         assert ensemble_posteriors(e, test).tobytes() == expected.tobytes()
         assert np.array_equal(predict_ensemble_chunk(e, test), np.argmax(expected, axis=1))
+        # A one-row chunk merges no rows: the bits of its row in the merged vote.
         for row, want in zip(rows[:5], expected):
-            label, dist = predict_ensemble(e, Instance(WALK_SCHEMA.decode_features(row), 0))
-            assert dist.probabilities.tobytes() == want.tobytes()
-            assert label == np.argmax(want)
+            single = one_row(WALK_SCHEMA, *row)
+            assert ensemble_posteriors(e, single)[0].tobytes() == want.tobytes()
+            assert predict_ensemble_chunk(e, single).tolist() == [np.argmax(want)]
 
 
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
@@ -413,7 +415,7 @@ def test_learner_interface():
         learner.predict_chunk(numeric_chunk([1.0], [0]))
     chunk = numeric_chunk([1, 2, 8, 9], [0, 0, 1, 1])
     learner.update(chunk)
-    assert learner.predict(Instance((1.0,), 0)) == 0
+    assert learner.predict_chunk(one_row(chunk.schema, 1.0)).tolist() == [0]
     assert np.array_equal(learner.predict_chunk(chunk), chunk.y)
 
 
