@@ -28,11 +28,34 @@ the change/parent ratio of each pair and of the medians, the number of pairs
 the change wins (by the ``better`` direction in the change's
 ``BENCHMARK.json``), the traced runs, and the Python and numpy versions and
 CPU count.
+
+``--lockstep R`` adds an in-process comparison, which resolves smaller
+gains than the pairs on a machine whose speed drifts (``--pairs 0`` runs it
+alone):
+
+    python scripts/bench_pairs.py --parent ../parent --change . --pairs 0 --lockstep 8 --tag topic
+
+Both checkouts' ``driftel`` are imported into this process, the ``driftel``
+modules cleared between the two loads, with numpy limited to one thread as
+in ``perfbench/run.py``. Per workload, R cells a side run step by step,
+each side on its own stream and learner (``perfbench/run.py``'s algorithm,
+preset and m). At every step both sides update and predict, and the side
+that goes first alternates by step and by cell, so a drift in machine speed
+falls on both alike. Per cell it records ``update_ms_p50``,
+``update_ms_p90`` (nearest rank, as ``perfbench/run.py``) and
+``predict_ms_p50``; per metric, each side's median over the cells, the
+ratio of the medians and the cells the change wins; the median and
+quartiles of the per-step change/parent update-time ratios; and whether the
+two sides predicted the same labels at every step. The result goes under
+``lockstep`` in the comparison, next to the pairs. The two sides share the
+allocator and the caches, so the lockstep adds evidence but replaces
+neither the pairs nor their bounds.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -41,13 +64,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
+from importlib.metadata import version
 from pathlib import Path
-
-import numpy as np
 
 SIDES = ("parent", "change")
 COPIED = ("src", "perfbench", "BENCHMARK.json")  # what a run reads from its checkout
 COVERAGE_FLOOR = 0.9
+LOCKSTEP_METRICS = ("update_ms_p50", "update_ms_p90", "predict_ms_p50")
 
 
 def fresh_copy(checkout: Path, into: Path) -> None:
@@ -137,42 +161,20 @@ def trace_warnings(traced: dict) -> list[str]:
     return warnings
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
-    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
-    parser.add_argument("--comparison", default="parent_vs_change",
-                        help="key of this comparison in the file")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated; default: every workload in BENCHMARK.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=Path("."), help="directory of the BENCH file")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, path in checkouts.items():
-        if not (path / "perfbench" / "run.py").is_file():
-            parser.error(f"--{side} {path} has no perfbench/run.py")
-    declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
-    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"] if "bound" in m}
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in declared["workloads"]])
-
+def run_pairs(checkouts: dict, workloads: list[str], pairs: int, seed: int, better: dict, bounds: dict) -> dict:
+    """The alternating subprocess pairs of every workload, then one traced
+    run a side: the runs, their summary and the warnings."""
     results = {}
     for workload in workloads:
         runs = {s: [] for s in SIDES}
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, pairs + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
-                runs[side].append(run_bench(checkouts[side], workload, 0, args.seed))
+                runs[side].append(run_bench(checkouts[side], workload, 0, seed))
                 m = runs[side][-1]["metrics"]
                 print(f"{workload} pair {pair} {side}: update_ms_p50 {m['update_ms_p50']:.2f} "
                       f"cell_s {m['cell_s']:.2f}", flush=True)
-        traced = {s: run_bench(checkouts[s], workload, 1, args.seed) for s in SIDES}
+        traced = {s: run_bench(checkouts[s], workload, 1, seed) for s in SIDES}
         summary = summarize(runs, better, bounds)
         warnings = [
             f"{metric} unresolved: a side's (q3 - q1) / median exceeds the bound {bounds[metric]}"
@@ -187,22 +189,141 @@ def main(argv=None) -> int:
             "trace": traced,
             "warnings": warnings,
         }
+    return results
+
+
+def load_driftel(checkout: Path):
+    """``driftel`` imported from ``checkout``'s ``src``, after clearing the
+    ``driftel`` modules an earlier load left in ``sys.modules``."""
+    for name in [m for m in sys.modules if m == "driftel" or m.startswith("driftel.")]:
+        del sys.modules[name]
+    src = checkout / "src"
+    sys.path.insert(0, str(src))
+    try:
+        import driftel
+    finally:
+        sys.path.remove(str(src))
+    if src not in Path(driftel.__file__).resolve().parents:
+        raise SystemExit(f"driftel imported from {driftel.__file__}, not from {src}")
+    return driftel
+
+
+def load_perfbench(checkout: Path):
+    """``checkout``'s ``perfbench/run.py`` as a module, for its workload
+    table (name -> algorithm, preset), archive size ``M``, ``THREAD_VARS``
+    and ``nearest_rank``. It imports no numpy."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", checkout / "perfbench" / "run.py")
+    run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        del sys.modules[spec.name]
+    return run
+
+
+def lockstep(sides: dict, bench_run, workload: str, cells: int, seed: int) -> dict:
+    """``cells`` lockstep cells a side of one workload (see the module
+    docstring)."""
+    algorithm, preset = bench_run.WORKLOADS[workload]
+    streams = {s: list(d.make_stream(d.preset_config(preset, seed=seed))) for s, d in sides.items()}
+    per_cell = {s: [] for s in SIDES}
+    step_ratios = []
+    same_predictions = True
+    for cell in range(cells):
+        learners = {s: d.make_learner(algorithm, d.DtelConfig(m=bench_run.M)) for s, d in sides.items()}
+        update = {s: [] for s in SIDES}
+        predict = {s: [] for s in SIDES}
+        for step in range(len(streams["parent"])):
+            labels = {}
+            for s in SIDES if (step + cell) % 2 == 0 else SIDES[::-1]:
+                pair = streams[s][step]
+                t0 = time.perf_counter()
+                learners[s].update(pair.train)
+                t1 = time.perf_counter()
+                labels[s] = learners[s].predict_chunk(pair.test)
+                predict[s].append(time.perf_counter() - t1)
+                update[s].append(t1 - t0)
+            same_predictions &= labels["parent"].tobytes() == labels["change"].tobytes()
+        step_ratios += [c / p for p, c in zip(update["parent"], update["change"])]
+        for s in SIDES:
+            per_cell[s].append({
+                "update_ms_p50": 1e3 * statistics.median(update[s]),
+                "update_ms_p90": 1e3 * bench_run.nearest_rank(update[s], 0.9),
+                "predict_ms_p50": 1e3 * statistics.median(predict[s]),
+            })
+        print(f"lockstep {algorithm} {preset} cell {cell + 1}: update_ms_p50 "
+              f"parent {per_cell['parent'][-1]['update_ms_p50']:.2f} "
+              f"change {per_cell['change'][-1]['update_ms_p50']:.2f}", flush=True)
+    summary = {"update_step_ratio": spread(step_ratios), "same_predictions": same_predictions}
+    for metric in LOCKSTEP_METRICS:
+        values = {s: [c[metric] for c in per_cell[s]] for s in SIDES}
+        medians = {s: statistics.median(values[s]) for s in SIDES}
+        summary[metric] = {
+            **values,
+            "parent_median": medians["parent"],
+            "change_median": medians["change"],
+            "ratio_of_medians": medians["change"] / medians["parent"],
+            "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+            "cells": cells,
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--lockstep", type=int, default=0, metavar="R",
+                        help="also run R in-process lockstep cells a side per workload")
+    parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
+    parser.add_argument("--comparison", default="parent_vs_change",
+                        help="key of this comparison in the file")
+    parser.add_argument("--workloads", default=None,
+                        help="comma-separated; default: every workload in BENCHMARK.json")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, default=Path("."), help="directory of the BENCH file")
+    args = parser.parse_args(argv)
+    if args.pairs < 0 or args.lockstep < 0 or not args.pairs + args.lockstep:
+        parser.error("--pairs and --lockstep must be >= 0, and one of them >= 1")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, path in checkouts.items():
+        if not (path / "perfbench" / "run.py").is_file():
+            parser.error(f"--{side} {path} has no perfbench/run.py")
+    declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"] if "bound" in m}
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in declared["workloads"]])
 
     path = args.out / f"BENCH_{args.tag}.json"
     bench = json.loads(path.read_text()) if path.is_file() else {"tag": args.tag, "comparisons": {}}
-    bench["comparisons"][args.comparison] = {
-        "pairs": args.pairs,
-        "seed": args.seed,
-        "checkouts": "each run in a fresh temporary copy of its side's "
-                     f"{', '.join(COPIED)}, without __pycache__",
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "machine": platform.machine(),
-        },
-        "workloads": results,
+    comparison = bench["comparisons"].setdefault(args.comparison, {})
+    comparison["environment"] = {
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
     }
+    if args.pairs:
+        comparison.update(
+            pairs=args.pairs,
+            seed=args.seed,
+            checkouts="each run in a fresh temporary copy of its side's "
+                      f"{', '.join(COPIED)}, without __pycache__",
+            workloads=run_pairs(checkouts, workloads, args.pairs, args.seed, better, bounds),
+        )
+    if args.lockstep:
+        bench_run = load_perfbench(checkouts["change"])
+        for var in bench_run.THREAD_VARS:  # before either side imports numpy
+            os.environ[var] = "1"
+        sides = {s: load_driftel(checkouts[s]) for s in SIDES}
+        comparison["lockstep"] = {
+            "cells": args.lockstep,
+            "seed": args.seed,
+            "order": "the side that steps first alternates by step and by cell",
+            "workloads": {w: lockstep(sides, bench_run, w, args.lockstep, args.seed) for w in workloads},
+        }
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
     return 0

@@ -90,6 +90,18 @@ MUTANTS = [
      "onehot = onehot * weight[order].reshape(-1)",
      "onehot = onehot * 1",
      ["test_transfer.py"]),
+    ("numeric-mixed-bin-dropped", CART,
+     "mixed = (boundary & ~differs).nonzero()[0]",
+     "mixed = (boundary & False).nonzero()[0]",
+     ["test_cart.py"]),
+    ("numeric-label-wrong-neighbour", CART,
+     "boundary = label[1:] != label[:-1]",
+     "boundary = np.append(False, label[1:-1] != label[:-2])",
+     ["test_cart.py"]),
+    ("numeric-pure-node-dropped", CART,
+     "pure = (np.maximum.reduce(totals) == n)[node]",
+     "pure = (np.maximum.reduce(totals) < 0)[node]",
+     ["test_cart.py"]),
     ("new-tree-label-last-maximum", CART,
      "return _readonly(self.counts.argmax(axis=1))",
      "return _readonly(self.counts.shape[1] - 1 - self.counts[:, ::-1].argmax(axis=1))",

@@ -12,11 +12,15 @@ candidate split reaches ``min_impurity_decrease``.
 Split ties are broken deterministically among equal float scores: lowest
 feature index first, then lowest threshold (for categorical features,
 earliest subset in the documented enumeration order); rational ties can
-round apart (see :func:`grow_sites`, and ROADMAP item 17). Each node rule
-is written once: the leaf rule (``_LeafRule``: label and posterior), for
-trees, forests and growth; the split score (``_split_score``); and the node
-test (``_goes_left``, on the code table ``_code_columns``), by which the
-forest pass routes rows and growth parts each level's entries.
+round apart (see :func:`grow_sites`, and ROADMAP item 17). The numeric
+search scores only boundary cuts, those whose neighbouring labels or bins
+of equal values hold two labels: no other cut can score the maximum, so the
+split is the one that scoring every cut finds (``_numeric_splits``). Each
+node rule is written once: the leaf rule (``_LeafRule``: label and
+posterior), for trees, forests and growth; the split score
+(``_split_score``); and the node test (``_goes_left``, on the code table
+``_code_columns``), by which the forest pass routes rows and growth parts
+each level's entries.
 
 A tree is a set of flat per-node arrays (see :class:`Tree`); several trees
 are one :class:`_Forest`, their arrays concatenated, the only such
@@ -361,14 +365,18 @@ def grow_sites(
     ``labels``, ``weight``) are one table; a level is its entries'
     positions there (``pos``) and their nodes (``node``).
 
-    Every cut is scored by one float expression (``_split_score``). Each
-    numeric feature sorts a node's entries by (node, value, row), so the
-    node's cuts come in ascending order and the first maximum of the score
-    wins. Features and subsets are compared by gain, the first maximum in
-    schema and enumeration order winning. Rational ties need not tie as
-    floats: with x = 0, 1, ..., 7 and y = [1, 0, 1, 1, 1, 0, 1, 1], the cuts
-    at 1.5 and 5.5 both score 16/3, rounded to 5.333333333333333 and
-    5.333333333333334, so the node splits at 5.5 (ROADMAP item 17).
+    Every categorical subset is scored by one float expression
+    (``_split_score``), and so is every numeric boundary cut: one whose
+    neighbouring entries, or the equal values on either side of it, hold two
+    labels. No other cut can score a node's maximum (see
+    ``_numeric_splits``). Each numeric feature sorts a node's entries by
+    (node, value, row), so the node's cuts come in ascending order and the
+    first maximum of the score wins. Features and subsets are compared by
+    gain, the first maximum in schema and enumeration order winning.
+    Rational ties need not tie as floats: with x = 0, 1, ..., 7 and
+    y = [1, 0, 1, 1, 1, 0, 1, 1], the cuts at 1.5 and 5.5 both score 16/3,
+    rounded to 5.333333333333333 and 5.333333333333334, so the node splits
+    at 5.5 (ROADMAP item 17).
     """
     K = chunk.schema.num_classes
     tables = _SearchTables(chunk)
@@ -517,20 +525,51 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n
     node``). All features are swept together: entry (f, i) belongs to
     segment ``numeric[f] * m + node[i]``. Class counts are class-major, so
     that sums over classes add whole rows. With weights, every count left
-    of a cut adds them."""
+    of a cut adds them.
+
+    Only boundary cuts are scored (Fayyad and Irani, Machine Learning 8,
+    1992; Elomaa and Rousu, Machine Learning 36, 1999): a cut whose two
+    neighbouring entries have different labels, or whose bin of equal values
+    on either side holds two labels. Any other cut lies inside a run of
+    entries of one class c. Moving a cut by t rows of c moves each side's
+    size u by t, and each side's term of ``sl / nl + sr / nr`` is then
+    u + const + k / u with k >= 0, so the score is convex in t (in
+    cumulative weight, with weights), and its maximum over the run lies at
+    one of the run's ends, strictly unless both sides hold c alone, that is
+    unless the node is pure. A segment's first run has the no-split score
+    at its outer end, which no cut scores below, so its maximum is at its
+    inner end, a boundary cut. So no dropped cut is a maximum. Exact
+    scores differ by at least 16 / n**4, far above the rounding of the
+    float scores, and the kept cuts stay in ascending order, so the first
+    maximum and its threshold are those of scoring every cut (ROADMAP item
+    16). In a pure node every cut ties, so all its cuts are kept: growth
+    never searches one, but ``best_split`` does."""
     m, e = totals.shape[1], node.size
     order = (node * tables.ranks.shape[1] + tables.ranks.take(rows, axis=1)).argsort(axis=1)
     values = tables.flat.take(rows[order] + tables.offset).ravel()
     # Class counts before each entry, one row per class, in (node, value,
     # row) order: keys are distinct.
-    onehot = tables.classes == labels[order].ravel()
+    label = labels[order].ravel()
+    onehot = tables.classes == label
     if weight is not None:
         onehot = onehot * weight[order].reshape(-1)
     del order
     segment = (node + m * tables.numeric[:, None]).ravel()
-    # The last entry left of each cut: a value differs from the next one in
-    # the same segment.
-    cut = ((values[1:] != values[:-1]) & (segment[1:] == segment[:-1])).nonzero()[0]
+    # The boundary cuts, as the last entry left of each: a value differs
+    # from the next one in the same segment, and so does the label, unless
+    # two equal values with two labels or a pure node keep more. Cuts kept
+    # in excess (marked across a segment's end) change nothing.
+    differs = values[1:] != values[:-1]
+    boundary = label[1:] != label[:-1]
+    mixed = (boundary & ~differs).nonzero()[0]  # inside a bin of equal values
+    pure = (np.maximum.reduce(totals) == n)[node]
+    if mixed.size or pure.any():
+        walls = differs.nonzero()[0]
+        after = walls.searchsorted(mixed)  # the first value change right of each
+        boundary[walls[after[after < walls.size]]] = True
+        boundary[walls[after[after > 0] - 1]] = True
+        boundary |= np.tile(pure, tables.numeric.size)[:-1]  # by the node of each pair's left entry
+    cut = (boundary & differs & (segment[1:] == segment[:-1])).nonzero()[0]
     if not cut.size:
         return
     at = segment[cut]

@@ -7,11 +7,12 @@ recursive grower, fused transfer walk and per-tree router; a numpy
 reference grower; the unfused transfer walk; the per-site regrowth loop;
 the splice that re-laid grown subtrees in pre-order and renumbered the
 trees around them; the batched grower that carried each level as five
-parallel arrays; the ``dtel-no-transfer`` step that grew its new tree
-alone and scored the archived trees from their own arrays; the per-row soft
-vote, the rational Q loops, the accuracy removal loop, the sea swap loop and
-the five per-family stream generators. ``pre_order`` gives any tree a canonical node order for byte
-comparisons."""
+parallel arrays; the numeric split search that scored every cut; the
+``dtel-no-transfer`` step that grew its new tree alone and scored the
+archived trees from their own arrays; the per-row soft vote, the rational
+Q loops, the accuracy removal loop, the sea swap loop and the five
+per-family stream generators. ``pre_order`` gives any tree a canonical
+node order for byte comparisons."""
 
 from __future__ import annotations
 
@@ -33,8 +34,10 @@ from driftel.cart import (
     Tree,
     _collapse,
     _Forest,
+    _heads,
     _level_splits,
     _SearchTables,
+    _split_score,
     categorical_split_subsets,
     category_width,
     route_forest,
@@ -202,8 +205,10 @@ def _threshold(lo: float, hi: float) -> float:
 
 
 def _numeric_candidate(col, labels: list[int], totals: list[int], total_sq: int):
-    """Integer-arithmetic sweep over sorted values; returns (score, threshold)
-    of the best cut or None. Exact: all intermediate sums are ints."""
+    """Sweep over sorted values; returns (score, threshold) of the best cut
+    or None. The counts and sums of squares are exact ints, but each score
+    divides them in floats, so rational ties can round apart as in ``cart``
+    (ROADMAP item 17)."""
     n = len(col)
     left = [0] * len(totals)
     right = list(totals)
@@ -841,6 +846,38 @@ def reference_grow_sites(
         p_true, right = p_true[spread], right[spread]
     feature, threshold, categories, site = (np.concatenate(a) for a in list(zip(*levels))[1:])
     return (feature, threshold, categories, counts.T, site), p_true, right
+
+
+def reference_numeric_splits(tables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold):
+    """``cart._numeric_splits`` as it was before it kept only boundary cuts:
+    every cut of every segment is scored. Its contract is
+    ``cart._numeric_splits``'s."""
+    m, e = totals.shape[1], node.size
+    order = (node * tables.ranks.shape[1] + tables.ranks.take(rows, axis=1)).argsort(axis=1)
+    values = tables.flat.take(rows[order] + tables.offset).ravel()
+    onehot = tables.classes == labels[order].ravel()
+    if weight is not None:
+        onehot = onehot * weight[order].reshape(-1)
+    segment = (node + m * tables.numeric[:, None]).ravel()
+    cut = ((values[1:] != values[:-1]) & (segment[1:] == segment[:-1])).nonzero()[0]
+    if not cut.size:
+        return
+    at = segment[cut]
+    owner = at % m
+    before = np.zeros((onehot.shape[0], onehot.shape[1] + 1), dtype=np.int64)
+    onehot.cumsum(axis=1, out=before[:, 1:])
+    left = before.take(cut + 1, axis=1)
+    left -= before.take(cut - cut % e + start[owner], axis=1)  # less the counts before the segment
+    score = _split_score(left, totals.take(owner, axis=1), n[owner])
+    head = _heads(at)
+    group = head.cumsum() - 1
+    hit = (score == np.maximum.reduceat(score, head.nonzero()[0])[group]).nonzero()[0]
+    hit = hit[_heads(group[hit])]
+    at, cut, owner = at[hit], cut[hit], owner[hit]
+    lo, hi = values[cut], values[cut + 1]
+    mid = (lo + hi) / 2.0
+    threshold[at] = np.where((lo <= mid) & (mid < hi), mid, lo)
+    gain[at] = (score[hit] - parent_score[owner]) / n[owner]
 
 
 def reference_grow_step(sources, chunk: Chunk, params, adapt: bool = True):

@@ -4,6 +4,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftel
+from driftel import cart
 from driftel.cart import (
+    SplitCandidate,
     StoppingParams,
     Tree,
     _Forest,
@@ -33,7 +36,7 @@ from driftel.core import (
     Schema,
     make_rng,
 )
-from driftel.transfer import transfer_tree
+from driftel.transfer import transfer_tree, transfer_trees
 from helpers import (
     NO_SHRINK,
     WALK_SCHEMA,
@@ -53,6 +56,7 @@ from helpers import (
     reference_best_split,
     reference_grow_sites,
     reference_grow_subtree,
+    reference_numeric_splits,
     reference_transfer,
     straight_line_route,
     tree_leaves,
@@ -79,6 +83,13 @@ def test_pure_chunk_gives_single_leaf():
     tree = train_cart(numeric_chunk([1, 2, 3], [1, 1, 1]), UNBOUNDED)
     assert tree.n_nodes == 1 and tree.feature[0] < 0
     assert tree.labels[0] == 1
+
+
+def test_pure_chunk_best_split_is_its_first_cut():
+    # Every cut of a pure chunk gains 0, so the first in the documented
+    # order wins. No cut there is a boundary cut: a pure node keeps them all.
+    chunk = numeric_chunk([(3, 5), (1, 4), (2, 4)], [1, 1, 1])
+    assert best_split(chunk) == SplitCandidate(0, 0.0, 1.5, None)
 
 
 def test_xor_pattern_needs_zero_gain_splits():
@@ -501,6 +512,51 @@ def test_grow_sites_matches_the_five_array_grower(data):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert p_true.dtype == ref_p_true.dtype and p_true.tobytes() == ref_p_true.tobytes()
     assert np.array_equal(right, ref_right)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_boundary_cuts_match_scoring_every_cut(data):
+    # The numeric search scores only boundary cuts; helpers keeps the search
+    # that scored every cut. At every search of train_cart and
+    # transfer_trees both must write the same gain and threshold bytes: on
+    # integer values with many ties and mixed labels, and on a few rows
+    # copied many times under conflicting labels, which grow as weighted
+    # (row, label) entries whose equal values hold several labels.
+    num_classes = data.draw(st.sampled_from([2, 3, 6]))
+    schema = Schema((*WALK_SCHEMA.features, FeatureDescriptor(NUMERIC)), num_classes)
+    chunks = []
+    for index in range(3):
+        if index < 2:
+            n = data.draw(st.integers(1, 150))
+            high = data.draw(st.integers(1, 6))
+            X = walk_rows(data, n, (4, 8), grid=1.0)
+            X[:, 0] = data.draw(st.lists(st.integers(0, high), min_size=n, max_size=n))
+        else:
+            n = data.draw(st.integers(1, 60))
+            X = duplicate_rows(data, n)
+        # A second numeric feature, a function of the row: copies stay copies.
+        X = np.hstack([X, (X[:, 1] - X[:, 2])[:, None]])
+        y = np.asarray(data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n)))
+        chunks.append(Chunk(index, schema, X, y))
+    params = StoppingParams(
+        max_depth=data.draw(st.one_of(st.none(), st.integers(0, 8))),
+        min_samples_split=data.draw(st.integers(2, 5)),
+        min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
+    )
+    numeric_splits = cart._numeric_splits
+
+    def both(tables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold):
+        expected = gain.copy(), threshold.copy()
+        reference_numeric_splits(tables, node, rows, labels, weight, totals, n, start, parent_score, *expected)
+        numeric_splits(tables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold)
+        assert gain.tobytes() == expected[0].tobytes()
+        assert threshold.tobytes() == expected[1].tobytes()
+
+    with mock.patch.object(cart, "_numeric_splits", both):
+        trees = [train_cart(chunks[0], params), train_cart(chunks[2], params)]
+        transfer_trees(trees, chunks[1], params)
+        transfer_trees(trees, chunks[2], params)
 
 
 def _mixed_trees(seed: int):
