@@ -99,8 +99,20 @@ MUTANTS = [
      "boundary = np.append(False, label[1:-1] != label[:-2])",
      ["test_cart.py"]),
     ("numeric-pure-node-dropped", CART,
-     "pure = (np.maximum.reduce(totals) == n)[node]",
-     "pure = (np.maximum.reduce(totals) < 0)[node]",
+     "pure = (np.maximum.reduce(totals) == n) & (size > 0)",
+     "pure = (np.maximum.reduce(totals) < 0) & (size > 0)",
+     ["test_cart.py"]),
+    ("pair-weight-one", CART,
+     "None if weight is None else weight[entry]",
+     "None if weight is None else weight[entry] ** 0",
+     ["test_cart.py"]),
+    ("pair-spread-sorted", CART,
+     "take(spread, axis=1)",
+     "take(np.sort(spread), axis=1)",
+     ["test_cart.py"]),
+    ("pair-leaf-at-pair-index", CART,
+     "leaves = leaves.reshape(-1, n).take(pair_rows, axis=1).ravel()",
+     "leaves = leaves.reshape(-1, n).take(np.arange(pair_rows.size), axis=1).ravel()",
      ["test_cart.py"]),
     ("new-tree-label-last-maximum", CART,
      "return _readonly(self.counts.argmax(axis=1))",

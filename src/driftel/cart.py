@@ -58,9 +58,11 @@ test is ``<=`` against a threshold or ``==`` against a code, and neither
 tells +0.0 from -0.0 or any two values equal under ``==``, so equal rows
 reach the same leaf. A STAGGER chunk of 200 rows holds at most 27 distinct
 rows; chunks of the numeric streams hold none twice and are routed as they
-are. ``grow_sites`` grows the same way: on a chunk with repeated rows, each
-site grows on its distinct (feature row, label) pairs, each weighted by its
-number of rows, and the posteriors and bits are spread back to the rows.
+are. Growth merges the same way: on a chunk with repeated rows,
+``grow_leaves`` finds the chunk's distinct (feature row, label) pairs once,
+each weighted by its number of rows, and every site grows on the pairs
+that reach its leaf (about 40 of a STAGGER chunk's 200 rows); the
+posteriors and bits are spread back to the rows through each row's pair.
 """
 
 from __future__ import annotations
@@ -293,77 +295,76 @@ def _heads(a: np.ndarray) -> np.ndarray:
     return head
 
 
-def _collapse(chunk: Chunk, rows, labels, bounds):
-    """Each site's rows as its distinct (feature row, label) pairs, given
-    that the chunk repeats rows (``Chunk.distinct``): one entry per pair,
-    grouped by site, a row of the pair standing for it, weighted by its
-    number of rows. Returns the entries' rows, labels and weights, the new
-    site bounds, and each input row's entry."""
-    columns, inverse = chunk.distinct
-    per_site = columns.shape[1] * chunk.schema.num_classes
-    site = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    key = site * per_site + inverse[rows] * chunk.schema.num_classes + labels
-    order = np.argsort(key, kind="stable")
-    head = _heads(key[order])  # the first row of each pair
-    spread = np.empty(key.size, dtype=np.int64)
-    spread[order] = np.cumsum(head) - 1
-    first = order[head]
-    weight = np.diff(np.append(np.flatnonzero(head), key.size))
-    bounds = np.searchsorted(key[first] // per_site, np.arange(bounds.size))
-    return rows[first], labels[first], weight, bounds, spread
-
-
 def grow_leaves(forest: _Forest, leaves: np.ndarray, chunk: Chunk, params: StoppingParams):
     """The one site grouping: regrow every leaf of ``forest`` that the
-    (tree, row) pairs ``leaves`` (global ids, tree-major) reach, in one
-    :func:`grow_sites` call, each leaf's rows, in row order, one site rooted
-    at the leaf's depth (read only under ``max_depth``). Returns the reached
-    leaves (ascending), the grown nodes (what ``_Forest.splice`` takes), and,
-    aligned with ``leaves``, each pair's true-class posterior at its regrown
+    (tree, row) pairs ``leaves`` (global ids, tree-major, every row of each
+    tree) reach, in one :func:`grow_sites` call, one site per leaf rooted at
+    the leaf's depth (read only under ``max_depth``). A site's entries are
+    its rows, in row order. On a chunk that repeats rows
+    (``Chunk.distinct``) they are its (distinct row, label) pairs instead,
+    in that order, each weighted by its rows. The chunk's pairs are found
+    once; equal rows reach the same leaf, so each tree's leaf is read at
+    each pair's first row, which stands for the pair: +0.0 and -0.0 merge
+    into one distinct row, and a threshold that falls back to the lower
+    value keeps that row's sign. Returns the reached leaves (ascending), the
+    grown nodes (what ``_Forest.splice`` takes), and, aligned with
+    ``leaves``, each (tree, row) pair's true-class posterior at its regrown
     leaf and whether that leaf's label is the row's."""
-    order = np.argsort(leaves, kind="stable")  # rows stay ascending in each site
+    n = len(chunk)
+    pair_rows, weight, spread = np.arange(n), None, None  # each row its own entry, unweighted
+    if chunk.distinct is not None:
+        key = chunk.distinct[1] * chunk.schema.num_classes + chunk.y
+        pair_rows, spread, weight = np.unique(key, return_index=True, return_inverse=True, return_counts=True)[1:]
+        leaves = leaves.reshape(-1, n).take(pair_rows, axis=1).ravel()  # each (tree, pair)'s leaf
+    order = np.argsort(leaves, kind="stable")  # entries stay in row or pair order in each site
     ranked = leaves[order]
     first = np.flatnonzero(np.diff(ranked, prepend=-1))
     reached = ranked[first]
     depths = None if params.max_depth is None else np.concatenate([t.depth for t in forest.trees])[reached]
-    grown, p_sorted, right_sorted = grow_sites(chunk, order % len(chunk), np.append(first, leaves.size), depths, params)
+    entry = order % pair_rows.size
+    rows, bounds = pair_rows[entry], np.append(first, leaves.size)
+    grown, p_sorted, right_sorted = grow_sites(
+        chunk, rows, chunk.y[rows], None if weight is None else weight[entry], bounds, depths, params
+    )
     p_true, right = np.empty(leaves.size, dtype=np.float64), np.empty(leaves.size, dtype=bool)
     p_true[order], right[order] = p_sorted, right_sorted
+    if spread is not None:  # each pair's to each of its rows
+        p_true, right = (a.reshape(-1, pair_rows.size).take(spread, axis=1).ravel() for a in (p_true, right))
     return reached, grown, p_true, right
 
 
 def grow_sites(
-    chunk: Chunk, rows: np.ndarray, bounds: np.ndarray, depth: np.ndarray | None, params: StoppingParams
+    chunk: Chunk, rows: np.ndarray, labels: np.ndarray, weight: np.ndarray | None, bounds: np.ndarray,
+    depth: np.ndarray | None, params: StoppingParams,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Grow one subtree per site, all sites together, breadth first: each
     round of numpy calls grows every open node of every site by one level.
 
-    Site ``s`` holds the chunk rows ``rows[bounds[s]:bounds[s + 1]]`` and
-    its root sits at depth ``depth[s]`` (read only under ``max_depth``).
+    Site ``s`` holds the entries ``bounds[s]:bounds[s + 1]`` of one table:
+    each a chunk row (``rows``), its label (``labels``) and, unless
+    ``weight`` is None, the number of rows it stands for. Its root sits at
+    depth ``depth[s]`` (read only under ``max_depth``).
     Returns the grown nodes in growth order, the sites' roots first, as
     ``(feature, threshold, categories, counts, site)``: ``Tree``'s node
     arrays but the child ids, and each node's site. Each level's nodes are its split nodes' children in pairs,
     so the children of the k-th split node of all are nodes ``n_sites + 2k``
     (left) and ``n_sites + 2k + 1`` (right); ``_Forest.splice`` puts them in
-    place. Also returns, aligned with ``rows``, each row's posterior of its
-    own label at its leaf and whether the leaf's label is the row's, both
-    by the leaf rule (``_LeafRule``) on the grown counts.
+    place. Also returns, aligned with the entries, each entry's posterior of
+    its own label at its leaf and whether the leaf's label is its label,
+    both by the leaf rule (``_LeafRule``) on the grown counts.
 
     A node stops when it is pure, has fewer than ``min_samples_split`` rows,
     sits at ``max_depth``, or its best split gains less than
     ``min_impurity_decrease``. Identical feature rows need no test of their
     own: they admit no cut, so the search finds no split there.
 
-    When the chunk repeats rows (``Chunk.distinct``), each site grows on its
-    distinct (feature row, label) pairs, weighted by their numbers of rows
-    (see ``_collapse``), and the posteriors and bits are spread back to the
-    rows. Class counts, node sizes, the numeric sweep's cumulative counts
-    and the categorical counts all add weights, so they count rows exactly
-    as on the rows themselves; a cut falls only between distinct values,
-    and the rows of a pair share their leaf. Chunks whose rows are all
-    distinct grow on the rows, unweighted. The entries (``rows``,
-    ``labels``, ``weight``) are one table; a level is its entries'
-    positions there (``pos``) and their nodes (``node``).
+    Weighted entries are a site's distinct (feature row, label) pairs, as
+    ``grow_leaves`` gives them on a chunk that repeats rows. Class counts,
+    node sizes, the numeric sweep's cumulative counts and the categorical
+    counts all add weights, so they count rows exactly as on the rows
+    themselves; a cut falls only between distinct values, and the rows of a
+    pair share their leaf. A level is its entries' positions in the table
+    (``pos``) and their nodes (``node``).
 
     Every categorical subset is scored by one float expression
     (``_split_score``), and so is every numeric boundary cut: one whose
@@ -381,10 +382,6 @@ def grow_sites(
     K = chunk.schema.num_classes
     tables = _SearchTables(chunk)
     max_depth, min_gain = params.max_depth, params.min_impurity_decrease
-    labels = chunk.y[rows]
-    weight = spread = None
-    if chunk.distinct is not None:
-        rows, labels, weight, bounds, spread = _collapse(chunk, rows, labels, bounds)
     weigh = (lambda pos: None) if weight is None else weight.take  # the entries' weights
     entry_leaf = np.empty(rows.size, dtype=np.int64)  # each entry's deepest node so far
     # The open level: its entries grouped by node, a node's in table order.
@@ -444,8 +441,6 @@ def grow_sites(
     grown = _LeafRule(np.concatenate([lv[0] for lv in levels], axis=1).T)  # (nodes, classes)
     p_true = grown.probabilities[entry_leaf, labels]
     right = grown.labels[entry_leaf] == labels
-    if spread is not None:
-        p_true, right = p_true[spread], right[spread]
     feature, threshold, categories, site = (np.concatenate(a) for a in list(zip(*levels))[1:])
     return (feature, threshold, categories, grown.counts, site), p_true, right
 
@@ -466,8 +461,7 @@ def _level_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, 
     threshold.fill(np.nan)
     if tables.numeric.size:
         _numeric_splits(
-            tables, node, rows, labels, weight, totals, n, size.cumsum() - size, parent_score,
-            gain.reshape(-1), threshold.reshape(-1),
+            tables, node, rows, labels, weight, totals, n, size, parent_score, gain.reshape(-1), threshold.reshape(-1)
         )
     if tables.categorical:
         subset_gain = _subset_gains(tables, node, rows, labels, weight, totals, n, parent_score)
@@ -518,14 +512,15 @@ def _split_score(left, total, n):
     return np.add.reduce(left) / nl + np.add.reduce(right) / (n - nl)
 
 
-def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold):
+def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n, size, parent_score, gain, threshold):
     """The best cut of every (numeric feature, node) pair whose entries hold
     two distinct values: its gain and threshold, written to ``gain`` and
     ``threshold`` (flat, feature-major: the pair (f, node) at ``f * m +
     node``). All features are swept together: entry (f, i) belongs to
-    segment ``numeric[f] * m + node[i]``. Class counts are class-major, so
-    that sums over classes add whole rows. With weights, every count left
-    of a cut adds them.
+    segment ``numeric[f] * m + node[i]``; ``size`` is each node's searched
+    entries, 0 at a node that is not searched. Class counts are
+    class-major, so that sums over classes add whole rows. With weights,
+    every count left of a cut adds them.
 
     Only boundary cuts are scored (Fayyad and Irani, Machine Learning 8,
     1992; Elomaa and Rousu, Machine Learning 36, 1999): a cut whose two
@@ -562,13 +557,14 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n
     differs = values[1:] != values[:-1]
     boundary = label[1:] != label[:-1]
     mixed = (boundary & ~differs).nonzero()[0]  # inside a bin of equal values
-    pure = (np.maximum.reduce(totals) == n)[node]
-    if mixed.size or pure.any():
+    if mixed.size:
         walls = differs.nonzero()[0]
         after = walls.searchsorted(mixed)  # the first value change right of each
         boundary[walls[after[after < walls.size]]] = True
         boundary[walls[after[after > 0] - 1]] = True
-        boundary |= np.tile(pure, tables.numeric.size)[:-1]  # by the node of each pair's left entry
+    pure = (np.maximum.reduce(totals) == n) & (size > 0)  # searched pure nodes: best_split's alone
+    if pure.any():
+        boundary |= np.tile(pure[node], tables.numeric.size)[:-1]  # by the node of each pair's left entry
     cut = (boundary & differs & (segment[1:] == segment[:-1])).nonzero()[0]
     if not cut.size:
         return
@@ -579,7 +575,7 @@ def _numeric_splits(tables: _SearchTables, node, rows, labels, weight, totals, n
     onehot.cumsum(axis=1, out=before[:, 1:])
     del onehot
     left = before.take(cut + 1, axis=1)
-    left -= before.take(cut - cut % e + start[owner], axis=1)  # less the counts before the segment
+    left -= before.take(cut - cut % e + (size.cumsum() - size)[owner], axis=1)  # less the counts before the segment
     del before
     score = _split_score(left, totals.take(owner, axis=1), n[owner])
     del left

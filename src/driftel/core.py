@@ -93,7 +93,8 @@ class Chunk:
     the chunk: ``columns``, the features column-major, and ``distinct``, the
     distinct feature rows with each row's index into them. Forest passes
     (transfer, the vote, correctness and member scoring) route only the
-    distinct rows, and ``cart.grow_sites`` grows on them, weighted.
+    distinct rows, and ``cart.grow_leaves`` grows every site on the chunk's
+    distinct (row, label) pairs, weighted.
     """
 
     index: int

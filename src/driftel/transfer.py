@@ -28,10 +28,9 @@ new model starts from a one-leaf tree that has learned nothing
 into the tree ``cart.train_cart`` grows on the chunk, breadth first, with
 its correctness bits; the splice puts it last in the forest the ensemble
 votes with. The ``dtel-no-transfer`` ablation regrows only that leaf. On
-chunks that repeat rows, as STAGGER's do, each site grows on its distinct
-(row, label) pairs, weighted by their rows. Sites that repeat another's
-entries and depth grow again: 2-3% of a step's sites on SEA200A but about
-70% on STA200A; growing each once is ROADMAP item 15.
+chunks that repeat rows, as STAGGER's do, the step finds the chunk's
+distinct (row, label) pairs once, and every site grows on the pairs that
+reach its leaf, each weighted by its rows.
 """
 
 from __future__ import annotations

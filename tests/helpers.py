@@ -7,12 +7,13 @@ recursive grower, fused transfer walk and per-tree router; a numpy
 reference grower; the unfused transfer walk; the per-site regrowth loop;
 the splice that re-laid grown subtrees in pre-order and renumbered the
 trees around them; the batched grower that carried each level as five
-parallel arrays; the numeric split search that scored every cut; the
-``dtel-no-transfer`` step that grew its new tree alone and scored the
-archived trees from their own arrays; the per-row soft vote, the rational
-Q loops, the accuracy removal loop, the sea swap loop and the five
-per-family stream generators. ``pre_order`` gives any tree a canonical
-node order for byte comparisons."""
+parallel arrays; the site grouping that collapsed each site's repeated
+rows into weighted (row, label) entries on its own; the numeric split
+search that scored every cut; the ``dtel-no-transfer`` step that grew its
+new tree alone and scored the archived trees from their own arrays; the
+per-row soft vote, the rational Q loops, the accuracy removal loop, the
+sea swap loop and the five per-family stream generators. ``pre_order``
+gives any tree a canonical node order for byte comparisons."""
 
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from driftel.cart import (
     SplitCandidate,
     StoppingParams,
     Tree,
-    _collapse,
     _Forest,
     _heads,
     _level_splits,
@@ -40,6 +40,7 @@ from driftel.cart import (
     _split_score,
     categorical_split_subsets,
     category_width,
+    grow_sites,
     route_forest,
 )
 from driftel.core import (
@@ -758,8 +759,55 @@ def growth_order(blocks, schema: Schema):
     )
 
 
+def collapse(chunk: Chunk, rows, labels, bounds):
+    """Each site's rows as its distinct (feature row, label) pairs, given
+    that the chunk repeats rows (``Chunk.distinct``): one entry per pair,
+    grouped by site, in (distinct row, label) order, the pair's first row in
+    the site standing for it, weighted by its number of rows there. Returns
+    the entries' rows, labels and weights, the new site bounds, and each
+    input row's entry. ``cart.grow_sites`` collapsed every site so before
+    ``cart.grow_leaves`` found the chunk's pairs once."""
+    columns, inverse = chunk.distinct
+    per_site = columns.shape[1] * chunk.schema.num_classes
+    site = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    key = site * per_site + inverse[rows] * chunk.schema.num_classes + labels
+    order = np.argsort(key, kind="stable")
+    head = _heads(key[order])  # the first row of each pair
+    spread = np.empty(key.size, dtype=np.int64)
+    spread[order] = np.cumsum(head) - 1
+    first = order[head]
+    weight = np.diff(np.append(np.flatnonzero(head), key.size))
+    bounds = np.searchsorted(key[first] // per_site, np.arange(bounds.size))
+    return rows[first], labels[first], weight, bounds, spread
+
+
+def row_site_grow_leaves(forest: _Forest, leaves, chunk: Chunk, params):
+    """``cart.grow_leaves`` as it was before it found a chunk's (distinct
+    row, label) pairs once: each reached leaf's rows, in row order, are one
+    site; on a chunk that repeats rows, ``collapse`` turns every site into
+    its weighted pair entries, and the posteriors and bits of
+    ``cart.grow_sites`` are spread back to the rows. Returns what
+    ``cart.grow_leaves`` returns, then the entries it grew on: ``(rows,
+    labels, weight, bounds)``."""
+    order = np.argsort(leaves, kind="stable")  # rows stay ascending in each site
+    ranked = leaves[order]
+    first = np.flatnonzero(np.diff(ranked, prepend=-1))
+    reached = ranked[first]
+    depths = None if params.max_depth is None else np.concatenate([t.depth for t in forest.trees])[reached]
+    rows = order % len(chunk)
+    labels, weight, bounds, spread = chunk.y[rows], None, np.append(first, leaves.size), None
+    if chunk.distinct is not None:
+        rows, labels, weight, bounds, spread = collapse(chunk, rows, labels, bounds)
+    grown, p_sorted, right_sorted = grow_sites(chunk, rows, labels, weight, bounds, depths, params)
+    if spread is not None:
+        p_sorted, right_sorted = p_sorted[spread], right_sorted[spread]
+    p_true, right = np.empty(leaves.size, dtype=np.float64), np.empty(leaves.size, dtype=bool)
+    p_true[order], right[order] = p_sorted, right_sorted
+    return reached, grown, p_true, right, (rows, labels, weight, bounds)
+
+
 def reference_grow_sites(
-    chunk: Chunk, rows: np.ndarray, bounds: np.ndarray, depths: np.ndarray, params: StoppingParams
+    chunk: Chunk, rows: np.ndarray, labels: np.ndarray, weight, bounds: np.ndarray, depths: np.ndarray, params
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """``cart.grow_sites`` as it was before each level became positions in
     one entry table: each level carries its entries' nodes, rows, labels,
@@ -770,10 +818,6 @@ def reference_grow_sites(
     tables = _SearchTables(chunk)
     width = tables.width
     max_depth, min_gain = params.max_depth, params.min_impurity_decrease
-    labels = chunk.y[rows]
-    weight = spread = None
-    if chunk.distinct is not None:
-        rows, labels, weight, bounds, spread = _collapse(chunk, rows, labels, bounds)
     entry_label = labels
     entry_leaf = np.empty(rows.size, dtype=np.int64)  # each entry's deepest node so far
     # The open level: each entry is a (node, row, label) triple with a
@@ -842,13 +886,11 @@ def reference_grow_sites(
     counts = np.concatenate([lv[0] for lv in levels], axis=1)  # (classes, nodes)
     p_true = counts[entry_label, entry_leaf] / np.add.reduce(counts)[entry_leaf]
     right = counts.argmax(axis=0)[entry_leaf] == entry_label
-    if spread is not None:
-        p_true, right = p_true[spread], right[spread]
     feature, threshold, categories, site = (np.concatenate(a) for a in list(zip(*levels))[1:])
     return (feature, threshold, categories, counts.T, site), p_true, right
 
 
-def reference_numeric_splits(tables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold):
+def reference_numeric_splits(tables, node, rows, labels, weight, totals, n, size, parent_score, gain, threshold):
     """``cart._numeric_splits`` as it was before it kept only boundary cuts:
     every cut of every segment is scored. Its contract is
     ``cart._numeric_splits``'s."""
@@ -867,7 +909,7 @@ def reference_numeric_splits(tables, node, rows, labels, weight, totals, n, star
     before = np.zeros((onehot.shape[0], onehot.shape[1] + 1), dtype=np.int64)
     onehot.cumsum(axis=1, out=before[:, 1:])
     left = before.take(cut + 1, axis=1)
-    left -= before.take(cut - cut % e + start[owner], axis=1)  # less the counts before the segment
+    left -= before.take(cut - cut % e + (size.cumsum() - size)[owner], axis=1)  # less the counts before the segment
     score = _split_score(left, totals.take(owner, axis=1), n[owner])
     head = _heads(at)
     group = head.cumsum() - 1

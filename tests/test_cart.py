@@ -18,7 +18,9 @@ from driftel.cart import (
     StoppingParams,
     Tree,
     _Forest,
+    _route_rows,
     best_split,
+    grow_leaves,
     grow_sites,
     one_leaf,
     posterior_chunk,
@@ -42,6 +44,7 @@ from helpers import (
     WALK_SCHEMA,
     GraphTree,
     assert_structure_above_leaves_preserved,
+    collapse,
     duplicate_rows,
     graph_posterior_chunk,
     graph_to_text,
@@ -58,6 +61,7 @@ from helpers import (
     reference_grow_subtree,
     reference_numeric_splits,
     reference_transfer,
+    row_site_grow_leaves,
     straight_line_route,
     tree_leaves,
     walk_rows,
@@ -491,7 +495,8 @@ def test_grow_sites_matches_the_five_array_grower(data):
     # The grower that carried every entry's node, row, label, position and
     # weight side by side (helpers.reference_grow_sites) must grow the same
     # nodes, posteriors and bits: on distinct rows, and on a few rows copied
-    # many times, which grow as weighted (row, label) entries.
+    # many times, whose arbitrary row sites helpers.collapse turns into
+    # weighted (row, label) entries.
     n = data.draw(st.integers(1, 80))
     X = walk_rows(data, n, (4, 8), grid=1.0) if data.draw(st.booleans()) else duplicate_rows(data, n)
     y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
@@ -506,12 +511,63 @@ def test_grow_sites_matches_the_five_array_grower(data):
         min_samples_split=data.draw(st.integers(2, 5)),
         min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
     )
-    grown, p_true, right = grow_sites(chunk, rows, bounds, depths, params)
-    ref_grown, ref_p_true, ref_right = reference_grow_sites(chunk, rows, bounds, depths, params)
+    labels, weight = y[rows], None
+    if chunk.distinct is not None:
+        rows, labels, weight, bounds = collapse(chunk, rows, labels, bounds)[:4]
+    grown, p_true, right = grow_sites(chunk, rows, labels, weight, bounds, depths, params)
+    ref_grown, ref_p_true, ref_right = reference_grow_sites(chunk, rows, labels, weight, bounds, depths, params)
     for a, b in zip(grown, ref_grown):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert p_true.dtype == ref_p_true.dtype and p_true.tobytes() == ref_p_true.tobytes()
     assert np.array_equal(right, ref_right)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.data())
+def test_pair_entries_match_collapsed_row_sites(data):
+    # On a chunk that repeats rows, grow_leaves finds the chunk's weighted
+    # (distinct row, label) pairs once and forms every site from them.
+    # helpers.row_site_grow_leaves groups the rows by leaf and collapses each
+    # site on its own: the entries handed to grow_sites, the grown nodes,
+    # the posteriors and the bits must all match to the byte. Forests of
+    # 1-4 trees and a one-leaf tree, with every site or, as the ablation
+    # grows, the one-leaf tree's alone; chunks of a few rows copied many
+    # times, +0.0 and -0.0 twins and conflicting labels among them.
+    params = StoppingParams(
+        max_depth=data.draw(st.one_of(st.none(), st.integers(0, 8))),
+        min_samples_split=data.draw(st.integers(2, 5)),
+        min_impurity_decrease=data.draw(st.sampled_from([0.0, 0.01, 0.1])),
+    )
+
+    def draw_chunk(index: int, repeats: bool) -> Chunk:
+        n = data.draw(st.integers(1, 60))
+        X = duplicate_rows(data, n) if repeats else walk_rows(data, n, (4, 8), grid=0.5)
+        y = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        return Chunk(index, WALK_SCHEMA, X, y)
+
+    n_trees = data.draw(st.integers(1, 4))
+    trees = [train_cart(draw_chunk(i, data.draw(st.booleans())), params) for i in range(n_trees)]
+    chunk = draw_chunk(n_trees, True)
+    forest = _Forest.of(trees + [one_leaf(WALK_SCHEMA, chunk.index)])
+    leaves = _route_rows(forest, chunk)
+    leaves = (leaves if data.draw(st.booleans()) else leaves[-1:]).ravel()
+    entries = []
+
+    def recorded(chunk, rows, labels, weight, bounds, depth, params):
+        entries.append((rows, labels, weight, bounds))
+        return grow_sites(chunk, rows, labels, weight, bounds, depth, params)
+
+    with mock.patch.object(cart, "grow_sites", recorded):
+        reached, grown, p_true, right = grow_leaves(forest, leaves, chunk, params)
+    *expected, expected_entries = row_site_grow_leaves(forest, leaves, chunk, params)
+    for a, b in zip(entries[0], expected_entries):  # rows, labels, weights (None on distinct rows), bounds
+        assert (a is None) == (b is None)
+        assert a is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+    assert reached.tobytes() == expected[0].tobytes()
+    for a, b in zip(grown, expected[1]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert p_true.dtype == expected[2].dtype and p_true.tobytes() == expected[2].tobytes()
+    assert right.dtype == expected[3].dtype and np.array_equal(right, expected[3])
 
 
 @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
@@ -546,10 +602,10 @@ def test_boundary_cuts_match_scoring_every_cut(data):
     )
     numeric_splits = cart._numeric_splits
 
-    def both(tables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold):
+    def both(tables, node, rows, labels, weight, totals, n, size, parent_score, gain, threshold):
         expected = gain.copy(), threshold.copy()
-        reference_numeric_splits(tables, node, rows, labels, weight, totals, n, start, parent_score, *expected)
-        numeric_splits(tables, node, rows, labels, weight, totals, n, start, parent_score, gain, threshold)
+        reference_numeric_splits(tables, node, rows, labels, weight, totals, n, size, parent_score, *expected)
+        numeric_splits(tables, node, rows, labels, weight, totals, n, size, parent_score, gain, threshold)
         assert gain.tobytes() == expected[0].tobytes()
         assert threshold.tobytes() == expected[1].tobytes()
 
